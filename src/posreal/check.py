@@ -6,6 +6,7 @@ the reference sequence comes from the long-division recurrence alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def markov_check(
 
     Errors are relative to 1 + |t_k|.  The default horizon max(100, 3*dim)
     comfortably exceeds twice the degree of anything at this scale, where
-    agreement already pins down the rational function.
+    agreement already pins down the rational function.  A non-finite error
+    (a sequence overflowed) fails the check at its first index.
     """
     A, b, c = _triple(realization)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
@@ -65,14 +67,15 @@ def markov_check(
         K = max(100, 3 * A.shape[0])
     ref = impulse_response(tf, K).values
     x = b.astype(float)
-    worst = 0.0
-    worst_k = 1
+    worst, worst_k = 0.0, 1
     for k in range(K):
         got = float(c @ x)
         err = float(abs(got - ref[k]) / (1.0 + abs(ref[k])))
-        if err > worst:
-            worst = err
-            worst_k = k + 1
+        if not err <= worst:  # a larger error, or NaN
+            worst, worst_k = err, k + 1
+            if not math.isfinite(err):
+                worst = math.inf
+                break
         x = A @ x
     nonneg = bool(A.min(initial=0.0) >= 0) and bool(b.min(initial=0.0) >= 0) and bool(c.min(initial=0.0) >= 0)
     return VerificationReport(int(K), worst, worst_k, nonneg, float(tol))

@@ -25,7 +25,6 @@ from .realizer import (
     IterationCapExceeded,
     NoPositiveRealization,
     Realized,
-    Unsupported,
     realize,
     realize_with_base,
 )
@@ -177,9 +176,10 @@ def _realization_doc(A, b, c) -> dict:
 
 
 def _verification_doc(report) -> dict:
+    err = report.max_relative_error  # infinite when a sequence overflowed
     return {
         "horizon": int(report.horizon),
-        "max_relative_error": float(report.max_relative_error),
+        "max_relative_error": float(err) if np.isfinite(err) else None,  # JSON has no inf
         "worst_index": int(report.worst_index),
         "nonnegative": bool(report.nonnegative),
         "passed": bool(report.passed),

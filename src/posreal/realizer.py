@@ -10,6 +10,7 @@ verified against the input by an independent Markov comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,11 @@ from .errors import (
     BaseMismatch,
     InsufficientBudget,
     InternalCheckError,
-    MultiplePoleUnsupported,
-    NegativePrefix,
     NonpositiveDominantResidue,
     NotPrimitive,
-    PosrealError,
 )
 from .geometry import classify
 from .tf import (
-    PartialFraction,
     TransferFunction,
     expand,
     impulse_response,
@@ -49,8 +46,6 @@ from .tf import (
     normalize,
     shift_once,
 )
-
-import math
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ tail t_2, t_3, ... back onto the same form with contracted coefficients.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -38,6 +37,9 @@ RECONSTRUCT_RTOL = 1e-8
 # check passes; the first rung keeps well-separated simple poles intact,
 # the later rungs absorb the eigenvalue splitting of multiple roots.
 _CLUSTER_LADDER = (1e-9, 1e-7, 1e-5, 1e-3)
+
+# Newton stops once a step is this small relative to the iterate (rounding level).
+_STEP_RTOL = 4 * np.finfo(float).eps
 
 
 class _RetryExpansion(Exception):
@@ -191,8 +193,7 @@ def companion_roots(monic_coeffs) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=complex)
     comp = np.zeros((n, n))
-    if n > 1:
-        comp[1:, :-1] = np.eye(n - 1)
+    comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -coeffs[:-1]
     return np.linalg.eigvals(comp)
 
@@ -226,11 +227,11 @@ def _reject_common_roots(tf: TransferFunction) -> None:
     # Resultant-style test: the resultant of num and den is the product of
     # num over den's roots; a vanishing factor flags a common root.
     roots = companion_roots(tf.den.coeffs)
-    nc = np.asarray(tf.num.coeffs)
-    for beta in roots:
-        scale = float(np.sum(np.abs(nc) * np.abs(beta) ** np.arange(len(nc))))
-        if abs(tf.num(beta)) <= 1e-9 * (scale + 1e-300):
-            raise NotCoprime(f"numerator vanishes at denominator root {beta:.12g}")
+    nc = np.abs(tf.num.coeffs)
+    scale = np.sum(nc * np.abs(roots)[:, None] ** np.arange(len(nc)), axis=1)
+    common = roots[np.abs(tf.num(roots)) <= 1e-9 * (scale + 1e-300)]
+    if common.size:
+        raise NotCoprime(f"numerator vanishes at denominator root {common[0]:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +248,9 @@ def _cluster_indices(roots: np.ndarray, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
+    close = np.triu(np.abs(roots[:, None] - roots[None, :]) <= radius, 1)
+    for i, j in zip(*np.nonzero(close)):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -261,44 +261,49 @@ def _polyder(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * np.arange(1, len(coeffs))
 
 
-def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
-    # lam is a simple root of the (mult-1)-th derivative; plain Newton there.
-    d = np.asarray(coeffs, dtype=complex)
+def _horner(poly: list, z):
+    """Value at z of a polynomial given by its coefficients in descending powers."""
+    acc = 0.0
+    for c in poly:
+        acc = acc * z + c
+    return acc
+
+
+def _refine_root(coeffs, z0: complex, mult: int) -> complex:
+    """Newton on the (mult-1)-th derivative, where the root is simple.
+
+    Scalar Horner (floats for a real start); each step reuses the previous
+    value.  Stops once |step| <= 4 eps |z| or after 12 steps, and returns
+    the iterate with the smallest residual.
+    """
+    d = np.asarray(coeffs, dtype=float)
     for _ in range(mult - 1):
         d = _polyder(d)
     dp = _polyder(d)
+    d, dp = d[::-1].tolist(), dp[::-1].tolist()
 
-    def val(poly, z):
-        acc = 0j
-        for c in poly[::-1]:
-            acc = acc * z + c
-        return acc
-
-    z = complex(z0)
-    best, best_val = z, abs(val(d, z))
+    z = z0.real if z0.imag == 0 else complex(z0)
+    f = _horner(d, z)
+    best, best_val = z, abs(f)
     for _ in range(12):
-        fp = val(dp, z)
+        fp = _horner(dp, z)
         if fp == 0:
             break
-        z = z - val(d, z) / fp
-        fv = abs(val(d, z))
-        if fv < best_val:
-            best, best_val = z, fv
-    if z0.imag == 0:
-        return complex(best.real, 0.0)
-    return best
+        step = f / fp
+        z = z - step
+        f = _horner(d, z)
+        if abs(f) < best_val:
+            best, best_val = z, abs(f)
+        if abs(step) <= _STEP_RTOL * abs(z):
+            break
+    return complex(best)
 
 
 def _taylor_at(coeffs, z0: complex, k: int) -> np.ndarray:
     """First k Taylor coefficients of a polynomial at z0 (synthetic division)."""
-    work = [complex(c) for c in reversed(coeffs)]
-    out = []
+    work, out = [complex(c) for c in reversed(coeffs)], []
     for _ in range(k):
-        if not work:
-            out.append(0j)
-            continue
-        acc = 0j
-        quot = []
+        acc, quot = 0j, []
         for c in work:
             acc = acc * z0 + c
             quot.append(acc)
@@ -307,20 +312,10 @@ def _taylor_at(coeffs, z0: complex, k: int) -> np.ndarray:
     return np.array(out)
 
 
-def _series_mul_linear(series: np.ndarray, a: complex) -> np.ndarray:
-    # multiply the truncated series by (a + w)
-    out = series * a
-    out[1:] += series[:-1]
-    return out
-
-
 def _series_div(num_t: np.ndarray, den_t: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(k, dtype=complex)
     for s in range(k):
-        acc = num_t[s]
-        for t in range(1, s + 1):
-            acc -= den_t[t] * out[s - t]
-        out[s] = acc / den_t[0]
+        out[s] = (num_t[s] - sum(den_t[t] * out[s - t] for t in range(1, s + 1))) / den_t[0]
     return out
 
 
@@ -329,15 +324,19 @@ def _coeffs_at_cluster(tf, clusters, idx: int) -> np.ndarray:
     lam, mult = clusters[idx]
     den_rest = np.zeros(mult, dtype=complex)
     den_rest[0] = 1.0
-    for j, (mu, mj) in enumerate(clusters):
-        if j == idx:
-            continue
-        for _ in range(mj):
-            den_rest = _series_mul_linear(den_rest, lam - mu)
-    num_t = _taylor_at(tf.num.coeffs, lam, mult)
-    series = _series_div(num_t, den_rest, mult)
+    for mu, mj in clusters[:idx] + clusters[idx + 1 :]:
+        for _ in range(mj):  # times (lam - mu + w), truncated
+            den_rest = np.convolve(den_rest, [lam - mu, 1.0])[:mult]
+    series = _series_div(_taylor_at(tf.num.coeffs, lam, mult), den_rest, mult)
     # series[s] is the coefficient of (z - lam)^(s - mult); c^(i) = series[mult - i]
     return series[::-1]
+
+
+def _simple_residues(tf, clusters) -> np.ndarray:
+    """Residues num(lam) / prod_{mu != lam} (lam - mu) at all-simple clusters at once."""
+    lams = np.array([lam for lam, _ in clusters])
+    diff = lams[:, None] - lams + np.eye(len(lams))  # unit diagonal
+    return tf.num(lams) / diff.prod(axis=1)
 
 
 def _term_sort_key(term: PoleTerm):
@@ -346,14 +345,14 @@ def _term_sort_key(term: PoleTerm):
 
 def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) -> PartialFraction:
     groups = _cluster_indices(roots, radius)
-    raw = [(np.mean(roots[g]), len(g)) for g in groups]
+    raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
 
     clusters: list[tuple[complex, int]] = []
     uppers: list[tuple[complex, int]] = []
     lowers: list[tuple[complex, int]] = []
     for center, mult in raw:
         if abs(center.imag) <= radius:
-            lam = _refine_root(np.asarray(tf.den.coeffs), complex(center.real, 0.0), mult)
+            lam = _refine_root(tf.den.coeffs, complex(center.real, 0.0), mult)
             clusters.append((lam, mult))
         elif center.imag > 0:
             uppers.append((center, mult))
@@ -363,16 +362,14 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
         raise _RetryExpansion("unpaired complex clusters")
     used = [False] * len(lowers)
     for center, mult in uppers:
-        match = None
-        for i, (lc, lm) in enumerate(lowers):
-            if not used[i] and lm == mult and abs(lc.conjugate() - center) <= 4 * radius + 1e-12:
-                match = i
-                break
+        partners = (i for i, (lc, lm) in enumerate(lowers)
+                    if not used[i] and lm == mult and abs(lc.conjugate() - center) <= 4 * radius + 1e-12)
+        match = next(partners, None)
         if match is None:
             raise _RetryExpansion("no conjugate partner for a complex cluster")
         used[match] = True
         lam = 0.5 * (center + lowers[match][0].conjugate())
-        lam = _refine_root(np.asarray(tf.den.coeffs), lam, mult)
+        lam = _refine_root(tf.den.coeffs, lam, mult)
         clusters.append((lam, mult))
         clusters.append((lam.conjugate(), mult))
 
@@ -399,7 +396,13 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
         if i != d and abs(mu - lam0) <= 1e-6 * (1.0 + abs(lam0)):
             raise NotPrimitive("dominant pole is not separated (possibly multiple)")
 
-    gamma_c = _coeffs_at_cluster(tf, clusters, d)[0]
+    if all(m == 1 for _, m in clusters):
+        residues = _simple_residues(tf, clusters)
+        coeffs_at = lambda i: residues[i : i + 1]
+    else:
+        coeffs_at = lambda i: _coeffs_at_cluster(tf, clusters, i)
+
+    gamma_c = coeffs_at(d)[0]
     if abs(gamma_c.imag) > 1e-8 * (1.0 + abs(gamma_c)):
         raise _RetryExpansion("dominant residue has a nontrivial imaginary part")
     gamma = float(gamma_c.real)
@@ -410,13 +413,11 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     for i, (lam, mult) in enumerate(clusters):
         if i == d or lam.imag < 0:
             continue
-        coeffs = _coeffs_at_cluster(tf, clusters, i)
+        coeffs = coeffs_at(i)
         if lam.imag == 0:
-            scales = 1.0 + np.abs(coeffs)
-            if np.any(np.abs(coeffs.imag) > 1e-7 * scales):
+            if np.any(np.abs(coeffs.imag) > 1e-7 * (1.0 + np.abs(coeffs))):
                 raise _RetryExpansion("real pole with non-real coefficients")
-            real_coeffs = tuple(complex(c.real, 0.0) for c in coeffs)
-            terms.append(PoleTerm(lam, real_coeffs))
+            terms.append(PoleTerm(lam, tuple(coeffs.real)))
         else:
             terms.append(PoleTerm(lam, tuple(coeffs)))
             terms.append(PoleTerm(lam.conjugate(), tuple(c.conjugate() for c in coeffs)))
@@ -439,10 +440,13 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
 def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
-    Poles come from the companion-matrix eigenvalues; conjugate pairs are
+    Poles come from the companion-matrix eigenvalues, each polished by
+    Newton until its step reaches rounding level; conjugate pairs are
     symmetrized exactly and multiple roots are recovered by clustering at
     increasing radii until the expansion reproduces the input on a test
-    circle.
+    circle.  When every cluster is simple the residues come in closed form,
+    num(lam) / prod_{mu != lam} (lam - mu); multiple clusters use truncated
+    Taylor division.
     """
     roots = companion_roots(tf.den.coeffs)
     scale = 1.0 + float(np.max(np.abs(roots)))
@@ -517,11 +521,8 @@ def impulse_response(tf: TransferFunction, K: int) -> ImpulsePrefix:
         raise ValueError("K must be positive")
     n = tf.mcmillan_degree
     p = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        idx = n - k
-        if idx <= tf.num.degree:
-            p[k] = tf.num.coeffs[idx]
-    q = np.array([tf.den.coeffs[n - i] for i in range(1, n + 1)])
+    p[n - tf.num.degree :] = tf.num.coeffs[::-1]  # p_k: coefficient of z^(n-k)
+    q = np.array(tf.den.coeffs[-2::-1])  # q_i: coefficient of z^(n-i)
     t = np.zeros(K)
     for k in range(1, K + 1):
         acc = p[k] if k <= n else 0.0

@@ -3,7 +3,7 @@ import pytest
 
 import posreal as pr
 from posreal.check import cone_check, markov_check
-from posreal.errors import DimensionMismatch
+from posreal.errors import DimensionMismatch, InternalCheckError
 
 from conftest import hn_pf
 
@@ -30,6 +30,28 @@ class TestMarkovCheck:
         report = markov_check((base_4dim.A, base_4dim.b, c), h4_tf, 20, 1e-6)
         assert not report.nonnegative
         assert not report.passed
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_fails_at_first_non_finite_index(self):
+        # Both sequences are 2^(k-1); they overflow together at k = 1025,
+        # where the error inf - inf is NaN.
+        tf = pr.from_coefficients([1.0], [-2.0, 1.0])
+        triple = (np.array([[2.0]]), np.array([1.0]), np.array([1.0]))
+        assert markov_check(triple, tf, 1024).passed
+        report = markov_check(triple, tf, 1100)
+        assert not report.passed
+        assert report.worst_index == 1025
+        assert report.max_relative_error == np.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_large_dominant_pole_is_not_verified(self):
+        # The H4 shape at dominant pole 1e4 overflows before the default
+        # horizon of 100, so the synthesized realization cannot be verified.
+        pf = pr.PartialFraction(
+            1e4, 1.0, (pr.PoleTerm(4e3 + 0j, (-25.0 + 0j,)), pr.PoleTerm(2e3 + 0j, (75.0 + 0j,)))
+        )
+        with pytest.raises(InternalCheckError, match="failed verification"):
+            pr.realize(pr.recombine(pf))
 
     def test_dimension_mismatch(self, h4_tf):
         with pytest.raises(DimensionMismatch):

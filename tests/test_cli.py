@@ -135,6 +135,19 @@ class TestVerifyCommand:
             )
             capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_reported_as_null_error(self, tmp_path, capsys):
+        problem = write_problem(
+            tmp_path, "two.json", {"transfer": {"num": [1.0], "den": [-2.0, 1.0]}}
+        )
+        real = write_problem(tmp_path, "real.json", {"A": [[2.0]], "b": [1.0], "c": [1.0]})
+        code = main(["verify", problem, "--realization", real, "--horizon", "1100"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert doc["passed"] is False
+        assert doc["worst_index"] == 1025
+        assert doc["max_relative_error"] is None
+
     def test_failing_realization_exit_code(self, tmp_path, capsys):
         problem = write_problem(
             tmp_path, "one.json", {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}}

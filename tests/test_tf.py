@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posreal as pr
+import posreal.tf as tfmod
 from posreal.errors import NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
 from conftest import hn_pf, hn_tf, hn_impulse
@@ -113,6 +114,20 @@ class TestExpand:
         up = next(t for t in pf.terms if t.pole.imag > 0)
         assert up.pole == pytest.approx(0.3 + 0.4j, abs=1e-7)
         assert up.coeffs[1] == pytest.approx(0.5 + 0.1j, abs=1e-6)
+
+    @pytest.mark.parametrize("coeffs", [(0.2, 0.5), (0.5, 1.0), (-0.3, 0.4), (0.1, -0.2)])
+    def test_near_double_real_root_is_one_order_two_term(self, coeffs):
+        # eigvals splits the exact double root at -0.4 into two real roots
+        # about 1.5e-8 apart; the expansion must merge them into one term.
+        pf_in = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(-0.4 + 0j, tuple(map(complex, coeffs))),))
+        tf = pr.recombine(pf_in)
+        split = pr.companion_roots(tf.den.coeffs)
+        split = np.sort(split[np.abs(split + 0.4) < 1e-6].real)
+        assert len(split) == 2 and 1e-9 < split[1] - split[0] < 1e-7
+        pf = pr.expand(tf)
+        assert [(t.order, t.pole.imag) for t in pf.terms] == [(2, 0.0)]
+        assert pf.terms[0].pole.real == pytest.approx(-0.4, abs=1e-9)
+        assert [c.real for c in pf.terms[0].coeffs] == pytest.approx(coeffs, abs=1e-6)
 
     def test_dominance_tie_not_primitive(self):
         den = np.polynomial.polynomial.polymul([-0.9, 1.0], [0.9, 1.0])
@@ -236,6 +251,67 @@ class TestIterationEstimate:
     def test_example1_finite(self, example1_tf):
         est = pr.iteration_estimate(pr.normalize(pr.expand(example1_tf)))
         assert est >= 1
+
+
+class TestRefineRoot:
+    ROOTS = (1.0, 0.55, -0.7, 0.3 + 0.5j, 0.3 - 0.5j, -0.2 + 0.6j, -0.2 - 0.6j, 0.1)
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Records every polynomial evaluation made by the expansion."""
+        seen = []
+        horner = tfmod._horner
+
+        def counting(poly, z):
+            seen.append(z)
+            return horner(poly, z)
+
+        monkeypatch.setattr(tfmod, "_horner", counting)
+        return seen
+
+    def test_separated_roots_stop_within_three_steps(self, evaluations):
+        den = tuple(np.polynomial.polynomial.polyfromroots(self.ROOTS).real)
+        for z0 in pr.companion_roots(den):
+            evaluations.clear()
+            z = tfmod._refine_root(den, complex(z0), 1)
+            # one value at the start, then a derivative and a value per step
+            assert len(evaluations) <= 1 + 2 * 3
+            assert min(abs(z - r) for r in self.ROOTS) < 1e-14
+
+    def test_expand_evaluates_each_root_a_few_times(self, evaluations):
+        den = np.polynomial.polynomial.polyfromroots(self.ROOTS).real
+        pf = pr.expand(pr.from_coefficients([0.3, -0.2, 0.5, 0.1], den))
+        assert pf.mcmillan_degree == len(self.ROOTS)
+        # a conjugate pair is refined once, on its upper root
+        assert len(evaluations) <= (1 + 2 * 3) * (len(self.ROOTS) - 2)
+
+
+def _separated_poles(rng, n: int, gap: float = 0.05) -> list[complex]:
+    poles: list[complex] = []
+    while len(poles) < n:
+        if n - len(poles) >= 2 and rng.random() < 0.5:
+            z = 0.95 * np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            new = [z, z.conjugate()]
+        else:
+            new = [complex(rng.uniform(-0.95, 0.95))]
+        cand = poles + new
+        if all(abs(a - b) > gap for i, a in enumerate(cand) for b in cand[:i]):
+            poles = cand
+    return poles
+
+
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_closed_form_residues_match_taylor_division(n, seed):
+    rng = np.random.default_rng(seed)
+    poles = _separated_poles(rng, n)
+    den = np.polynomial.polynomial.polyfromroots(poles).real
+    num = rng.uniform(-1.0, 1.0, rng.integers(1, n + 1))
+    num[-1] = num[-1] or 1.0
+    tf = pr.TransferFunction(pr.Polynomial(num), pr.Polynomial(den / den[-1]))
+    clusters = [(complex(p), 1) for p in poles]
+    closed = tfmod._simple_residues(tf, clusters)
+    taylor = [tfmod._coeffs_at_cluster(tf, clusters, i)[0] for i in range(n)]
+    np.testing.assert_allclose(closed, taylor, rtol=1e-12, atol=0.0)
 
 
 # --- properties ------------------------------------------------------------
