@@ -29,10 +29,8 @@ from .geometry import PoleClassification, in_polygon
 CLAMP_WINDOW = 1e-12
 
 # Feasibility floor for a pair's dominant share: 2^{5/2} * eta / cos(pi/m)
-# at alpha = 1/2.  The looser 2 * eta / cos(pi/m) variant is surfaced in
-# summaries for comparison but never enforced.
+# at alpha = 1/2.
 PAIR_BUDGET_COEFF = 2.0**2.5
-PAIR_BUDGET_COEFF_ALT = 2.0
 CONSERVATIVE_LIMIT = 2.0**-2.5
 
 
@@ -384,9 +382,7 @@ def prefix_lift(base: Realization, prefix) -> Realization:
     base input vector, and the chain outputs are the prefix values, so the
     lifted Markov sequence is exactly prefix ++ base sequence.
     """
-    pre = np.asarray(prefix, dtype=float)
-    if pre.ndim != 1:
-        pre = pre.reshape(-1)
+    pre = np.asarray(prefix, dtype=float).reshape(-1)
     if pre.size == 0:
         return base
     if pre.min() < 0:

@@ -28,7 +28,9 @@ from .realizer import (
     realize,
     realize_with_base,
 )
-from .tf import TransferFunction, from_coefficients, recombine, build_partial_fraction, PoleTerm
+from .tf import (
+    PoleTerm, TransferFunction, build_partial_fraction, from_coefficients, impulse_response, recombine,
+)
 
 EXIT_OK = 0
 EXIT_NO_REALIZATION = 1
@@ -196,14 +198,10 @@ def _trace_doc(trace) -> dict:
         "budget_totals": [float(v) for v in trace.budget_totals],
         "blocks": [
             {
-                k: v
-                for k, v in (
-                    ("kind", s.kind),
-                    ("dim", s.dim),
-                    ("share", float(s.share)),
-                    ("share_floor", None if s.share_floor is None else float(s.share_floor)),
-                    ("share_floor_alt", None if s.share_floor_alt is None else float(s.share_floor_alt)),
-                )
+                "kind": s.kind,
+                "dim": s.dim,
+                "share": float(s.share),
+                "share_floor": None if s.share_floor is None else float(s.share_floor),
             }
             for s in trace.blocks
         ],
@@ -290,12 +288,10 @@ def _emit(doc: dict, args) -> None:
     _write_output(text, args.output)
 
 
-def _resolve(flag, options: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in options:
-        return options[key]
-    return default
+def _resolve(flag, options: dict, key: str, default, cast=lambda v: v):
+    """The flag if given, else the problem file's option (null counts as absent), else the default."""
+    value = flag if flag is not None else options.get(key)
+    return default if value is None else cast(value)
 
 
 _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_sum",
@@ -305,14 +301,14 @@ _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_s
 def _cmd_realize(args) -> int:
     problem = load_problem(args.problem)
     opts = problem.options
-    mode = _MODES.get(str(_resolve(args.mode, opts, "mode", "per-pole")))
+    mode = _MODES.get(_resolve(args.mode, opts, "mode", "per-pole", str))
     if mode is None:
         raise SchemaError("mode must be 'per-pole' or 'sum'")
-    tol = float(_resolve(args.tol, opts, "tol", 1e-6))
-    cap = _resolve(args.max_shifts, opts, "max_shifts", None)
-    horizon = _resolve(args.horizon, opts, "horizon", None)
+    tol = _resolve(args.tol, opts, "tol", 1e-6, float)
+    cap = _resolve(args.max_shifts, opts, "max_shifts", None, int)
+    horizon = _resolve(args.horizon, opts, "horizon", None, int)
     base_ref = _resolve(args.base, opts, "base", None)
-    base_shift = _resolve(args.base_shift, opts, "base_shift", None)
+    base_shift = _resolve(args.base_shift, opts, "base_shift", None, int)
 
     if base_ref is not None:
         if base_shift is None:
@@ -320,14 +316,11 @@ def _cmd_realize(args) -> int:
         A, b, c = load_realization(base_ref, Path(args.problem).parent)
         base = Realization(A, b, c)
         outcome = realize_with_base(
-            problem.tf, base, int(base_shift), verify_tol=tol,
-            verify_horizon=None if horizon is None else int(horizon),
+            problem.tf, base, base_shift, verify_tol=tol, verify_horizon=horizon
         )
     else:
         outcome = realize(
-            problem.tf, mode, verify_tol=tol,
-            verify_horizon=None if horizon is None else int(horizon),
-            cap_override=None if cap is None else int(cap),
+            problem.tf, mode, verify_tol=tol, verify_horizon=horizon, cap_override=cap
         )
 
     if isinstance(outcome, Realized):
@@ -380,19 +373,18 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     problem = load_problem(args.problem)
     A, b, c = load_realization(args.realization, Path(args.problem).parent)
-    K = None if args.horizon is None else int(args.horizon)
-    report = markov_check((A, b, c), problem.tf, K, args.tol if args.tol else 1e-6)
+    tol = _resolve(args.tol, problem.options, "tol", 1e-6, float)
+    K = _resolve(args.horizon, problem.options, "horizon", None, int)
+    report = markov_check((A, b, c), problem.tf, K, tol)
     _emit(_verification_doc(report), args)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def _cmd_impulse(args) -> int:
     problem = load_problem(args.problem)
-    K = int(args.horizon) if args.horizon is not None else 20
+    K = _resolve(args.horizon, problem.options, "horizon", 20, int)
     if K < 1:
         raise SchemaError("impulse horizon must be positive")
-    from .tf import impulse_response
-
     values = impulse_response(problem.tf, K).values
     _emit({"count": K, "values": [float(v) for v in values]}, args)
     return EXIT_OK

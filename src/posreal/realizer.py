@@ -1,11 +1,13 @@
-"""The synthesis loop: shift until the budget fits, construct, lift, verify.
+"""The synthesis pipeline: expand, shift, construct, lift, verify.
 
 Each pass checks the current leading impulse value (a negative value rules
 out any nonnegative realization), tries to allocate the unit dominant
 residue across the classified poles, and otherwise strips one impulse value
 and contracts the tail.  On success the assembled blocks are lifted by the
 collected prefix, rescaled back to the original gain and pole location, and
-verified against the input by an independent Markov comparison.
+verified against the input by an independent Markov comparison.  A supplied
+base realization of the shifted tail replaces the shift loop and the blocks;
+expansion, lift and verification are the same.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .blocks import (
     positive_pole_block,
     prefix_lift,
     real_pole_block,
-    PAIR_BUDGET_COEFF_ALT,
 )
 from .check import VerificationReport, markov_check
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .geometry import classify
 from .tf import (
+    PartialFraction,
     TransferFunction,
     expand,
     impulse_response,
@@ -53,8 +55,7 @@ class BlockSummary:
     kind: str
     dim: int
     share: float
-    share_floor: float | None = None  # enforced pair floor (2^{5/2} eta / cos)
-    share_floor_alt: float | None = None  # looser stated variant (2 eta / cos)
+    share_floor: float | None = None  # enforced floor: |c| real, 2^{5/2} eta / cos(pi/m) pair
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,15 @@ class IterationCapExceeded:
 Outcome = Realized | NoPositiveRealization | Unsupported | IterationCapExceeded
 
 
-def _first_negative_impulse(tf: TransferFunction, limit: int = 1 << 20):
+# Normalized Markov terms of a supplied base compared against the shifted tail.
+_BASE_HORIZON = 50
+# Longest impulse prefix searched for a negative witness.
+_WITNESS_SEARCH_LIMIT = 1 << 20
+
+
+def _first_negative_impulse(tf: TransferFunction):
     K = 64
-    while K <= limit:
+    while K <= _WITNESS_SEARCH_LIMIT:
         t = impulse_response(tf, K).values
         tol = 1e-10 * (1.0 + np.maximum.accumulate(np.abs(t)))
         hits = np.nonzero(t < -tol)[0]
@@ -114,55 +121,15 @@ def _denormalized(real: Realization, gamma: float, lam0: float) -> Realization:
     return Realization(real.A * lam0, real.b * gamma, real.c)
 
 
-def _build_blocks(plan: BudgetPlan, alpha: float):
-    cls = plan.classification
-    blocks = []
-    summaries = []
-    for lam, c in cls.n1_poles:
-        blk = positive_pole_block(lam, c)
-        blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, 0.0))
-    for (lam, c), share in zip(cls.n2_poles, plan.n2_shares):
-        blk = real_pole_block(lam, c, share)
-        blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, abs(c), abs(c)))
-    for pair, share in zip(cls.pair_assignments, plan.pair_shares):
-        eta = abs(pair.coeff)
-        blk = complex_pair_block(
-            abs(pair.pole),
-            math.atan2(pair.pole.imag, pair.pole.real),
-            eta,
-            math.atan2(pair.coeff.imag, pair.coeff.real),
-            pair.polygon_index,
-            share,
-            alpha,
-        )
-        blocks.append(blk)
-        floor = pair_share_floor(eta, pair.polygon_index)
-        alt = PAIR_BUDGET_COEFF_ALT * eta / math.cos(math.pi / pair.polygon_index)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, floor, alt))
-    return blocks, summaries
+def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horizon) -> Outcome:
+    """Expand and normalize ``tf``, run ``stage``, then lift, rescale and verify.
 
-
-def realize(
-    tf: TransferFunction,
-    mode: str = "per_pole",
-    *,
-    verify_tol: float = 1e-6,
-    verify_horizon: int | None = None,
-    cap_override: int | None = None,
-    alpha: float = 0.5,
-) -> Outcome:
-    """Synthesize a verified nonnegative realization of ``tf``.
-
-    ``mode`` selects the stopping rule: "per_pole" compares the exact share
-    floors against the unit residue (tighter, smaller dimensions), while
-    "conservative_sum" stops once the plain coefficient sum drops below
-    2^{-5/2}.  The number of shifts is capped at twice the closed-form
-    estimate unless ``cap_override`` is given.
+    ``stage(pf)`` returns an early outcome or ``(core, prefix, budget,
+    budget_totals, blocks)``: a realization of the normalized tail, the
+    nonnegative normalized prefix shifted off before it, and trace fields.
     """
     try:
-        pf0 = expand(tf)
+        pf = normalize(expand(tf))
     except NotPrimitive as exc:
         return Unsupported(str(exc))
     except NonpositiveDominantResidue:
@@ -170,12 +137,38 @@ def realize(
         if hit is None:
             return Unsupported("dominant residue is not positive")
         return NoPositiveRealization(*hit)
-    if any(t.order > 1 for t in pf0.terms):
-        return Unsupported("multiple non-dominant poles are not constructed here")
+    staged = stage(pf)
+    if not isinstance(staged, tuple):
+        return staged
+    core, prefix, plan, totals, summaries = staged
 
-    pf = normalize(pf0)
-    gamma = pf.scale_gamma
-    lam0 = pf.pole_scale
+    final = _denormalized(prefix_lift(core, prefix), pf.scale_gamma, pf.pole_scale)
+    report = markov_check(final, tf, verify_horizon, verify_tol)
+    if not report.passed:
+        raise InternalCheckError(
+            f"synthesized realization failed verification (error {report.max_relative_error:.3g})"
+        )
+    trace = AlgorithmTrace(
+        mode=mode,
+        shifts_performed=len(prefix),
+        prefix=tuple(float(v) for v in prefix),
+        budget=plan,
+        budget_totals=tuple(totals),
+        blocks=tuple(summaries),
+        pre_lift_dimension=core.dim,
+        final_dimension=final.dim,
+        verification=report,
+        scale_gamma=pf.scale_gamma,
+        pole_scale=pf.pole_scale,
+    )
+    assert trace.final_dimension == trace.pre_lift_dimension + trace.shifts_performed
+    return Realized(final, trace)
+
+
+def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
+    """``realize``'s stage: shift until the budget fits, then build and assemble the blocks."""
+    if any(t.order > 1 for t in pf.terms):
+        return Unsupported("multiple non-dominant poles are not constructed here")
     neg_tol = 1e-10 * (1.0 + abs(leading_impulse(pf)))
     cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
 
@@ -185,7 +178,7 @@ def realize(
         t_m = leading_impulse(pf)
         if t_m < -neg_tol:
             m = len(prefix) + 1
-            return NoPositiveRealization(m, gamma * lam0 ** (m - 1) * t_m)
+            return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
         cls = classify(pf)
         total = per_pole_total(cls)
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
@@ -201,72 +194,67 @@ def realize(
             continue
         break
 
-    blocks, summaries = _build_blocks(plan, alpha)
+    blocks = []
+    summaries = []
+    for lam, c in cls.n1_poles:
+        blk = positive_pole_block(lam, c)
+        blocks.append(blk)
+        summaries.append(BlockSummary(blk.kind, blk.dim, 0.0))
+    for (lam, c), share in zip(cls.n2_poles, plan.n2_shares):
+        blk = real_pole_block(lam, c, share)
+        blocks.append(blk)
+        summaries.append(BlockSummary(blk.kind, blk.dim, share, abs(c)))
+    for pair, share in zip(cls.pair_assignments, plan.pair_shares):
+        eta = abs(pair.coeff)
+        blk = complex_pair_block(
+            abs(pair.pole),
+            math.atan2(pair.pole.imag, pair.pole.real),
+            eta,
+            math.atan2(pair.coeff.imag, pair.coeff.real),
+            pair.polygon_index,
+            share,
+        )
+        blocks.append(blk)
+        summaries.append(BlockSummary(blk.kind, blk.dim, share, pair_share_floor(eta, pair.polygon_index)))
     core = assemble(blocks, plan.leftover)
     if plan.leftover > 0 and not any(blk.dominant_share > 0 for blk in blocks):
         summaries.append(BlockSummary("dominant_remainder", 1, plan.leftover))
-    lifted = prefix_lift(core, np.asarray(prefix))
-    final = _denormalized(lifted, gamma, lam0)
-    horizon = verify_horizon if verify_horizon is not None else max(100, 3 * final.dim)
-    report = markov_check(final, tf, horizon, verify_tol)
-    if not report.passed:
-        raise InternalCheckError(
-            f"synthesized realization failed verification (error {report.max_relative_error:.3g})"
-        )
-    trace = AlgorithmTrace(
-        mode=mode,
-        shifts_performed=len(prefix),
-        prefix=tuple(prefix),
-        budget=plan,
-        budget_totals=tuple(totals),
-        blocks=tuple(summaries),
-        pre_lift_dimension=core.dim,
-        final_dimension=final.dim,
-        verification=report,
-        scale_gamma=gamma,
-        pole_scale=lam0,
-    )
-    assert trace.final_dimension == trace.pre_lift_dimension + trace.shifts_performed
-    return Realized(final, trace)
+    return core, prefix, plan, totals, summaries
 
 
-def realize_with_base(
+def realize(
     tf: TransferFunction,
-    base: Realization,
-    m: int,
+    mode: str = "per_pole",
     *,
     verify_tol: float = 1e-6,
     verify_horizon: int | None = None,
-    base_horizon: int = 50,
+    cap_override: int | None = None,
 ) -> Outcome:
-    """Lift a supplied nonnegative realization of the m-shifted tail.
+    """Synthesize a verified nonnegative realization of ``tf``.
 
-    ``base`` must reproduce the normalized impulse values t_m, t_{m+1}, ...
-    (checked over ``base_horizon`` terms at relative 1e-8); the collected
-    prefix t_1 .. t_{m-1} must be nonnegative.
+    ``mode`` selects the stopping rule: "per_pole" compares the exact share
+    floors against the unit residue (tighter, smaller dimensions), while
+    "conservative_sum" stops once the plain coefficient sum drops below
+    2^{-5/2}.  The number of shifts is capped at twice the closed-form
+    estimate unless ``cap_override`` is given.
     """
-    if m < 1:
-        raise ValueError("shift index m must be at least 1")
-    try:
-        pf0 = expand(tf)
-    except NotPrimitive as exc:
-        return Unsupported(str(exc))
-    pf = normalize(pf0)
-    gamma = pf.scale_gamma
-    lam0 = pf.pole_scale
+    stage = lambda pf: _shift_and_build(pf, mode, cap_override)
+    return _synthesize(tf, mode, stage, verify_tol, verify_horizon)
 
-    need = m - 1 + base_horizon
+
+def _base_check(tf: TransferFunction, pf: PartialFraction, base: Realization, m: int):
+    """``realize_with_base``'s stage: the prefix t~_1 .. t~_{m-1} and a check of the base."""
+    need = m - 1 + _BASE_HORIZON
     t = impulse_response(tf, need).values
-    tnorm = t / (gamma * lam0 ** np.arange(need))
+    tnorm = t / (pf.scale_gamma * pf.pole_scale ** np.arange(need))
     neg_tol = 1e-10 * (1.0 + abs(tnorm[0]))
     prefix = tnorm[: m - 1].copy()
     bad = np.nonzero(prefix < -neg_tol)[0]
     if bad.size:
-        k = int(bad[0]) + 1
-        return NoPositiveRealization(k, float(t[bad[0]]))
+        return NoPositiveRealization(int(bad[0]) + 1, float(t[bad[0]]))
     prefix[prefix < 0] = 0.0
 
-    got = base.markov(base_horizon)
+    got = base.markov(_BASE_HORIZON)
     want = tnorm[m - 1 :]
     # The recurrence reference carries absolute noise on the order of
     # eps * steps * peak; allow that floor so exact zeros after large
@@ -278,26 +266,25 @@ def realize_with_base(
         raise BaseMismatch(
             f"base Markov sequence deviates from the shifted tail (error {err:.3g})"
         )
+    return base, prefix, None, (), [BlockSummary("base", base.dim, 0.0)]
 
-    lifted = prefix_lift(base, prefix)
-    final = _denormalized(lifted, gamma, lam0)
-    horizon = verify_horizon if verify_horizon is not None else max(100, 3 * final.dim)
-    report = markov_check(final, tf, horizon, verify_tol)
-    if not report.passed:
-        raise InternalCheckError(
-            f"lifted realization failed verification (error {report.max_relative_error:.3g})"
-        )
-    trace = AlgorithmTrace(
-        mode="base",
-        shifts_performed=m - 1,
-        prefix=tuple(float(v) for v in prefix),
-        budget=None,
-        budget_totals=(),
-        blocks=(BlockSummary("base", base.dim, 0.0),),
-        pre_lift_dimension=base.dim,
-        final_dimension=final.dim,
-        verification=report,
-        scale_gamma=gamma,
-        pole_scale=lam0,
-    )
-    return Realized(final, trace)
+
+def realize_with_base(
+    tf: TransferFunction,
+    base: Realization,
+    m: int,
+    *,
+    verify_tol: float = 1e-6,
+    verify_horizon: int | None = None,
+) -> Outcome:
+    """Lift a supplied nonnegative realization of the m-shifted tail.
+
+    ``base`` takes the place of ``realize``'s shift loop and blocks.  It
+    must reproduce the normalized impulse values t_m, t_{m+1}, ... (checked
+    over 50 terms at relative 1e-8); the prefix t_1 .. t_{m-1} must be
+    nonnegative.
+    """
+    if m < 1:
+        raise ValueError("shift index m must be at least 1")
+    stage = lambda pf: _base_check(tf, pf, base, m)
+    return _synthesize(tf, "base", stage, verify_tol, verify_horizon)

@@ -98,6 +98,18 @@ class TestRealizeCommand:
         assert doc["trace"]["mode"] == "conservative_sum"
         assert doc["verification"]["horizon"] == 50
 
+    def test_base_lift_without_positive_realization(self, tmp_path, capsys):
+        # -1/(z-1) + 3/(z-0.5): the dominant residue is negative
+        problem = write_problem(
+            tmp_path, "neg.json", {"transfer": {"num": [-2.5, 2.0], "den": [0.5, -1.5, 1.0]}}
+        )
+        write_problem(tmp_path, "base.json", {"A": [[0.5]], "b": [1.0], "c": [1.0]})
+        code = main(["realize", problem, "--base", "base.json", "--base-shift", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["status"] == "no_positive_realization"
+        assert doc["witness_index"] == 3
+
     def test_idempotent_output(self, problems_dir, capsys):
         main(["realize", str(problems_dir / "example1.json")])
         first = capsys.readouterr().out
@@ -172,6 +184,28 @@ class TestVerifyCommand:
         assert code == 4
         assert doc["nonnegative"] is False
 
+    def test_options_from_file(self, problems_dir, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        assert main(["realize", str(problems_dir / "h4.json"), "--output", str(real)]) == 0
+        doc = json.loads((problems_dir / "h4.json").read_text())
+        doc["options"] = {"horizon": 7}
+        problem = write_problem(tmp_path, "h4_opt.json", doc)
+        code = main(["verify", problem, "--realization", str(real)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["horizon"] == 7
+        code = main(["verify", problem, "--realization", str(real), "--horizon", "9"])
+        assert json.loads(capsys.readouterr().out)["horizon"] == 9
+
+    def test_zero_tolerance_is_not_replaced(self, problems_dir, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        assert main(["realize", str(problems_dir / "h4.json"), "--output", str(real)]) == 0
+        argv = ["verify", str(problems_dir / "h4.json"), "--realization", str(real)]
+        code = main(argv + ["--tol", "0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert doc["passed"] is False
+
 
 class TestBoundsCommand:
     def test_family_ten(self, problems_dir, capsys):
@@ -210,6 +244,15 @@ class TestImpulseCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["count"] == 20
+
+    def test_options_horizon(self, tmp_path, capsys):
+        doc = {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}, "options": {"horizon": 7}}
+        path = write_problem(tmp_path, "opt.json", doc)
+        code = main(["impulse", path])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 7
+        main(["impulse", path, "--horizon", "3"])
+        assert json.loads(capsys.readouterr().out)["count"] == 3
 
 
 class TestFormats:

@@ -1,7 +1,8 @@
 """Structural golden outputs of the CLI on every problems/*.json.
 
 Pins what must not drift (exit code, status, dimension, shift count,
-verification verdict, k0/theo2/mn2) and ignores the last digits of floats.
+verification verdict, k0/theo2/mn2, the key sets of the realize trace) and
+ignores the last digits of floats.
 """
 
 import json
@@ -35,6 +36,16 @@ BOUNDS = {
 }
 
 
+# The realize trace's wire format: its keys, each block's keys, and trace.mode
+TRACE_KEYS = {
+    "mode", "shifts_performed", "prefix", "pre_lift_dimension", "final_dimension",
+    "budget_totals", "blocks", "scale_gamma", "pole_scale",
+}
+BUDGET_KEYS = {"mode", "total", "leftover", "allocations"}
+BLOCK_KEYS = {"kind", "dim", "share", "share_floor"}
+TRACE_MODE = {"per-pole": "per_pole", "sum": "conservative_sum", "base": "base"}
+
+
 def _run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -66,3 +77,21 @@ def test_bounds_structure(problems_dir, capsys, name):
     code, doc = _run(["bounds", str(problems_dir / f"{name}.json")], capsys)
     got = (code, doc.get("status"), doc.get("k0"), doc.get("theo2"), doc.get("mn2"))
     assert got == BOUNDS[name]
+
+
+@pytest.mark.parametrize("name,how", sorted(k for k, v in REALIZE.items() if v[1] == "realized"))
+def test_trace_wire_format(problems_dir, capsys, name, how):
+    argv = ["realize", str(problems_dir / f"{name}.json")]
+    argv += ["--base", "base_h4.json", "--base-shift", "7"] if how == "base" else ["--mode", how]
+    code, doc = _run(argv, capsys)
+    trace = doc["trace"]
+    assert code == 0
+    assert trace["mode"] == TRACE_MODE[how]
+    if how == "base":
+        assert set(trace) == TRACE_KEYS
+    else:
+        assert set(trace) == TRACE_KEYS | {"budget"}
+        assert set(trace["budget"]) == BUDGET_KEYS
+    assert trace["blocks"]
+    for block in trace["blocks"]:
+        assert set(block) == BLOCK_KEYS

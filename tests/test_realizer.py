@@ -133,6 +133,14 @@ class TestRealizeWithBase:
         with pytest.raises(BaseMismatch):
             pr.realize_with_base(h4_tf, base_4dim, 2)
 
+    def test_nonpositive_dominant_residue_gives_witness(self):
+        # -1/(z-1) + 3/(z-0.5): t_3 = -0.25 is the first negative impulse value
+        tf = pr.recombine(pr.PartialFraction(1.0, -1.0, (pr.PoleTerm(0.5 + 0j, (3.0 + 0j,)),)))
+        one_state = pr.Realization(np.array([[0.5]]), np.array([1.0]), np.array([1.0]))
+        expected = pr.NoPositiveRealization(3, pytest.approx(-0.25, abs=1e-12))
+        assert pr.realize(tf) == expected
+        assert pr.realize_with_base(tf, one_state, 1) == expected
+
 
 def test_random_realize_soundness_small():
     rng = np.random.default_rng(17)
