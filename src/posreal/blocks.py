@@ -1,9 +1,9 @@
 """Elementary nonnegative blocks, budget allocation, assembly, and the lift.
 
 Each block realizes its pole terms plus a share R of the dominant residue
-1/(z - 1).  Blocks are certified at build time: the stated cone relations
-hold against a small diagonal or rotation model, and the first Markov
-parameters match the target impulse response.
+1/(z - 1).  Each block is self-checked at build time: its first 20 Markov
+parameters must match the target terms to relative 1e-9.  The cone model
+(F, P, g, h) it was generated from is kept for ``check.cone_check``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .check import markov
 from .errors import (
     BadPoleBlock,
     BudgetTooSmall,
@@ -28,8 +29,9 @@ from .geometry import PoleClassification, in_polygon
 
 CLAMP_WINDOW = 1e-12
 
-# Feasibility floor for a pair's dominant share: 2^{5/2} * eta / cos(pi/m)
-# at alpha = 1/2.
+# Half-width alpha of a pair block's generating cone.  At this alpha the pair
+# share floor 2^{3/2} * eta / (alpha * cos(pi/m)) is PAIR_BUDGET_COEFF * eta / cos(pi/m).
+PAIR_ALPHA = 0.5
 PAIR_BUDGET_COEFF = 2.0**2.5
 CONSERVATIVE_LIMIT = 2.0**-2.5
 
@@ -68,12 +70,7 @@ class Realization:
 
     def markov(self, K: int) -> np.ndarray:
         """First K Markov parameters c A^(k-1) b."""
-        x = self.b.astype(float)
-        out = np.empty(K)
-        for k in range(K):
-            out[k] = float(self.c @ x)
-            x = self.A @ x
-        return out
+        return markov(self.A, self.b, self.c, K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,21 +181,18 @@ def complex_pair_block(
     vartheta: float,
     m: int,
     R: float,
-    alpha: float = 0.5,
 ) -> Block:
     """m states for R/(z-1) + eta e^{i vt}/(z - rho e^{i th}) + conjugate.
 
-    The generating cone has edges (alpha*cos(2 pi k/m), alpha*sin(2 pi k/m), 1):
-    a rotation-scaling by rho e^{i theta} maps each edge back inside the
-    polygon, so expressing the image in fan-barycentric coordinates gives the
-    nonnegative column of A.  The model input (eta(cos vt - sin vt),
-    eta(cos vt + sin vt), R) lands inside the cone once
-    2^{3/2} eta / (R alpha) is at most cos(pi/m).
+    The generating cone has edges (alpha*cos(2 pi k/m), alpha*sin(2 pi k/m), 1)
+    with alpha = PAIR_ALPHA: a rotation-scaling by rho e^{i theta} maps each
+    edge back inside the polygon, so expressing the image in fan-barycentric
+    coordinates gives the nonnegative column of A.  The model input
+    (eta(cos vt - sin vt), eta(cos vt + sin vt), R) lands inside the cone
+    once R reaches ``pair_share_floor(eta, m)``.
     """
     if m < 3:
         raise BadPoleBlock("polygon index must be at least 3")
-    if not (0.0 < alpha <= 0.5):
-        raise BadPoleBlock("alpha must lie in (0, 1/2]")
     if eta < 0:
         raise BadPoleBlock("eta must be nonnegative")
     if R <= 0:
@@ -206,11 +200,9 @@ def complex_pair_block(
     z = rho * complex(math.cos(theta), math.sin(theta))
     if not in_polygon(z, m):
         raise NotInPolygon(f"{z:.12g} is not inside the polygon with {m} edges")
-    edge = math.cos(math.pi / m)
-    if 2.0**1.5 * eta / (R * alpha) > edge * (1.0 + 1e-12):
-        raise BudgetTooSmall(
-            f"share {R:.6g} below the pair threshold {2**1.5 * eta / (alpha * edge):.6g}"
-        )
+    floor = pair_share_floor(eta, m)
+    if floor > R * (1.0 + 1e-12):
+        raise BudgetTooSmall(f"share {R:.6g} below the pair threshold {floor:.6g}")
 
     phis = 2.0 * np.pi * np.arange(m) / m
     verts = np.exp(1j * phis)
@@ -220,8 +212,8 @@ def complex_pair_block(
 
     gx = eta * (math.cos(vartheta) - math.sin(vartheta))
     gy = eta * (math.cos(vartheta) + math.sin(vartheta))
-    b = R * _fan_weights(complex(gx, gy) / (R * alpha), verts)
-    c = alpha * np.cos(phis) + alpha * np.sin(phis) + 1.0
+    b = R * _fan_weights(complex(gx, gy) / (R * PAIR_ALPHA), verts)
+    c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
 
     F = np.array(
         [
@@ -230,7 +222,7 @@ def complex_pair_block(
             [0.0, 0.0, 1.0],
         ]
     )
-    P = np.vstack([alpha * np.cos(phis), alpha * np.sin(phis), np.ones(m)])
+    P = np.vstack([PAIR_ALPHA * np.cos(phis), PAIR_ALPHA * np.sin(phis), np.ones(m)])
     g = np.array([gx, gy, R])
     h = np.ones(3)
 
@@ -241,7 +233,7 @@ def complex_pair_block(
         "complex_pair",
         float(R),
         ((pole, coeff), (pole.conjugate(), coeff.conjugate())),
-        (rho, theta, eta, vartheta, m, alpha),
+        (rho, theta, eta, vartheta, m),
         (F, P, g, h),
     )
     return _verify_block(block)
@@ -284,13 +276,17 @@ def pair_share_floor(eta: float, m: int) -> float:
     return PAIR_BUDGET_COEFF * eta / math.cos(math.pi / m)
 
 
+def share_floors(cls: PoleClassification) -> tuple[list[float], list[float]]:
+    """Feasibility floors of the dominant shares: |c| per two-state real pole, one per pair."""
+    n2 = [abs(c) for _, c in cls.n2_poles]
+    pairs = [pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments]
+    return n2, pairs
+
+
 def per_pole_total(cls: PoleClassification) -> float:
     """Sum of the per-pole share floors (the tight stopping quantity)."""
-    total = sum(abs(c) for _, c in cls.n2_poles)
-    total += sum(
-        pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments
-    )
-    return total
+    n2, pairs = share_floors(cls)
+    return sum(n2) + sum(pairs)
 
 
 def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
@@ -301,18 +297,14 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     of non-gain coefficients (pairs counted twice) is at most 2^{-5/2}, in
     which case the floors provably fit and are scaled up to spend the unit.
     """
-    n2_shares = [abs(c) for _, c in cls.n2_poles]
-    pair_shares = [
-        pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments
-    ]
+    n2_shares, pair_shares = share_floors(cls)
     total = float(sum(n2_shares) + sum(pair_shares))
     if mode == "per_pole":
         if total > 1.0 + 1e-12:
             raise InsufficientBudget(total, 1.0)
         leftover = max(0.0, 1.0 - total)
-    elif mode in ("conservative_sum", "sum"):
-        plain = sum(abs(c) for _, c in cls.n2_poles)
-        plain += 2.0 * sum(abs(p.coeff) for p in cls.pair_assignments)
+    elif mode == "conservative_sum":
+        plain = sum(n2_shares) + 2.0 * sum(abs(p.coeff) for p in cls.pair_assignments)
         if plain > CONSERVATIVE_LIMIT:
             raise InsufficientBudget(plain, CONSERVATIVE_LIMIT)
         if total > 0:
@@ -328,11 +320,9 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
 
 def _rebuild_with_share(block: Block, share: float) -> Block:
     if block.kind == "real_pole":
-        lam, c = block.params
-        return real_pole_block(lam, c, share)
+        return real_pole_block(*block.params, share)
     if block.kind == "complex_pair":
-        rho, theta, eta, vartheta, m, alpha = block.params
-        return complex_pair_block(rho, theta, eta, vartheta, m, share, alpha)
+        return complex_pair_block(*block.params, share)
     if block.kind == "dominant_remainder":
         return dominant_remainder_block(share)
     raise ValueError(f"block kind {block.kind!r} carries no dominant share")

@@ -95,24 +95,23 @@ def positivity_horizon(pf: PartialFraction) -> int:
             raise PosrealError("positivity horizon search exhausted")
 
 
-def zero_pattern(tf: TransferFunction, tol: float | None = None):
+def zero_pattern(tf: TransferFunction):
     """Locate the impulse-response zeros below the certified horizon.
 
     Returns (k0, zero_indices, horizon_used).  The scan runs on the
-    normalized response (zeros and signs are scale-invariant); a genuinely
-    negative value raises ``NegativeImpulse``.
+    normalized response (zeros and signs are scale-invariant), with zero
+    tolerance 1e-9 * (1 + max |t~_k|); a genuinely negative value raises
+    ``NegativeImpulse`` with its index and its value t_k in input units.
     """
     pf = normalize(expand(tf))
     horizon = positivity_horizon(pf)
     t = impulse_response(tf, horizon).values
     powers = pf.pole_scale ** np.arange(horizon)
     tnorm = t / (pf.scale_gamma * powers)
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(tnorm))))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(tnorm))))
     neg = np.nonzero(tnorm < -tol)[0]
     if neg.size:
-        k = int(neg[0]) + 1
-        raise NegativeImpulse(k, float(tnorm[neg[0]]))
+        raise NegativeImpulse(int(neg[0]) + 1, float(t[neg[0]]))
     zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= tol)[0])
     k0 = max(zeros) if zeros else 0
     return k0, zeros, horizon
@@ -146,9 +145,9 @@ def quadratic_order_bound(N: int) -> int:
     return M
 
 
-def bounds_report(tf: TransferFunction, tol: float | None = None) -> BoundsReport:
+def bounds_report(tf: TransferFunction) -> BoundsReport:
     """Zero pattern plus whichever lower bounds apply."""
-    k0, zeros, horizon = zero_pattern(tf, tol)
+    k0, zeros, horizon = zero_pattern(tf)
     pf = normalize(expand(tf))
     try:
         theo2 = cone_order_bound(pf, k0)

@@ -50,6 +50,16 @@ def _triple(realization):
     return np.atleast_2d(np.asarray(A, float)), np.asarray(b, float), np.asarray(c, float)
 
 
+def markov(A, b, c, K: int) -> np.ndarray:
+    """First K Markov parameters c A^(k-1) b."""
+    x = np.asarray(b, dtype=float)
+    out = np.empty(K)
+    for k in range(K):
+        out[k] = c @ x
+        x = A @ x
+    return out
+
+
 def markov_check(
     realization, tf: TransferFunction, K: int | None = None, tol: float = 1e-6
 ) -> VerificationReport:
@@ -57,8 +67,9 @@ def markov_check(
 
     Errors are relative to 1 + |t_k|.  The default horizon max(100, 3*dim)
     comfortably exceeds twice the degree of anything at this scale, where
-    agreement already pins down the rational function.  A non-finite error
-    (a sequence overflowed) fails the check at its first index.
+    agreement already pins down the rational function.  The worst index is
+    the first non-finite error (a sequence overflowed), else the first
+    maximal one.
     """
     A, b, c = _triple(realization)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
@@ -66,19 +77,14 @@ def markov_check(
     if K is None:
         K = max(100, 3 * A.shape[0])
     ref = impulse_response(tf, K).values
-    x = b.astype(float)
-    worst, worst_k = 0.0, 1
-    for k in range(K):
-        got = float(c @ x)
-        err = float(abs(got - ref[k]) / (1.0 + abs(ref[k])))
-        if not err <= worst:  # a larger error, or NaN
-            worst, worst_k = err, k + 1
-            if not math.isfinite(err):
-                worst = math.inf
-                break
-        x = A @ x
+    got = markov(A, b, c, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(got - ref) / (1.0 + np.abs(ref))
+    bad = np.flatnonzero(~np.isfinite(err))
+    worst_k = int(bad[0]) if bad.size else int(np.argmax(err))
+    worst = math.inf if bad.size else float(err[worst_k])
     nonneg = bool(A.min(initial=0.0) >= 0) and bool(b.min(initial=0.0) >= 0) and bool(c.min(initial=0.0) >= 0)
-    return VerificationReport(int(K), worst, worst_k, nonneg, float(tol))
+    return VerificationReport(int(K), worst, worst_k + 1, nonneg, float(tol))
 
 
 def cone_check(F, P, g, h, realization, tol: float = 1e-10) -> ConeCertificate:

@@ -247,20 +247,7 @@ def _render_csv(doc: dict) -> str:
             return ""
         return str(v)
 
-    for key in ("status", "dimension"):
-        if key in doc:
-            lines.append(f"{key},{_scalar(doc[key])}")
-    for key in ("A", "b", "c"):
-        if key in doc:
-            lines.append(key)
-            block = doc[key]
-            rows = block if isinstance(block[0], list) else [block]
-            for row in rows:
-                lines.append(",".join(repr(float(v)) for v in row))
-    for key, value in doc.items():
-        if key in ("status", "dimension", "A", "b", "c", "trace"):
-            continue
-        emit(key, value)
+    emit("", {k: v for k, v in doc.items() if k != "trace"})
     return "\n".join(lines) + "\n"
 
 
@@ -350,7 +337,7 @@ def _cmd_realize(args) -> int:
 def _cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
     try:
-        report = bounds_report(problem.tf, args.tol)
+        report = bounds_report(problem.tf)
     except NegativeImpulse as exc:
         _emit(
             {"status": "negative_impulse", "index": exc.index, "value": float(exc.value)},
@@ -397,15 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False, horizon=None):
+        """The problem and output flags, plus --tol and --horizon (help text) where read."""
         p.add_argument("problem", help="problem file (JSON)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None, help="write the result here (atomic)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--horizon", type=int, default=None, help="horizon override")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="verification tolerance")
+        if horizon:
+            p.add_argument("--horizon", type=int, default=None, help=horizon)
 
     p = sub.add_parser("realize", help="synthesize and verify a realization")
-    common(p)
+    common(p, tol=True, horizon="verification horizon")
     p.add_argument("--mode", choices=["per-pole", "sum"], default=None)
     p.add_argument("--max-shifts", type=int, default=None, dest="max_shifts")
     p.add_argument("--base", default=None, help="realization file for the shifted tail")
@@ -417,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="check a supplied realization against the problem")
-    common(p)
+    common(p, tol=True, horizon="verification horizon")
     p.add_argument("--realization", required=True, help="realization file (JSON)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("impulse", help="print leading impulse-response values")
-    common(p)
+    common(p, horizon="number of values")
     p.set_defaults(func=_cmd_impulse)
     return parser
 

@@ -125,9 +125,4 @@ def classify(pf: PartialFraction) -> PoleClassification:
                 n2.append((pole.real, cr))
         elif pole.imag > 0:
             pairs.append(PairBucket(pole, c, minimal_polygon_index(pole)))
-    cls = PoleClassification(tuple(n1), tuple(n2), tuple(pairs))
-    alt = cls.pole_count + cls.n2 + sum(
-        (j - 2) * nj for j, nj in cls.polygon_counts().items()
-    )
-    assert alt == cls.predicted_dimension
-    return cls
+    return PoleClassification(tuple(n1), tuple(n2), tuple(pairs))

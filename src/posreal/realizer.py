@@ -23,11 +23,11 @@ from .blocks import (
     assemble,
     budget,
     complex_pair_block,
-    pair_share_floor,
     per_pole_total,
     positive_pole_block,
     prefix_lift,
     real_pole_block,
+    share_floors,
 )
 from .check import VerificationReport, markov_check
 from .errors import (
@@ -196,26 +196,26 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
 
     blocks = []
     summaries = []
+    n2_floors, pair_floors = share_floors(cls)
     for lam, c in cls.n1_poles:
         blk = positive_pole_block(lam, c)
         blocks.append(blk)
         summaries.append(BlockSummary(blk.kind, blk.dim, 0.0))
-    for (lam, c), share in zip(cls.n2_poles, plan.n2_shares):
+    for (lam, c), share, floor in zip(cls.n2_poles, plan.n2_shares, n2_floors):
         blk = real_pole_block(lam, c, share)
         blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, abs(c)))
-    for pair, share in zip(cls.pair_assignments, plan.pair_shares):
-        eta = abs(pair.coeff)
+        summaries.append(BlockSummary(blk.kind, blk.dim, share, floor))
+    for pair, share, floor in zip(cls.pair_assignments, plan.pair_shares, pair_floors):
         blk = complex_pair_block(
             abs(pair.pole),
             math.atan2(pair.pole.imag, pair.pole.real),
-            eta,
+            abs(pair.coeff),
             math.atan2(pair.coeff.imag, pair.coeff.real),
             pair.polygon_index,
             share,
         )
         blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, pair_share_floor(eta, pair.polygon_index)))
+        summaries.append(BlockSummary(blk.kind, blk.dim, share, floor))
     core = assemble(blocks, plan.leftover)
     if plan.leftover > 0 and not any(blk.dominant_share > 0 for blk in blocks):
         summaries.append(BlockSummary("dominant_remainder", 1, plan.leftover))

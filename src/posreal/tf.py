@@ -649,8 +649,8 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
     """
     lam0 = float(dominant_pole)
     gamma = float(dominant_residue)
-    if lam0 <= 0 or gamma <= 0:
-        raise NotPrimitive("dominant pole and residue must be positive")
+    if lam0 <= 0 or gamma == 0:
+        raise NotPrimitive("dominant pole must be positive with a nonzero residue")
 
     reals: list[PoleTerm] = []
     complexes: list[PoleTerm] = []

@@ -84,7 +84,7 @@ class TestRealPoleBlock:
 
 class TestComplexPairBlock:
     def test_small_pair_markov(self):
-        blk = pr.complex_pair_block(0.5, math.pi / 2, 0.01, 0.0, 3, 0.12, 0.5)
+        blk = pr.complex_pair_block(0.5, math.pi / 2, 0.01, 0.0, 3, 0.12)
         want = pair_impulse(0.12, 0.01, 0.0, 0.5, math.pi / 2, 6)
         assert blk.realization.markov(6) == pytest.approx(want, rel=1e-12)
         assert want[:3] == pytest.approx([0.14, 0.12, 0.115])
@@ -103,7 +103,7 @@ class TestComplexPairBlock:
         th = math.atan2(pair.pole.imag, pair.pole.real)
         share = pr.pair_share_floor(eta, 4)
         assert share == pytest.approx(8.0 * eta)
-        blk = pr.complex_pair_block(rho, th, eta, vt, 4, share, 0.5)
+        blk = pr.complex_pair_block(rho, th, eta, vt, 4, share)
         assert blk.dim == 4
         want = pair_impulse(share, eta, vt, rho, th, 20)
         assert blk.realization.markov(20) == pytest.approx(want, rel=1e-9, abs=1e-12)

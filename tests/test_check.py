@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import posreal as pr
 from posreal.check import cone_check, markov_check
@@ -56,6 +59,82 @@ class TestMarkovCheck:
     def test_dimension_mismatch(self, h4_tf):
         with pytest.raises(DimensionMismatch):
             markov_check((np.eye(2), np.ones(3), np.ones(2)), h4_tf)
+
+
+def scalar_markov_check(triple, tf, K, tol):
+    """The step-by-step comparison loop ``markov_check`` replaced, kept as its reference."""
+    A, b, c = triple
+    ref = pr.impulse_response(tf, K).values
+    x = b.astype(float)
+    worst, worst_k = 0.0, 1
+    for k in range(K):
+        got = float(c @ x)
+        err = float(abs(got - ref[k]) / (1.0 + abs(ref[k])))
+        if not err <= worst:  # a larger error, or NaN
+            worst, worst_k = err, k + 1
+            if not math.isfinite(err):
+                worst = math.inf
+                break
+        x = A @ x
+    nonneg = A.min() >= 0 and b.min() >= 0 and c.min() >= 0
+    return worst, worst_k, bool(nonneg and worst < tol)
+
+
+REFERENCE_TFS = (
+    pr.from_coefficients([1.0], [-1.0, 1.0]),  # 1/(z - 1): t_k = 1
+    pr.from_coefficients([1.0, 1.0], [-0.5, -0.5, 1.0]),  # (z + 1)/((z - 1)(z + 0.5))
+    pr.from_coefficients([2.0], [-2.0, 1.0]),  # 2/(z - 2): t_k = 2^k
+)
+# Small values make ties likely; 1e200 overflows within a few steps and NaN
+# poisons every later term.
+ENTRIES = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, 1e200, math.nan])
+
+
+@st.composite
+def small_triples(draw):
+    n = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    return A, b, c
+
+
+class TestVectorizedMarkovCheck:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300)
+    @given(small_triples(), st.sampled_from(REFERENCE_TFS), st.integers(1, 12), st.sampled_from([1e-6, 10.0]))
+    def test_matches_scalar_loop(self, triple, tf, K, tol):
+        report = markov_check(triple, tf, K, tol)
+        worst, worst_k, passed = scalar_markov_check(triple, tf, K, tol)
+        assert report.max_relative_error == worst
+        assert report.worst_index == worst_k
+        assert report.passed == passed
+
+    def test_tie_reports_first_index(self):
+        # c A^(k-1) b = 2 against t_k = 1: every error is 1/2
+        tf = pr.from_coefficients([1.0], [-1.0, 1.0])
+        report = markov_check((np.array([[1.0]]), np.array([2.0]), np.array([1.0])), tf, 5)
+        assert (report.max_relative_error, report.worst_index) == (0.5, 1)
+
+    def test_all_zero_errors_report_index_one(self):
+        tf = pr.from_coefficients([1.0], [-1.0, 1.0])
+        report = markov_check((np.array([[1.0]]), np.array([1.0]), np.array([1.0])), tf, 5)
+        assert (report.max_relative_error, report.worst_index) == (0.0, 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_error_wins_over_a_larger_finite_one(self):
+        # errors 0, 1e200/2 (finite), then inf once (1e200)^2 overflows
+        tf = pr.from_coefficients([1.0], [-1.0, 1.0])
+        triple = (np.array([[1e200]]), np.array([1.0]), np.array([1.0]))
+        report = markov_check(triple, tf, 5)
+        assert (report.max_relative_error, report.worst_index) == (math.inf, 3)
+        assert report.max_relative_error == scalar_markov_check(triple, tf, 5, 1e-6)[0]
+
+    def test_nan_after_a_larger_finite_error(self):
+        tf = pr.from_coefficients([1.0], [-1.0, 1.0])
+        triple = (np.array([[math.nan]]), np.array([3.0]), np.array([1.0]))
+        report = markov_check(triple, tf, 5)
+        assert (report.max_relative_error, report.worst_index) == (math.inf, 2)
 
 
 class TestConeCheck:

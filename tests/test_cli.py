@@ -222,6 +222,19 @@ class TestBoundsCommand:
         assert code == 1
         assert doc["status"] == "negative_impulse"
 
+    def test_negative_impulse_value_in_input_units(self, tmp_path, capsys):
+        # 2/(z-2) + 3/(z+1.9): t_2 = -1.7, which is -0.425 after normalizing by 2 * 2
+        path = write_problem(
+            tmp_path, "neg.json", {"transfer": {"num": [-2.2, 5.0], "den": [-3.8, -0.1, 1.0]}}
+        )
+        assert main(["impulse", path, "--horizon", "2"]) == 0
+        t2 = json.loads(capsys.readouterr().out)["values"][1]
+        code = main(["bounds", path])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert (doc["index"], doc["value"]) == (2, t2)
+        assert t2 == pytest.approx(-1.7)
+
     def test_null_bounds_serialized(self, tmp_path, capsys):
         path = write_problem(
             tmp_path, "one.json", {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}}
@@ -253,6 +266,19 @@ class TestImpulseCommand:
         assert json.loads(capsys.readouterr().out)["count"] == 7
         main(["impulse", path, "--horizon", "3"])
         assert json.loads(capsys.readouterr().out)["count"] == 3
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "p.json", "--tol", "1e-3"], ["bounds", "p.json", "--horizon", "5"],
+         ["impulse", "p.json", "--tol", "1e-3"]],
+    )
+    def test_flag_a_subcommand_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFormats:
@@ -306,6 +332,22 @@ class TestPartialFractionInput:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["status"] == "realized"
+
+    def test_negative_dominant_residue_has_a_witness(self, tmp_path, capsys):
+        # -1/(z-1) + 3/(z-0.5) as partial fractions answers as the transfer form does
+        doc = {
+            "partial_fractions": {
+                "dominant": {"pole": 1.0, "residue": -1.0},
+                "terms": [{"pole": 0.5, "order": 1, "coeffs": [3.0]}],
+            }
+        }
+        docs = {"pf.json": doc, "tf.json": {"transfer": {"num": [-2.5, 2.0], "den": [0.5, -1.5, 1.0]}}}
+        for name, problem in docs.items():
+            code = main(["realize", write_problem(tmp_path, name, problem)])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 1
+            assert out["status"] == "no_positive_realization"
+            assert (out["witness_index"], out["witness_value"]) == (3, pytest.approx(-0.25))
 
     def test_unpaired_complex_rejected(self, tmp_path, capsys):
         doc = {
