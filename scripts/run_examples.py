@@ -3,7 +3,9 @@
 
 Covers the degree-3 low-pass filter (both stopping rules), the two-pole
 family H^N with and without the supplied four-state base, the lower bounds
-on that family, and the rejected negative-impulse case.
+on that family, and two rejected inputs (a negative impulse value and a
+negative dominant residue) at unit gain and at gain 1e-12, where realize
+and bounds must name the same witness.
 """
 
 import math
@@ -78,11 +80,23 @@ def main() -> int:
             f"{rep.k0:>4} {rep.theo2:>5} {rep.mn2:>4}"
         )
 
-    print("\n== rejected input ==")
-    bad = pr.from_coefficients([1.5, -1.0], [0.5, -1.5, 1.0])
-    out = pr.realize(bad)
-    print(f"  1/(z-1) - 2/(z-0.5): {type(out).__name__} at index {out.witness_index}, "
-          f"value {out.witness_value}")
+    print("\n== rejected input: realize and bounds name the same witness ==")
+    P = np.polynomial.polynomial
+    den = P.polymul([-1.0, 1.0], [-0.5, 1.0])
+    rejected = {
+        "1/(z-1) - 2/(z-0.5)": [1.5, -1.0],
+        "-1/(z-1) + 3/(z-0.5)": [-2.5, 2.0],
+    }
+    for name, num in rejected.items():
+        for gain in (1.0, 1e-12):
+            bad = pr.from_coefficients([gain * v for v in num], den)
+            out = pr.realize(bad)
+            try:
+                bounds = f"bounds k0={pr.bounds_report(bad).k0}"
+            except pr.NegativeImpulse as exc:
+                bounds = f"bounds negative_impulse ({exc.index}, {exc.value:.6g})"
+            print(f"  {name} x {gain:g}: realize {type(out).__name__} "
+                  f"({out.witness_index}, {out.witness_value:.6g}), {bounds}")
     return 0
 
 

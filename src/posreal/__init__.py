@@ -53,7 +53,6 @@ from .realizer import (
     realize_with_base,
 )
 from .tf import (
-    ImpulsePrefix,
     PartialFraction,
     PoleTerm,
     Polynomial,

@@ -3,17 +3,18 @@
 Both bounds need the largest index k0 with t_{k0} = 0 followed by strictly
 positive values.  ``zero_pattern`` certifies the scan horizon: beyond the
 point where the non-dominant terms are enveloped below the unit dominant
-contribution, every impulse value is positive.
+contribution, every impulse value has the sign of the dominant residue.  The
+same scan finds the realizer's witness when that residue is negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NegativeImpulse, NotApplicable, PosrealError
+from .errors import NegativeImpulse, NonpositiveDominantResidue, NotApplicable, PosrealError
 from .tf import PartialFraction, TransferFunction, expand, impulse_response, normalize
 
 _HORIZON_GUARD = 1_000_000
@@ -95,23 +96,42 @@ def positivity_horizon(pf: PartialFraction) -> int:
             raise PosrealError("positivity horizon search exhausted")
 
 
-def zero_pattern(tf: TransferFunction):
-    """Locate the impulse-response zeros below the certified horizon.
+def _certified_scan(tf: TransferFunction, pf: PartialFraction):
+    """Normalized impulse values up to the certified horizon, with their zero tolerance.
 
-    Returns (k0, zero_indices, horizon_used).  The scan runs on the
-    normalized response (zeros and signs are scale-invariant), with zero
-    tolerance 1e-9 * (1 + max |t~_k|); a genuinely negative value raises
-    ``NegativeImpulse`` with its index and its value t_k in input units.
+    ``pf`` is the expansion of ``tf``, with dominant term g/(z - l0); the
+    values are t~_k = t_k / (s l0^(k-1)) below the positivity horizon of
+    the s-scaled terms, s = g for g > 0.  For g < 0, s = |g|/2 gives t~_k <=
+    -2 + envelope(k) < -1 at the horizon, so a negative value is found
+    unless rounding hides it, and then ``NonpositiveDominantResidue`` says
+    so.  The first t~_k below -tol, tol = 1e-9 * (1 + max |t~_k|), raises
+    ``NegativeImpulse`` with its index and t_k.  Returns (t~, tol, horizon).
     """
-    pf = normalize(expand(tf))
-    horizon = positivity_horizon(pf)
-    t = impulse_response(tf, horizon).values
-    powers = pf.pole_scale ** np.arange(horizon)
-    tnorm = t / (pf.scale_gamma * powers)
+    gamma = pf.dominant_residue
+    npf = normalize(replace(pf, dominant_residue=gamma if gamma > 0 else -gamma / 2))
+    horizon = positivity_horizon(npf)
+    t = impulse_response(tf, horizon)
+    tnorm = t / (npf.scale_gamma * npf.pole_scale ** np.arange(horizon))
     tol = 1e-9 * (1.0 + float(np.max(np.abs(tnorm))))
     neg = np.nonzero(tnorm < -tol)[0]
     if neg.size:
         raise NegativeImpulse(int(neg[0]) + 1, float(t[neg[0]]))
+    if gamma < 0:
+        raise NonpositiveDominantResidue(
+            f"dominant residue {gamma:.6g} is not positive; no impulse value up to "
+            f"the certified horizon {horizon} is below the rounding tolerance"
+        )
+    return tnorm, tol, horizon
+
+
+def zero_pattern(tf: TransferFunction):
+    """Locate the impulse-response zeros below the certified horizon.
+
+    Returns (k0, zero_indices, horizon_used), the zeros being the t~_k within
+    the scan tolerance of zero (zeros and signs are scale-invariant); a
+    negative value raises ``NegativeImpulse`` as ``_certified_scan`` says.
+    """
+    tnorm, tol, horizon = _certified_scan(tf, expand(tf))
     zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= tol)[0])
     k0 = max(zeros) if zeros else 0
     return k0, zeros, horizon

@@ -76,7 +76,7 @@ def markov_check(
         raise DimensionMismatch("realization matrices have inconsistent shapes")
     if K is None:
         K = max(100, 3 * A.shape[0])
-    ref = impulse_response(tf, K).values
+    ref = impulse_response(tf, K)
     got = markov(A, b, c, K)
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.abs(got - ref) / (1.0 + np.abs(ref))

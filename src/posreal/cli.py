@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,6 +20,8 @@ from .errors import (
     BaseMismatch,
     InternalCheckError,
     NegativeImpulse,
+    NonpositiveDominantResidue,
+    NotPrimitive,
     PosrealError,
 )
 from .realizer import (
@@ -296,6 +299,11 @@ def _cmd_realize(args) -> int:
     horizon = _resolve(args.horizon, opts, "horizon", None, int)
     base_ref = _resolve(args.base, opts, "base", None)
     base_shift = _resolve(args.base_shift, opts, "base_shift", None, int)
+    for name, bad, rule in (("tol", not (math.isfinite(tol) and tol > 0), "finite and > 0"),
+                            ("horizon", horizon is not None and horizon < 1, ">= 1"),
+                            ("max_shifts", cap is not None and cap < 0, ">= 0")):
+        if bad:
+            raise SchemaError(f"option {name} must be {rule}")
 
     if base_ref is not None:
         if base_shift is None:
@@ -339,11 +347,11 @@ def _cmd_bounds(args) -> int:
     try:
         report = bounds_report(problem.tf)
     except NegativeImpulse as exc:
-        _emit(
-            {"status": "negative_impulse", "index": exc.index, "value": float(exc.value)},
-            args,
-        )
+        _emit({"status": "negative_impulse", "index": exc.index, "value": float(exc.value)}, args)
         return EXIT_NO_REALIZATION
+    except (NotPrimitive, NonpositiveDominantResidue) as exc:
+        _emit({"status": "unsupported", "reason": str(exc)}, args)
+        return EXIT_UNSUPPORTED
     _emit(
         {
             "k0": report.k0,
@@ -372,7 +380,7 @@ def _cmd_impulse(args) -> int:
     K = _resolve(args.horizon, problem.options, "horizon", 20, int)
     if K < 1:
         raise SchemaError("impulse horizon must be positive")
-    values = impulse_response(problem.tf, K).values
+    values = impulse_response(problem.tf, K)
     _emit({"count": K, "values": [float(v) for v in values]}, args)
     return EXIT_OK
 

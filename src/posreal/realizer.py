@@ -29,11 +29,13 @@ from .blocks import (
     real_pole_block,
     share_floors,
 )
+from .bounds import _certified_scan
 from .check import VerificationReport, markov_check
 from .errors import (
     BaseMismatch,
     InsufficientBudget,
     InternalCheckError,
+    NegativeImpulse,
     NonpositiveDominantResidue,
     NotPrimitive,
 )
@@ -100,20 +102,6 @@ Outcome = Realized | NoPositiveRealization | Unsupported | IterationCapExceeded
 
 # Normalized Markov terms of a supplied base compared against the shifted tail.
 _BASE_HORIZON = 50
-# Longest impulse prefix searched for a negative witness.
-_WITNESS_SEARCH_LIMIT = 1 << 20
-
-
-def _first_negative_impulse(tf: TransferFunction):
-    K = 64
-    while K <= _WITNESS_SEARCH_LIMIT:
-        t = impulse_response(tf, K).values
-        tol = 1e-10 * (1.0 + np.maximum.accumulate(np.abs(t)))
-        hits = np.nonzero(t < -tol)[0]
-        if hits.size:
-            return int(hits[0]) + 1, float(t[hits[0]])
-        K *= 2
-    return None
 
 
 def _denormalized(real: Realization, gamma: float, lam0: float) -> Realization:
@@ -129,14 +117,14 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
     nonnegative normalized prefix shifted off before it, and trace fields.
     """
     try:
-        pf = normalize(expand(tf))
-    except NotPrimitive as exc:
+        pf = expand(tf)
+        if pf.dominant_residue < 0:
+            _certified_scan(tf, pf)  # always raises: NegativeImpulse, or the residue at rounding level
+        pf = normalize(pf)
+    except (NotPrimitive, NonpositiveDominantResidue) as exc:
         return Unsupported(str(exc))
-    except NonpositiveDominantResidue:
-        hit = _first_negative_impulse(tf)
-        if hit is None:
-            return Unsupported("dominant residue is not positive")
-        return NoPositiveRealization(*hit)
+    except NegativeImpulse as exc:
+        return NoPositiveRealization(exc.index, exc.value)
     staged = stage(pf)
     if not isinstance(staged, tuple):
         return staged
@@ -245,7 +233,7 @@ def realize(
 def _base_check(tf: TransferFunction, pf: PartialFraction, base: Realization, m: int):
     """``realize_with_base``'s stage: the prefix t~_1 .. t~_{m-1} and a check of the base."""
     need = m - 1 + _BASE_HORIZON
-    t = impulse_response(tf, need).values
+    t = impulse_response(tf, need)
     tnorm = t / (pf.scale_gamma * pf.pole_scale ** np.arange(need))
     neg_tol = 1e-10 * (1.0 + abs(tnorm[0]))
     prefix = tnorm[: m - 1].copy()

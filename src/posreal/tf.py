@@ -158,27 +158,6 @@ class PartialFraction:
         return acc
 
 
-@dataclass(frozen=True, eq=False)
-class ImpulsePrefix:
-    """Leading impulse-response values t_1 ... t_K."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
 def _trimmed(coeffs) -> tuple[float, ...]:
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
@@ -406,8 +385,6 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     if abs(gamma_c.imag) > 1e-8 * (1.0 + abs(gamma_c)):
         raise _RetryExpansion("dominant residue has a nontrivial imaginary part")
     gamma = float(gamma_c.real)
-    if gamma <= 0:
-        raise NonpositiveDominantResidue(f"dominant residue {gamma:.6g} is not positive")
 
     terms: list[PoleTerm] = []
     for i, (lam, mult) in enumerate(clusters):
@@ -446,7 +423,8 @@ def expand(tf: TransferFunction) -> PartialFraction:
     increasing radii until the expansion reproduces the input on a test
     circle.  When every cluster is simple the residues come in closed form,
     num(lam) / prod_{mu != lam} (lam - mu); multiple clusters use truncated
-    Taylor division.
+    Taylor division.  The dominant residue may be negative (``normalize``
+    refuses it).
     """
     roots = companion_roots(tf.den.coeffs)
     scale = 1.0 + float(np.max(np.abs(roots)))
@@ -511,8 +489,8 @@ def denormalize(pf: PartialFraction) -> PartialFraction:
     )
 
 
-def impulse_response(tf: TransferFunction, K: int) -> ImpulsePrefix:
-    """First K impulse-response values from the long-division recurrence.
+def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
+    """First K impulse-response values t_1 .. t_K (read-only) from the long-division recurrence.
 
     With H = (p_1 z^(n-1)+...+p_n)/(z^n+q_1 z^(n-1)+...+q_n), the values obey
     t_k = p_k - sum_{i=1..min(k-1,n)} q_i t_{k-i}, with p_k = 0 for k > n.
@@ -530,7 +508,8 @@ def impulse_response(tf: TransferFunction, K: int) -> ImpulsePrefix:
         if w:
             acc -= float(np.dot(q[:w], t[k - 2 :: -1][:w]))
         t[k - 1] = acc
-    return ImpulsePrefix(t)
+    t.setflags(write=False)
+    return t
 
 
 def _require_normalized(pf: PartialFraction) -> None:

@@ -64,7 +64,7 @@ class TestMarkovCheck:
 def scalar_markov_check(triple, tf, K, tol):
     """The step-by-step comparison loop ``markov_check`` replaced, kept as its reference."""
     A, b, c = triple
-    ref = pr.impulse_response(tf, K).values
+    ref = pr.impulse_response(tf, K)
     x = b.astype(float)
     worst, worst_k = 0.0, 1
     for k in range(K):

@@ -14,6 +14,18 @@ def write_problem(tmp_path, name, doc):
     return str(path)
 
 
+# -1/(z-1) + 3/(z-0.5) in both problem forms; t_3 = -0.25 is its first negative value
+NEGATIVE_RESIDUE_DOCS = {
+    "pf.json": {
+        "partial_fractions": {
+            "dominant": {"pole": 1.0, "residue": -1.0},
+            "terms": [{"pole": 0.5, "order": 1, "coeffs": [3.0]}],
+        }
+    },
+    "tf.json": {"transfer": {"num": [-2.5, 2.0], "den": [0.5, -1.5, 1.0]}},
+}
+
+
 @pytest.fixture
 def h4_file(tmp_path):
     return write_problem(
@@ -67,6 +79,26 @@ class TestRealizeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["status"] == "iteration_cap_exceeded"
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--tol", "-1", "tol"), ("--tol", "nan", "tol"), ("--tol", "0", "tol"),
+         ("--max-shifts", "-1", "max_shifts"), ("--horizon", "0", "horizon")],
+    )
+    def test_invalid_option_is_an_input_error(self, problems_dir, capsys, flag, value, name):
+        code = main(["realize", str(problems_dir / "example1.json"), flag, value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"option {name} must be" in captured.err
+
+    def test_invalid_option_from_file(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "opt.json",
+            {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}, "options": {"max_shifts": -1}},
+        )
+        assert main(["realize", path]) == 3
+        assert "option max_shifts must be" in capsys.readouterr().err
 
     def test_base_flow(self, problems_dir, capsys):
         code = main(
@@ -235,6 +267,21 @@ class TestBoundsCommand:
         assert (doc["index"], doc["value"]) == (2, t2)
         assert t2 == pytest.approx(-1.7)
 
+    def test_negative_dominant_residue_in_both_forms(self, tmp_path, capsys):
+        # -1/(z-1) + 3/(z-0.5): bounds names the witness realize names
+        for name, problem in NEGATIVE_RESIDUE_DOCS.items():
+            code = main(["bounds", write_problem(tmp_path, name, problem)])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 1
+            assert doc == {"status": "negative_impulse", "index": 3, "value": pytest.approx(-0.25)}
+
+    def test_non_primitive_is_unsupported(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "alt.json", {"transfer": {"num": [1.0], "den": [1.0, 1.0]}})
+        code = main(["bounds", path])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc == {"status": "unsupported", "reason": "dominant pole is not positive"}
+
     def test_null_bounds_serialized(self, tmp_path, capsys):
         path = write_problem(
             tmp_path, "one.json", {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}}
@@ -335,14 +382,7 @@ class TestPartialFractionInput:
 
     def test_negative_dominant_residue_has_a_witness(self, tmp_path, capsys):
         # -1/(z-1) + 3/(z-0.5) as partial fractions answers as the transfer form does
-        doc = {
-            "partial_fractions": {
-                "dominant": {"pole": 1.0, "residue": -1.0},
-                "terms": [{"pole": 0.5, "order": 1, "coeffs": [3.0]}],
-            }
-        }
-        docs = {"pf.json": doc, "tf.json": {"transfer": {"num": [-2.5, 2.0], "den": [0.5, -1.5, 1.0]}}}
-        for name, problem in docs.items():
+        for name, problem in NEGATIVE_RESIDUE_DOCS.items():
             code = main(["realize", write_problem(tmp_path, name, problem)])
             out = json.loads(capsys.readouterr().out)
             assert code == 1

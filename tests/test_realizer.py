@@ -1,10 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import posreal as pr
-from posreal.errors import BaseMismatch, NegativeEntry
+from posreal.errors import BaseMismatch, NegativeEntry, NegativeImpulse
 
 from conftest import hn_pf, hn_tf, random_stable_pf
+from strategies import simple_stable_pfs
+
+ONE_STATE = pr.Realization(np.array([[0.5]]), np.array([1.0]), np.array([1.0]))
 
 
 class TestRealize:
@@ -158,3 +165,69 @@ def test_random_realize_soundness_small():
         assert real.A.min() >= 0 and real.b.min() >= 0 and real.c.min() >= 0
         report = pr.markov_check(real, tf, max(100, 3 * real.dim), 1e-6)
         assert report.passed
+
+
+def _bounds_witness(tf):
+    with pytest.raises(NegativeImpulse) as exc:
+        pr.bounds_report(tf)
+    return exc.value.index, exc.value.value
+
+
+class TestNegativeDominantResidue:
+    """A negative dominant residue: realize, the base lift and bounds name one witness."""
+
+    @given(simple_stable_pfs(), st.floats(-12.0, 12.0), st.floats(0.5, 2.0))
+    def test_witness_agrees_with_bounds_and_closed_form(self, pfn, u, lam0):
+        gamma = -(10.0**u)
+        raw = pr.denormalize(
+            pr.PartialFraction(1.0, -1.0, pfn.terms, scale_gamma=10.0**u, pole_scale=lam0)
+        )
+        tf = pr.recombine(raw)
+        index, value = _bounds_witness(tf)
+        assert pr.realize(tf) == pr.NoPositiveRealization(index, value)
+        assert pr.realize_with_base(tf, ONE_STATE, 1) == pr.NoPositiveRealization(index, value)
+
+        k = np.arange(index)
+        modal = gamma * lam0**k + sum(t.coeffs[0] * t.pole**k for t in raw.terms)
+        scale = abs(gamma) * lam0**k + sum(abs(t.coeffs[0]) * abs(t.pole) ** k for t in raw.terms)
+        assert value < 0 and modal[-1].real < 0
+        assert abs(value - modal[-1].real) <= 1e-9 * scale[-1]
+        # no earlier value is negative beyond the scan tolerance
+        assert np.all(modal[:-1].real / (abs(gamma) * lam0 ** k[:-1]) > -1e-8)
+
+    @pytest.mark.parametrize("g", [1.0, 1e-6, 1e-12, 1e6])
+    def test_witness_at_any_gain_is_fast(self, g):
+        # -g/(z-1) + 3g/(z-0.5): t_3 = -g + 3g/4 = -0.25 g
+        tf = pr.recombine(pr.PartialFraction(1.0, -g, (pr.PoleTerm(0.5 + 0j, (3.0 * g + 0j,)),)))
+        calls = {
+            "realize": lambda: pr.realize(tf),
+            "realize_with_base": lambda: pr.realize_with_base(tf, ONE_STATE, 1),
+            "bounds_report": lambda: pr.NoPositiveRealization(*_bounds_witness(tf)),
+        }
+        for name, call in calls.items():
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                out = call()
+                best = min(best, time.perf_counter() - t0)
+            assert out.witness_index == 3, name
+            assert out.witness_value == pytest.approx(-0.25 * g, rel=1e-12), name
+            assert best < 0.05, name
+
+    def test_rounding_level_residue_is_unsupported(self):
+        # g/(z-1) + 1/(z-0.5) with g = -1e-12: no t~_k falls below minus the scan tolerance
+        g = -1e-12
+        tf = pr.TransferFunction(pr.Polynomial((-0.5 * g - 1.0, g + 1.0)), pr.Polynomial((0.5, -1.5, 1.0)))
+        out = pr.realize(tf)
+        assert isinstance(out, pr.Unsupported)
+        assert "not positive" in out.reason
+        with pytest.raises(pr.NonpositiveDominantResidue):
+            pr.bounds_report(tf)
+
+    def test_witness_past_a_marginal_horizon(self):
+        # -1/(z-1) + 4(1-1e-12)/(z-0.5): t_3 = -1e-12 is rounding level, t_4 = -0.5 is not
+        c = 4.0 * (1.0 - 1e-12)
+        tf = pr.recombine(pr.PartialFraction(1.0, -1.0, (pr.PoleTerm(0.5 + 0j, (c + 0j,)),)))
+        out = pr.realize(tf)
+        assert (out.witness_index, out.witness_value) == (4, pytest.approx(-0.5, rel=1e-9))
+        assert _bounds_witness(tf) == (4, out.witness_value)

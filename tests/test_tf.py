@@ -174,7 +174,7 @@ class TestNormalize:
         assert pfn.pole_scale == pytest.approx(2.0, rel=1e-9)
         assert pfn.terms[0].pole == pytest.approx(0.5 + 0j, rel=1e-9)
         assert pfn.terms[0].coeffs[0].real == pytest.approx(0.8 / 3.0, rel=1e-9)
-        t = pr.impulse_response(tf, 12).values
+        t = pr.impulse_response(tf, 12)
         tnorm = t / (pfn.scale_gamma * pfn.pole_scale ** np.arange(12))
         model = 1.0 + (0.8 / 3.0) * 0.5 ** np.arange(12)
         assert np.max(np.abs(tnorm - model)) < 1e-12
@@ -188,24 +188,28 @@ class TestNormalize:
 class TestImpulseResponse:
     def test_geometric(self):
         t = pr.impulse_response(pr.from_coefficients([1.0], [-1.0, 1.0]), 10)
-        assert np.allclose(t.values, 1.0)
+        assert np.allclose(t, 1.0)
 
     def test_h4_prefix(self, h4_tf):
-        t = pr.impulse_response(h4_tf, 5).values
+        t = pr.impulse_response(h4_tf, 5)
         assert t == pytest.approx([51.0, 6.0, 0.0, 0.0, 0.48], abs=1e-10)
 
     def test_example1_first_value(self, example1_tf):
-        t = pr.impulse_response(example1_tf, 1).values
+        t = pr.impulse_response(example1_tf, 1)
         assert t[0] == pytest.approx(1.3331328522, abs=1e-10)
         # t_1 is one plus the leading coefficient of the strictly proper part
         from conftest import LOWPASS3_NUM
 
         assert t[0] == pytest.approx(1.0 + LOWPASS3_NUM[-1], rel=1e-12)
 
+    def test_values_are_a_float_array(self, h4_tf):
+        t = pr.impulse_response(h4_tf, 5)
+        assert type(t) is np.ndarray and t.dtype == np.float64 and t.shape == (5,)
+
     def test_values_are_readonly(self, h4_tf):
         t = pr.impulse_response(h4_tf, 5)
         with pytest.raises(ValueError):
-            t.values[0] = 0.0
+            t[0] = 0.0
 
 
 class TestShiftOnce:
@@ -330,7 +334,7 @@ def test_expand_recombine_round_trip(pf):
 @given(simple_stable_pfs(), st.integers(5, 40))
 def test_impulse_matches_direct_evaluation(pf, K):
     tf = pr.recombine(pf)
-    t = pr.impulse_response(tf, K).values
+    t = pr.impulse_response(tf, K)
     k = np.arange(K)
     direct = np.ones(K)
     for term in pf.terms:
@@ -341,7 +345,7 @@ def test_impulse_matches_direct_evaluation(pf, K):
 def test_impulse_matches_direct_evaluation_multiple_pole():
     # c1/(z-l) + c2/(z-l)^2 contributes c1 l^(k-1) + c2 (k-1) l^(k-2)
     pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.7 + 0j, 0.3 + 0j)),))
-    t = pr.impulse_response(pr.recombine(pf), 12).values
+    t = pr.impulse_response(pr.recombine(pf), 12)
     k = np.arange(1, 13)
     want = 1.0 + 0.7 * 0.5 ** (k - 1)
     want += 0.3 * np.where(k >= 2, (k - 1) * 0.5 ** np.maximum(k - 2, 0), 0.0)
@@ -363,7 +367,7 @@ def test_shift_closed_form(pf, shifts):
 @given(simple_stable_pfs(), st.integers(1, 8))
 def test_shift_t_equals_impulse(pf, shifts):
     tf = pr.recombine(pf)
-    ref = pr.impulse_response(tf, shifts).values
+    ref = pr.impulse_response(tf, shifts)
     cur = pf
     for m in range(shifts):
         t, cur = pr.shift_once(cur)
