@@ -1,9 +1,10 @@
 """Elementary nonnegative blocks, budget allocation, assembly, and the lift.
 
 Each block realizes its pole terms plus a share R of the dominant residue
-1/(z - 1).  Each block is self-checked at build time: its first 20 Markov
-parameters must match the target terms to relative 1e-9.  The cone model
-(F, P, g, h) it was generated from is kept for ``check.cone_check``.
+1/(z - 1) and is self-checked at build time: its first 20 Markov parameters
+must match the target terms to relative 1e-9.  The cone model (F, P, g, h) it
+was generated from is kept for ``check.cone_check``.  The unspent residue goes
+to the carrier, the largest share (the first on ties), before it is built.
 """
 
 from __future__ import annotations
@@ -289,6 +290,16 @@ def per_pole_total(cls: PoleClassification) -> float:
     return sum(n2) + sum(pairs)
 
 
+def _stop_rule(cls: PoleClassification, mode: str, total: float) -> tuple[float, float]:
+    """What ``mode``'s stopping rule bounds, and its bound; ``total`` is ``per_pole_total(cls)``."""
+    if mode == "per_pole":
+        return total, 1.0 + 1e-12
+    if mode == "conservative_sum":
+        pairs = sum(abs(p.coeff) for p in cls.pair_assignments)
+        return sum(abs(c) for _, c in cls.n2_poles) + 2.0 * pairs, CONSERVATIVE_LIMIT
+    raise ValueError(f"unknown budget mode {mode!r}")
+
+
 def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     """Allocate the unit dominant residue, or raise ``InsufficientBudget``.
 
@@ -299,23 +310,20 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     """
     n2_shares, pair_shares = share_floors(cls)
     total = float(sum(n2_shares) + sum(pair_shares))
-    if mode == "per_pole":
-        if total > 1.0 + 1e-12:
-            raise InsufficientBudget(total, 1.0)
-        leftover = max(0.0, 1.0 - total)
-    elif mode == "conservative_sum":
-        plain = sum(n2_shares) + 2.0 * sum(abs(p.coeff) for p in cls.pair_assignments)
-        if plain > CONSERVATIVE_LIMIT:
-            raise InsufficientBudget(plain, CONSERVATIVE_LIMIT)
-        if total > 0:
-            scale = 1.0 / total
-            n2_shares = [max(s * scale, s) for s in n2_shares]
-            pair_shares = [max(s * scale, s) for s in pair_shares]
-            total = float(sum(n2_shares) + sum(pair_shares))
-        leftover = max(0.0, 1.0 - total)
-    else:
-        raise ValueError(f"unknown budget mode {mode!r}")
-    return BudgetPlan(mode, cls, tuple(n2_shares), tuple(pair_shares), total, leftover)
+    needed, limit = _stop_rule(cls, mode, total)
+    if needed > limit:
+        raise InsufficientBudget(needed, limit)
+    if mode == "conservative_sum" and total > 0:
+        scale = 1.0 / total
+        n2_shares = [max(s * scale, s) for s in n2_shares]
+        pair_shares = [max(s * scale, s) for s in pair_shares]
+        total = float(sum(n2_shares) + sum(pair_shares))
+    return BudgetPlan(mode, cls, tuple(n2_shares), tuple(pair_shares), total, max(0.0, 1.0 - total))
+
+
+def _carrier(shares) -> int | None:
+    """Index of the share that absorbs the leftover: the largest positive one, the first on ties."""
+    return max((i for i, s in enumerate(shares) if s > 0), key=shares.__getitem__, default=None)
 
 
 def _rebuild_with_share(block: Block, share: float) -> Block:
@@ -331,21 +339,18 @@ def _rebuild_with_share(block: Block, share: float) -> Block:
 def assemble(blocks, leftover: float) -> Realization:
     """Block-diagonal sum of the blocks, with the leftover share folded in.
 
-    The share floors are lower bounds, so the leftover is absorbed by
-    rebuilding the largest-share block; if no block carries a share, a
-    one-state remainder block is appended instead.
+    The share floors are lower bounds, so the carrier block is rebuilt with
+    the leftover added; if no block carries a share, a one-state remainder
+    block is appended instead.
     """
     blocks = list(blocks)
     if leftover < -CLAMP_WINDOW:
         raise LeftoverNegative(f"leftover {leftover:.6g} is negative")
     leftover = max(0.0, float(leftover))
     if leftover > 0:
-        carriers = [i for i, blk in enumerate(blocks) if blk.dominant_share > 0]
-        if carriers:
-            idx = max(carriers, key=lambda i: blocks[i].dominant_share)
-            blocks[idx] = _rebuild_with_share(
-                blocks[idx], blocks[idx].dominant_share + leftover
-            )
+        idx = _carrier([blk.dominant_share for blk in blocks])
+        if idx is not None:
+            blocks[idx] = _rebuild_with_share(blocks[idx], blocks[idx].dominant_share + leftover)
         else:
             blocks.append(dominant_remainder_block(leftover))
     if not blocks:

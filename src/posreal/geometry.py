@@ -88,11 +88,6 @@ class PoleClassification:
         return counts
 
     @property
-    def pole_count(self) -> int:
-        """Number of non-dominant poles (pairs count twice)."""
-        return self.n1 + self.n2 + 2 * len(self.pair_assignments)
-
-    @property
     def predicted_dimension(self) -> int:
         return self.n1 + 2 * self.n2 + sum(
             j * nj for j, nj in self.polygon_counts().items()

@@ -1,13 +1,14 @@
 """The synthesis pipeline: expand, shift, construct, lift, verify.
 
-Each pass checks the current leading impulse value (a negative value rules
-out any nonnegative realization), tries to allocate the unit dominant
-residue across the classified poles, and otherwise strips one impulse value
-and contracts the tail.  On success the assembled blocks are lifted by the
-collected prefix, rescaled back to the original gain and pole location, and
-verified against the input by an independent Markov comparison.  A supplied
-base realization of the shifted tail replaces the shift loop and the blocks;
-expansion, lift and verification are the same.
+The poles are bucketed once, since no shift changes a bucket: a real pole at
+lam > 0 keeps its residue's sign, one at lam < 0 is two-state either way, a
+pair keeps its polygon, and a term at lam = 0 drops out.  Each pass checks the
+leading impulse value (a negative one rules out any nonnegative realization)
+and the stopping rule, or strips one impulse value.  The unit dominant
+residue is then allocated once and each block built once; the assembly is
+lifted by the prefix, rescaled back to the input's gain and pole location,
+and verified by an independent Markov comparison.  A supplied base
+realization of the shifted tail replaces the shift loop and the blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 from .blocks import (
     BudgetPlan,
     Realization,
+    _carrier,
+    _stop_rule,
     assemble,
     budget,
     complex_pair_block,
@@ -33,13 +36,12 @@ from .bounds import _certified_scan
 from .check import VerificationReport, markov_check
 from .errors import (
     BaseMismatch,
-    InsufficientBudget,
     InternalCheckError,
     NegativeImpulse,
     NonpositiveDominantResidue,
     NotPrimitive,
 )
-from .geometry import classify
+from .geometry import PairBucket, PoleClassification, classify
 from .tf import (
     PartialFraction,
     TransferFunction,
@@ -56,7 +58,7 @@ from .tf import (
 class BlockSummary:
     kind: str
     dim: int
-    share: float
+    share: float  # as built: the carrier's includes the leftover
     share_floor: float | None = None  # enforced floor: |c| real, 2^{5/2} eta / cos(pi/m) pair
 
 
@@ -153,6 +155,14 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
     return Realized(final, trace)
 
 
+def _reread(cls: PoleClassification, pf: PartialFraction) -> PoleClassification:
+    """``cls`` with the coefficients of its shifted function ``pf`` (distinct simple poles)."""
+    c = {t.pole: t.coeffs[0] for t in pf.terms}
+    reals = lambda poles: tuple((lam, c[lam].real) for lam, _ in poles if lam in c)
+    pairs = (PairBucket(p.pole, c[p.pole], p.polygon_index) for p in cls.pair_assignments if p.pole in c)
+    return PoleClassification(reals(cls.n1_poles), reals(cls.n2_poles), tuple(pairs))
+
+
 def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     """``realize``'s stage: shift until the budget fits, then build and assemble the blocks."""
     if any(t.order > 1 for t in pf.terms):
@@ -160,6 +170,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     neg_tol = 1e-10 * (1.0 + abs(leading_impulse(pf)))
     cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
 
+    cls = classify(pf)
     prefix: list[float] = []
     totals: list[float] = []
     while True:
@@ -167,33 +178,29 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         if t_m < -neg_tol:
             m = len(prefix) + 1
             return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
-        cls = classify(pf)
         total = per_pole_total(cls)
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
-        try:
-            plan = budget(cls, mode)
-        except InsufficientBudget:
-            if len(prefix) >= cap:
-                return IterationCapExceeded(cap)
-            t, pf = shift_once(pf)
-            prefix.append(t if t > 0 else 0.0)
-            continue
-        break
+        needed, limit = _stop_rule(cls, mode, total)
+        if needed <= limit:
+            break
+        if len(prefix) >= cap:
+            return IterationCapExceeded(cap)
+        t, pf = shift_once(pf)
+        prefix.append(t if t > 0 else 0.0)
+        cls = _reread(cls, pf)
 
-    blocks = []
-    summaries = []
-    n2_floors, pair_floors = share_floors(cls)
-    for lam, c in cls.n1_poles:
-        blk = positive_pole_block(lam, c)
-        blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, 0.0))
-    for (lam, c), share, floor in zip(cls.n2_poles, plan.n2_shares, n2_floors):
-        blk = real_pole_block(lam, c, share)
-        blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, floor))
-    for pair, share, floor in zip(cls.pair_assignments, plan.pair_shares, pair_floors):
+    plan = budget(cls, mode)
+    # the leftover joins the carrier's share up front, so each block is built once
+    shares = list(plan.n2_shares + plan.pair_shares)
+    carrier = _carrier(shares)
+    leftover = plan.leftover if carrier is None else 0.0
+    if carrier is not None:
+        shares[carrier] += plan.leftover
+    blocks = [positive_pole_block(lam, c) for lam, c in cls.n1_poles]
+    blocks += [real_pole_block(lam, c, share) for (lam, c), share in zip(cls.n2_poles, shares)]
+    for pair, share in zip(cls.pair_assignments, shares[cls.n2 :]):
         blk = complex_pair_block(
             abs(pair.pole),
             math.atan2(pair.pole.imag, pair.pole.real),
@@ -203,10 +210,12 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
             share,
         )
         blocks.append(blk)
-        summaries.append(BlockSummary(blk.kind, blk.dim, share, floor))
-    core = assemble(blocks, plan.leftover)
-    if plan.leftover > 0 and not any(blk.dominant_share > 0 for blk in blocks):
-        summaries.append(BlockSummary("dominant_remainder", 1, plan.leftover))
+    n2_floors, pair_floors = share_floors(cls)
+    floors = [None] * cls.n1 + n2_floors + pair_floors
+    summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, f) for b, f in zip(blocks, floors)]
+    core = assemble(blocks, leftover)  # appends a one-state remainder if no block carries a share
+    if leftover > 0:
+        summaries.append(BlockSummary("dominant_remainder", 1, leftover))
     return core, prefix, plan, totals, summaries
 
 

@@ -13,7 +13,7 @@ tail t_2, t_3, ... back onto the same form with contracted coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -547,7 +547,9 @@ def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
             shifted.pop()
         if shifted:
             new_terms.append(PoleTerm(term.pole, tuple(shifted)))
-    return t, replace(pf, terms=tuple(new_terms))
+    return t, PartialFraction(
+        pf.dominant_pole, pf.dominant_residue, tuple(new_terms), pf.scale_gamma, pf.pole_scale
+    )
 
 
 def iteration_estimate(pf: PartialFraction) -> int:

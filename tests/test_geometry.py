@@ -117,7 +117,8 @@ def test_dimension_formulas_agree_on_random_classifications():
     rng = np.random.default_rng(11)
     for _ in range(200):
         cls = pr.classify(random_stable_pf(rng))
-        alt = cls.pole_count + cls.n2 + sum(
+        poles = cls.n1 + cls.n2 + 2 * len(cls.pair_assignments)
+        alt = poles + cls.n2 + sum(
             (j - 2) * nj for j, nj in cls.polygon_counts().items()
         )
         assert alt == cls.predicted_dimension

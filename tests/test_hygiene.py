@@ -1,5 +1,7 @@
 """Source hygiene: every name a posreal module imports is used in that module,
-and every module-level private name (``_x``) is referenced somewhere in the package.
+every module-level private name (``_x``) is referenced somewhere in the package,
+and no module memoizes with ``functools`` (a cache would carry results from one
+request to the next, so a timed request would not redo its work).
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -69,6 +71,30 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(dead)
 
 
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def functools_caches(source: str) -> list[str]:
+    """Uses of a ``functools`` cache in ``source``, imported by name or read as an attribute."""
+    tree = ast.parse(source)
+    modules = {"functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "functools" and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append(f"{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
 def test_modules_found():
     assert "realizer.py" in MODULES and "cli.py" in MODULES
 
@@ -76,6 +102,11 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_functools_caches(module):
+    assert functools_caches((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def test_no_unreferenced_private_names():
@@ -105,3 +136,17 @@ def test_checker_flags_unused_names():
         "def f(x: np.ndarray) -> float:\n    return pi\n"
     )
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
+
+
+def test_checker_flags_functools_caches():
+    source = (
+        "import functools\nimport functools as ft\nfrom functools import lru_cache, reduce\n"
+        "@functools.cache\ndef f(x):\n    return x\n"
+        "class C:\n    @ft.cached_property\n    def p(self):\n        return reduce(max, [1])\n"
+        "g = lru_cache(maxsize=8)(f)\nh = functools.partial(f, 1)\n"
+    )
+    assert functools_caches(source) == [
+        "cache (line 4)",
+        "cached_property (line 8)",
+        "lru_cache (line 3)",
+    ]

@@ -1,12 +1,18 @@
+import cmath
+import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import posreal as pr
-from posreal.errors import BaseMismatch, NegativeEntry, NegativeImpulse
+import posreal.blocks as blocksmod
+import posreal.geometry as geometrymod
+import posreal.realizer as realizermod
+from posreal.errors import BaseMismatch, InsufficientBudget, NegativeEntry, NegativeImpulse
 
 from conftest import hn_pf, hn_tf, random_stable_pf
 from strategies import simple_stable_pfs
@@ -231,3 +237,169 @@ class TestNegativeDominantResidue:
         out = pr.realize(tf)
         assert (out.witness_index, out.witness_value) == (4, pytest.approx(-0.5, rel=1e-9))
         assert _bounds_witness(tf) == (4, out.witness_value)
+
+
+def _pf(*terms):
+    """Normalized partial fraction from (pole, residue) pairs; a complex pole brings its conjugate."""
+    out = []
+    for lam, c in terms:
+        lam, c = complex(lam), complex(c)
+        out.append(pr.PoleTerm(lam, (c,)))
+        if lam.imag:
+            out.append(pr.PoleTerm(lam.conjugate(), (c.conjugate(),)))
+    return pr.PartialFraction(1.0, 1.0, tuple(out))
+
+
+def _reference_stage(pf, mode, cap_override):
+    """The shift loop classifying and allocating on every shift, with the leftover folded in by ``assemble``."""
+    neg_tol = 1e-10 * (1.0 + abs(pr.leading_impulse(pf)))
+    cap = cap_override if cap_override is not None else 2 * pr.iteration_estimate(pf)
+    prefix, totals = [], []
+    while True:
+        t_m = pr.leading_impulse(pf)
+        if t_m < -neg_tol:
+            m = len(prefix) + 1
+            return pr.NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
+        cls = pr.classify(pf)
+        totals.append(pr.per_pole_total(cls))
+        try:
+            plan = pr.budget(cls, mode)
+        except InsufficientBudget:
+            if len(prefix) >= cap:
+                return pr.IterationCapExceeded(cap)
+            t, pf = pr.shift_once(pf)
+            prefix.append(t if t > 0 else 0.0)
+            continue
+        break
+    floors = [abs(c) for _, c in cls.n2_poles]
+    floors += [pr.pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments]
+    blocks = [pr.positive_pole_block(lam, c) for lam, c in cls.n1_poles]
+    blocks += [pr.real_pole_block(lam, c, s) for (lam, c), s in zip(cls.n2_poles, plan.n2_shares)]
+    for pair, s in zip(cls.pair_assignments, plan.pair_shares):
+        blocks.append(
+            pr.complex_pair_block(
+                abs(pair.pole),
+                math.atan2(pair.pole.imag, pair.pole.real),
+                abs(pair.coeff),
+                math.atan2(pair.coeff.imag, pair.coeff.real),
+                pair.polygon_index,
+                s,
+            )
+        )
+    shares = [blk.dominant_share for blk in blocks]
+    carriers = [i for i, s in enumerate(shares) if s > 0]
+    summaries = [pr.BlockSummary(blk.kind, blk.dim, 0.0) for blk in blocks[: cls.n1]]
+    summaries += [
+        pr.BlockSummary(blk.kind, blk.dim, s, f)
+        for blk, s, f in zip(blocks[cls.n1 :], shares[cls.n1 :], floors)
+    ]
+    if plan.leftover > 0 and carriers:
+        i = max(carriers, key=lambda i: shares[i])
+        summaries[i] = pr.BlockSummary(blocks[i].kind, blocks[i].dim, shares[i] + plan.leftover, floors[i - cls.n1])
+    elif plan.leftover > 0:
+        summaries.append(pr.BlockSummary("dominant_remainder", 1, plan.leftover))
+    return pr.assemble(blocks, plan.leftover), prefix, plan, totals, summaries
+
+
+@st.composite
+def shift_loop_inputs(draw):
+    """Simple stable poles, real ones possibly at zero, pairs up to modulus 0.97."""
+    n_real = draw(st.integers(0, 3))
+    n_pairs = draw(st.integers(0, 2))
+    assume(n_real + n_pairs > 0)
+    poles, terms = [], []
+    for _ in range(n_real):
+        lam = draw(st.one_of(st.just(0.0), st.floats(-0.97, 0.97)))
+        assume(all(abs(lam - p) > 0.05 for p in poles))
+        c = draw(st.floats(-1.0, 1.0))
+        assume(abs(c) > 1e-3)
+        poles.append(complex(lam))
+        terms.append((lam, c))
+    for _ in range(n_pairs):
+        lam = cmath.rect(draw(st.floats(0.1, 0.97)), draw(st.floats(0.1, math.pi - 0.1)))
+        assume(all(abs(lam - p) > 0.05 and abs(lam - p.conjugate()) > 0.05 for p in poles))
+        poles.append(lam)
+        terms.append((lam, cmath.rect(draw(st.floats(1e-3, 1.0)), draw(st.floats(-math.pi, math.pi)))))
+    return _pf(*terms)
+
+
+# One input for each way the loop ends or prunes a term.
+LAMBDA_ZERO = _pf((0.0, -0.3), (-0.8, 0.9), (0.5, -0.2))  # the lam = 0 term vanishes after shift 1
+LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
+NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
+DEEP = _pf((cmath.rect(0.95, 0.3), cmath.rect(0.5, 1.0)), (-0.93, 0.5), (0.4, -0.3))
+
+
+class TestShiftLoopMatchesReference:
+    @given(shift_loop_inputs(), st.sampled_from(["per_pole", "conservative_sum"]), st.one_of(st.none(), st.integers(0, 6)))
+    @example(LAMBDA_ZERO, "per_pole", None)
+    @example(LAMBDA_ZERO_POSITIVE, "conservative_sum", None)
+    @example(NEGATIVE_MID_LOOP, "per_pole", None)
+    @example(DEEP, "conservative_sum", 1)
+    @example(DEEP, "per_pole", None)
+    def test_same_outcome_bit_for_bit(self, pf, mode, cap):
+        got = realizermod._shift_and_build(pf, mode, cap)
+        want = _reference_stage(pf, mode, cap)
+        assert type(got) is type(want)
+        if not isinstance(want, tuple):
+            assert repr(got) == repr(want)
+            return
+        core, prefix, plan, totals, summaries = got
+        want_core, *want_rest = want
+        assert repr((prefix, plan, totals, summaries)) == repr(tuple(want_rest))
+        for name in "Abc":
+            assert getattr(core, name).tobytes() == getattr(want_core, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "pf, mode, cap, outcome",
+        [
+            (LAMBDA_ZERO, "per_pole", None, tuple),
+            (LAMBDA_ZERO_POSITIVE, "conservative_sum", None, tuple),
+            (NEGATIVE_MID_LOOP, "per_pole", None, pr.NoPositiveRealization),
+            (DEEP, "conservative_sum", 1, pr.IterationCapExceeded),
+        ],
+    )
+    def test_examples_reach_their_exit(self, pf, mode, cap, outcome):
+        out = realizermod._shift_and_build(pf, mode, cap)
+        assert isinstance(out, outcome)
+        if outcome is tuple:
+            # the lam = 0 term was shifted away, so no block realizes it
+            _, prefix, plan, _, _ = out
+            assert len(prefix) >= 1
+            assert all(lam != 0.0 for lam, _ in plan.classification.n1_poles + plan.classification.n2_poles)
+        if outcome is pr.NoPositiveRealization:
+            assert out.witness_index == 3
+
+
+def test_each_pole_is_paid_for_once(monkeypatch):
+    """One realize call: one polygon search per pair, one budget, one build per block, no rebuild."""
+    calls = Counter()
+
+    def count(name, *modules):
+        fn = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    count("minimal_polygon_index", geometrymod)
+    count("budget", realizermod)
+    count("_rebuild_with_share", blocksmod)
+    builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
+    for name in builders:
+        count(name, blocksmod, realizermod)
+    count("dominant_remainder_block", blocksmod)
+
+    out = pr.realize(pr.recombine(DEEP), "per_pole")
+    assert isinstance(out, pr.Realized)
+    assert out.trace.shifts_performed > 20
+    assert calls["minimal_polygon_index"] == 1
+    assert calls["budget"] == 1
+    assert calls["_rebuild_with_share"] == 0
+    built = Counter(f"{b.kind}_block" for b in out.trace.blocks)
+    assert built == {"real_pole_block": 2, "complex_pair_block": 1}
+    assert {name: calls[name] for name in built} == built
+    assert calls["positive_pole_block"] == calls["dominant_remainder_block"] == 0
