@@ -59,7 +59,6 @@ from .tf import (
     TransferFunction,
     build_partial_fraction,
     companion_roots,
-    denormalize,
     expand,
     from_coefficients,
     impulse_response,

@@ -3,8 +3,8 @@
 Each block realizes its pole terms plus a share R of the dominant residue
 1/(z - 1) and is self-checked at build time: its first 20 Markov parameters
 must match the target terms to relative 1e-9.  The cone model (F, P, g, h) it
-was generated from is kept for ``check.cone_check``.  The unspent residue goes
-to the carrier, the largest share (the first on ties), before it is built.
+was generated from is kept for ``check.cone_check``.  The caller places the
+unspent residue before building; ``assemble`` only stacks the blocks.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class Block:
     kind: str  # positive_pole | real_pole | complex_pair | dominant_remainder
     dominant_share: float
     pole_terms: tuple[tuple[complex, complex], ...]
-    params: tuple
     cone_model: tuple  # (F, P, g, h) it was generated from
 
     @property
@@ -117,7 +116,7 @@ def positive_pole_block(lam: float, c: float) -> Block:
         raise BadPoleBlock(f"residue {c:.6g} must be positive")
     real = Realization(np.array([[lam]]), np.array([c]), np.array([1.0]))
     model = (np.array([[lam]]), np.array([[1.0]]), np.array([c]), np.array([1.0]))
-    block = Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),), (lam, c), model)
+    block = Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),), model)
     return _verify_block(block)
 
 
@@ -145,7 +144,7 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
         np.array([R, c]),
         np.array([1.0, 1.0]),
     )
-    block = Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), (lam, c), model)
+    block = Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), model)
     return _verify_block(block)
 
 
@@ -234,7 +233,6 @@ def complex_pair_block(
         "complex_pair",
         float(R),
         ((pole, coeff), (pole.conjugate(), coeff.conjugate())),
-        (rho, theta, eta, vartheta, m),
         (F, P, g, h),
     )
     return _verify_block(block)
@@ -246,7 +244,7 @@ def dominant_remainder_block(R: float) -> Block:
         raise LeftoverNegative(f"remainder share {R:.6g} is negative")
     real = Realization(np.array([[1.0]]), np.array([R]), np.array([1.0]))
     model = (np.array([[1.0]]), np.array([[1.0]]), np.array([R]), np.array([1.0]))
-    return _verify_block(Block(real, "dominant_remainder", float(R), (), (), model))
+    return _verify_block(Block(real, "dominant_remainder", float(R), (), model))
 
 
 @dataclass(frozen=True)
@@ -321,42 +319,12 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     return BudgetPlan(mode, cls, tuple(n2_shares), tuple(pair_shares), total, max(0.0, 1.0 - total))
 
 
-def _carrier(shares) -> int | None:
-    """Index of the share that absorbs the leftover: the largest positive one, the first on ties."""
-    return max((i for i, s in enumerate(shares) if s > 0), key=shares.__getitem__, default=None)
-
-
-def _rebuild_with_share(block: Block, share: float) -> Block:
-    if block.kind == "real_pole":
-        return real_pole_block(*block.params, share)
-    if block.kind == "complex_pair":
-        return complex_pair_block(*block.params, share)
-    if block.kind == "dominant_remainder":
-        return dominant_remainder_block(share)
-    raise ValueError(f"block kind {block.kind!r} carries no dominant share")
-
-
-def assemble(blocks, leftover: float) -> Realization:
-    """Block-diagonal sum of the blocks, with the leftover share folded in.
-
-    The share floors are lower bounds, so the carrier block is rebuilt with
-    the leftover added; if no block carries a share, a one-state remainder
-    block is appended instead.
-    """
+def assemble(blocks) -> Realization:
+    """Block-diagonal sum of the blocks, stacked in the order given."""
     blocks = list(blocks)
-    if leftover < -CLAMP_WINDOW:
-        raise LeftoverNegative(f"leftover {leftover:.6g} is negative")
-    leftover = max(0.0, float(leftover))
-    if leftover > 0:
-        idx = _carrier([blk.dominant_share for blk in blocks])
-        if idx is not None:
-            blocks[idx] = _rebuild_with_share(blocks[idx], blocks[idx].dominant_share + leftover)
-        else:
-            blocks.append(dominant_remainder_block(leftover))
     if not blocks:
         raise ValueError("nothing to assemble")
-    dims = [blk.dim for blk in blocks]
-    total = sum(dims)
+    total = sum(blk.dim for blk in blocks)
     A = np.zeros((total, total))
     b = np.zeros(total)
     c = np.zeros(total)

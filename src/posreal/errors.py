@@ -67,7 +67,7 @@ class InsufficientBudget(PosrealError):
 
 
 class LeftoverNegative(PosrealError):
-    """Assembly called with a negative dominant-residue leftover."""
+    """A remainder block asked to carry a negative dominant share."""
 
 
 class NegativeEntry(PosrealError):

@@ -2,13 +2,15 @@
 
 The poles are bucketed once, since no shift changes a bucket: a real pole at
 lam > 0 keeps its residue's sign, one at lam < 0 is two-state either way, a
-pair keeps its polygon, and a term at lam = 0 drops out.  Each pass checks the
-leading impulse value (a negative one rules out any nonnegative realization)
-and the stopping rule, or strips one impulse value.  The unit dominant
-residue is then allocated once and each block built once; the assembly is
-lifted by the prefix, rescaled back to the input's gain and pole location,
-and verified by an independent Markov comparison.  A supplied base
-realization of the shifted tail replaces the shift loop and the blocks.
+pair keeps its polygon, and a term at lam = 0 drops out.  Each pass tests the
+stopping rule or strips one impulse value and checks its sign (a negative one
+rules out any nonnegative realization).  The unit dominant residue is then
+allocated once.  Its leftover joins the carrier's share, or, if no block
+carries a share, gets a one-state remainder block; each block is built once
+and the blocks are stacked.  The stack is lifted by the prefix, rescaled back
+to the input's gain and pole location, and verified by an independent Markov
+comparison.  A supplied base realization of the shifted tail replaces the
+shift loop and the blocks.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import numpy as np
 from .blocks import (
     BudgetPlan,
     Realization,
-    _carrier,
     _stop_rule,
     assemble,
     budget,
     complex_pair_block,
+    dominant_remainder_block,
     per_pole_total,
     positive_pole_block,
     prefix_lift,
@@ -174,28 +176,31 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     prefix: list[float] = []
     totals: list[float] = []
     while True:
-        t_m = leading_impulse(pf)
-        if t_m < -neg_tol:
-            m = len(prefix) + 1
-            return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
         total = per_pole_total(cls)
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
         needed, limit = _stop_rule(cls, mode, total)
+        # No sign check on stopping: the floors |c| and 2^{5/2} eta / cos(pi/m)
+        # bound every coefficient and the conservative sum is at most 2^{-5/2},
+        # so t~_m >= 1 - needed >= -1e-12 > -neg_tol.
         if needed <= limit:
             break
-        if len(prefix) >= cap:
+        # a negative t~_m wins over the cap: shift once more and report it below
+        if len(prefix) >= cap and leading_impulse(pf) >= -neg_tol:
             return IterationCapExceeded(cap)
         t, pf = shift_once(pf)
+        if t < -neg_tol:
+            m = len(prefix) + 1
+            return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
         prefix.append(t if t > 0 else 0.0)
         cls = _reread(cls, pf)
 
     plan = budget(cls, mode)
-    # the leftover joins the carrier's share up front, so each block is built once
+    # the leftover joins the carrier's share (the largest, the first on ties)
+    # up front, so each block is built once; with no carrier it gets its own state
     shares = list(plan.n2_shares + plan.pair_shares)
-    carrier = _carrier(shares)
-    leftover = plan.leftover if carrier is None else 0.0
+    carrier = max((i for i, s in enumerate(shares) if s > 0), key=shares.__getitem__, default=None)
     if carrier is not None:
         shares[carrier] += plan.leftover
     blocks = [positive_pole_block(lam, c) for lam, c in cls.n1_poles]
@@ -210,13 +215,12 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
             share,
         )
         blocks.append(blk)
+    if carrier is None:  # no share was allocated, so the leftover is the whole unit
+        blocks.append(dominant_remainder_block(plan.leftover))
     n2_floors, pair_floors = share_floors(cls)
-    floors = [None] * cls.n1 + n2_floors + pair_floors
+    floors = [None] * cls.n1 + n2_floors + pair_floors + [None]  # a remainder has no floor
     summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, f) for b, f in zip(blocks, floors)]
-    core = assemble(blocks, leftover)  # appends a one-state remainder if no block carries a share
-    if leftover > 0:
-        summaries.append(BlockSummary("dominant_remainder", 1, leftover))
-    return core, prefix, plan, totals, summaries
+    return assemble(blocks), prefix, plan, totals, summaries
 
 
 def realize(

@@ -116,10 +116,6 @@ class PoleTerm:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def top(self) -> complex:
-        return self.coeffs[-1]
-
 
 @dataclass(frozen=True)
 class PartialFraction:
@@ -468,24 +464,6 @@ def normalize(pf: PartialFraction) -> PartialFraction:
         terms=terms,
         scale_gamma=pf.scale_gamma * gamma,
         pole_scale=pf.pole_scale * lam0,
-    )
-
-
-def denormalize(pf: PartialFraction) -> PartialFraction:
-    """Invert ``normalize``, restoring the recorded gain and pole location."""
-    gamma = pf.scale_gamma
-    lam0 = pf.pole_scale
-    terms = tuple(
-        PoleTerm(
-            t.pole * lam0,
-            tuple(c * gamma * lam0 ** (i - 1) for i, c in enumerate(t.coeffs, start=1)),
-        )
-        for t in pf.terms
-    )
-    return PartialFraction(
-        dominant_pole=pf.dominant_pole * lam0,
-        dominant_residue=pf.dominant_residue * gamma,
-        terms=terms,
     )
 
 

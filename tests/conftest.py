@@ -82,6 +82,22 @@ def problems_dir() -> Path:
     return Path(__file__).resolve().parents[1] / "problems"
 
 
+def scaled_pf(pf: pr.PartialFraction, gamma: float, lam0: float) -> pr.PartialFraction:
+    """``pf`` with gain times ``gamma`` and poles times ``lam0``; ``normalize`` undoes it.
+
+    An order-i coefficient c becomes c * gamma * lam0**(i-1), so the impulse
+    values become t_k = gamma * lam0**(k-1) * t~_k.
+    """
+    terms = tuple(
+        pr.PoleTerm(
+            t.pole * lam0,
+            tuple(c * gamma * lam0 ** (i - 1) for i, c in enumerate(t.coeffs, start=1)),
+        )
+        for t in pf.terms
+    )
+    return pr.PartialFraction(pf.dominant_pole * lam0, pf.dominant_residue * gamma, terms)
+
+
 def random_stable_pf(rng: np.random.Generator, *, ensure_positive_impulse: bool = False):
     """Normalized partial fraction with simple, well-separated stable poles."""
     while True:

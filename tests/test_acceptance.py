@@ -11,7 +11,7 @@ import posreal as pr
 from posreal.check import cone_check, markov_check
 from posreal.cli import main as cli_main
 
-from conftest import hn_pf, hn_tf, random_stable_pf
+from conftest import hn_pf, hn_tf, random_stable_pf, scaled_pf
 
 
 def report(num: int, description: str, ok: bool) -> None:
@@ -91,9 +91,7 @@ def test_criterion_6_randomized_nonnegativity():
         pf = random_stable_pf(rng, ensure_positive_impulse=True)
         gamma = 1.0 if trial % 3 else float(rng.uniform(0.2, 3.0))
         lam0 = 1.0 if trial % 4 else float(rng.uniform(0.5, 2.0))
-        raw = pr.denormalize(
-            pr.PartialFraction(1.0, 1.0, pf.terms, scale_gamma=gamma, pole_scale=lam0)
-        )
+        raw = scaled_pf(pf, gamma, lam0)
         tf = pr.recombine(raw)
         out = pr.realize(tf, "per_pole")
         if not isinstance(out, pr.Realized):

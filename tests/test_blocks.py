@@ -169,24 +169,27 @@ class TestBudget:
 
 class TestAssemble:
     def test_family_fold_leftover(self):
-        blocks = [pr.positive_pole_block(0.2, 0.12), pr.real_pole_block(0.4, -0.64, 0.64)]
-        asm = pr.assemble(blocks, 0.36)
+        # the leftover 0.36 joins the carrier's share 0.64 before it is built
+        blocks = [pr.positive_pole_block(0.2, 0.12), pr.real_pole_block(0.4, -0.64, 0.64 + 0.36)]
+        asm = pr.assemble(blocks)
         assert asm.dim == 3
         assert asm.markov(12) == pytest.approx(hn_impulse(0, 12), abs=1e-12)
 
     def test_no_blocks_dominant_only(self):
-        asm = pr.assemble([], 1.0)
+        asm = pr.assemble([pr.dominant_remainder_block(1.0)])
         assert asm.dim == 1
         assert asm.A.tolist() == [[1.0]]
         assert asm.b.tolist() == [1.0]
         assert asm.c.tolist() == [1.0]
+        with pytest.raises(ValueError, match="nothing to assemble"):
+            pr.assemble([])
 
     def test_negative_leftover(self):
         with pytest.raises(LeftoverNegative):
-            pr.assemble([pr.positive_pole_block(0.2, 0.12)], -0.5)
+            pr.dominant_remainder_block(-0.5)
 
     def test_n1_only_appends_remainder(self):
-        asm = pr.assemble([pr.positive_pole_block(0.3, 0.2)], 1.0)
+        asm = pr.assemble([pr.positive_pole_block(0.3, 0.2), pr.dominant_remainder_block(1.0)])
         assert asm.dim == 2
         assert asm.markov(6) == pytest.approx(1.0 + 0.2 * 0.3 ** np.arange(6))
 
@@ -215,7 +218,7 @@ class TestAssemble:
                 )
             if not blocks:
                 continue
-            asm = pr.assemble(blocks, 0.0)
+            asm = pr.assemble(blocks)
             total = sum(blk.realization.markov(30) for blk in blocks)
             rel = np.abs(asm.markov(30) - total) / (1.0 + np.abs(total))
             assert np.max(rel) < 1e-12
@@ -283,12 +286,14 @@ def test_dimension_accounting_matches_prediction():
         except InsufficientBudget:
             continue
         built += 1
+        # the leftover joins the largest share (the first on ties), or gets its own state
+        shares = list(plan.n2_shares + plan.pair_shares)
+        carriers = bool(shares) and max(shares) > 0
+        if carriers:
+            shares[shares.index(max(shares))] += plan.leftover
         blocks = [pr.positive_pole_block(l, c) for l, c in cls.n1_poles]
-        blocks += [
-            pr.real_pole_block(l, c, s)
-            for (l, c), s in zip(cls.n2_poles, plan.n2_shares)
-        ]
-        for pair, s in zip(cls.pair_assignments, plan.pair_shares):
+        blocks += [pr.real_pole_block(l, c, s) for (l, c), s in zip(cls.n2_poles, shares)]
+        for pair, s in zip(cls.pair_assignments, shares[cls.n2 :]):
             blocks.append(
                 pr.complex_pair_block(
                     abs(pair.pole),
@@ -299,6 +304,7 @@ def test_dimension_accounting_matches_prediction():
                     s,
                 )
             )
-        asm = pr.assemble(blocks, plan.leftover)
-        carriers = any(blk.dominant_share > 0 for blk in blocks)
+        if not carriers:
+            blocks.append(pr.dominant_remainder_block(plan.leftover))
+        asm = pr.assemble(blocks)
         assert asm.dim == cls.predicted_dimension + (0 if carriers else 1)

@@ -140,7 +140,7 @@ class TestVectorizedMarkovCheck:
 class TestConeCheck:
     def test_identity_cone(self):
         tf_real = pr.assemble(
-            [pr.positive_pole_block(0.2, 0.12), pr.real_pole_block(0.4, -0.64, 0.64)], 0.36
+            [pr.positive_pole_block(0.2, 0.12), pr.real_pole_block(0.4, -0.64, 0.64 + 0.36)]
         )
         cert = cone_check(tf_real.A, np.eye(3), tf_real.b, tf_real.c, tf_real)
         assert cert.passed

@@ -1,5 +1,6 @@
 """Source hygiene: every name a posreal module imports is used in that module,
 every module-level private name (``_x``) is referenced somewhere in the package,
+every method and property of a posreal class is read somewhere in the repository,
 and no module memoizes with ``functools`` (a cache would carry results from one
 request to the next, so a timed request would not redo its work).
 
@@ -9,11 +10,13 @@ wherever the tests do.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "posreal"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "posreal"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -71,6 +74,32 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(dead)
 
 
+def _attributes_read(node) -> Counter:
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unread_members(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Non-dunder methods and properties of ``package``'s classes that no file of ``readers`` reads.
+
+    A read is an attribute load (``obj.name``); the member's own body does
+    not count, so a method that only calls itself is still reported.
+    """
+    reads = sum((_attributes_read(ast.parse(src)) for src in readers.values()), Counter())
+    unread = []
+    for mod, src in package.items():
+        for cls in (n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                if reads[fn.name] - _attributes_read(fn)[fn.name] <= 0:
+                    unread.append(f"{mod}:{cls.name}.{fn.name}")
+    return sorted(unread)
+
+
 CACHES = {"cache", "lru_cache", "cached_property"}
 
 
@@ -112,6 +141,34 @@ def test_no_functools_caches(module):
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_method_and_property_is_read():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = {
+        p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+        for d in ("src", "tests", "bench", "scripts")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    assert "tests/test_hygiene.py" in readers and "bench/run.py" in readers
+    assert unread_members(package, readers) == []
+
+
+def test_member_checker_flags_unread_members():
+    package = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n        self.stored = 1\n"
+            "    @property\n    def used(self):\n        return 1\n"
+            "    @property\n    def unread(self):\n        return 2\n"
+            "    def recursive(self, n):\n        return n and self.recursive(n - 1)\n"
+            "    def overwritten(self):\n        pass\n"
+            "    def helper(self):\n        return self.used\n"
+            "    def caller(self):\n        return self.helper()\n"
+        ),
+    }
+    readers = dict(package, **{"b.py": "from a import C\nC().caller()\nC().overwritten = None\n"})
+    assert unread_members(package, readers) == ["a.py:C.overwritten", "a.py:C.recursive", "a.py:C.unread"]
 
 
 def test_private_name_checker_flags_dead_helpers():

@@ -12,9 +12,10 @@ import posreal as pr
 import posreal.blocks as blocksmod
 import posreal.geometry as geometrymod
 import posreal.realizer as realizermod
+import posreal.tf as tfmod
 from posreal.errors import BaseMismatch, InsufficientBudget, NegativeEntry, NegativeImpulse
 
-from conftest import hn_pf, hn_tf, random_stable_pf
+from conftest import hn_pf, hn_tf, random_stable_pf, scaled_pf
 from strategies import simple_stable_pfs
 
 ONE_STATE = pr.Realization(np.array([[0.5]]), np.array([1.0]), np.array([1.0]))
@@ -161,9 +162,7 @@ def test_random_realize_soundness_small():
         pf = random_stable_pf(rng, ensure_positive_impulse=True)
         gamma = float(rng.choice([1.0, rng.uniform(0.2, 3.0)]))
         lam0 = float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
-        raw = pr.denormalize(
-            pr.PartialFraction(1.0, 1.0, pf.terms, scale_gamma=gamma, pole_scale=lam0)
-        )
+        raw = scaled_pf(pf, gamma, lam0)
         tf = pr.recombine(raw)
         out = pr.realize(tf, "per_pole")
         assert isinstance(out, pr.Realized), out
@@ -185,9 +184,7 @@ class TestNegativeDominantResidue:
     @given(simple_stable_pfs(), st.floats(-12.0, 12.0), st.floats(0.5, 2.0))
     def test_witness_agrees_with_bounds_and_closed_form(self, pfn, u, lam0):
         gamma = -(10.0**u)
-        raw = pr.denormalize(
-            pr.PartialFraction(1.0, -1.0, pfn.terms, scale_gamma=10.0**u, pole_scale=lam0)
-        )
+        raw = scaled_pf(pr.PartialFraction(1.0, -1.0, pfn.terms), 10.0**u, lam0)
         tf = pr.recombine(raw)
         index, value = _bounds_witness(tf)
         assert pr.realize(tf) == pr.NoPositiveRealization(index, value)
@@ -251,7 +248,7 @@ def _pf(*terms):
 
 
 def _reference_stage(pf, mode, cap_override):
-    """The shift loop classifying and allocating on every shift, with the leftover folded in by ``assemble``."""
+    """The shift loop classifying and allocating on every shift; the leftover is placed with the public builders."""
     neg_tol = 1e-10 * (1.0 + abs(pr.leading_impulse(pf)))
     cap = cap_override if cap_override is not None else 2 * pr.iteration_estimate(pf)
     prefix, totals = [], []
@@ -273,9 +270,14 @@ def _reference_stage(pf, mode, cap_override):
         break
     floors = [abs(c) for _, c in cls.n2_poles]
     floors += [pr.pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments]
+    shares = list(plan.n2_shares + plan.pair_shares)
+    carriers = [i for i, s in enumerate(shares) if s > 0]
+    if carriers:
+        i = max(carriers, key=lambda i: shares[i])
+        shares[i] += plan.leftover
     blocks = [pr.positive_pole_block(lam, c) for lam, c in cls.n1_poles]
-    blocks += [pr.real_pole_block(lam, c, s) for (lam, c), s in zip(cls.n2_poles, plan.n2_shares)]
-    for pair, s in zip(cls.pair_assignments, plan.pair_shares):
+    blocks += [pr.real_pole_block(lam, c, s) for (lam, c), s in zip(cls.n2_poles, shares)]
+    for pair, s in zip(cls.pair_assignments, shares[cls.n2 :]):
         blocks.append(
             pr.complex_pair_block(
                 abs(pair.pole),
@@ -286,19 +288,15 @@ def _reference_stage(pf, mode, cap_override):
                 s,
             )
         )
-    shares = [blk.dominant_share for blk in blocks]
-    carriers = [i for i, s in enumerate(shares) if s > 0]
     summaries = [pr.BlockSummary(blk.kind, blk.dim, 0.0) for blk in blocks[: cls.n1]]
     summaries += [
         pr.BlockSummary(blk.kind, blk.dim, s, f)
-        for blk, s, f in zip(blocks[cls.n1 :], shares[cls.n1 :], floors)
+        for blk, s, f in zip(blocks[cls.n1 :], shares, floors)
     ]
-    if plan.leftover > 0 and carriers:
-        i = max(carriers, key=lambda i: shares[i])
-        summaries[i] = pr.BlockSummary(blocks[i].kind, blocks[i].dim, shares[i] + plan.leftover, floors[i - cls.n1])
-    elif plan.leftover > 0:
+    if not carriers and plan.leftover > 0:
+        blocks.append(pr.dominant_remainder_block(plan.leftover))
         summaries.append(pr.BlockSummary("dominant_remainder", 1, plan.leftover))
-    return pr.assemble(blocks, plan.leftover), prefix, plan, totals, summaries
+    return pr.assemble(blocks), prefix, plan, totals, summaries
 
 
 @st.composite
@@ -328,6 +326,7 @@ LAMBDA_ZERO = _pf((0.0, -0.3), (-0.8, 0.9), (0.5, -0.2))  # the lam = 0 term van
 LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
 NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
 DEEP = _pf((cmath.rect(0.95, 0.3), cmath.rect(0.5, 1.0)), (-0.93, 0.5), (0.4, -0.3))
+ONE_STATE_POLES = _pf((0.5, 0.3))  # nothing carries a share: a one-state remainder is appended
 
 
 class TestShiftLoopMatchesReference:
@@ -337,6 +336,7 @@ class TestShiftLoopMatchesReference:
     @example(NEGATIVE_MID_LOOP, "per_pole", None)
     @example(DEEP, "conservative_sum", 1)
     @example(DEEP, "per_pole", None)
+    @example(ONE_STATE_POLES, "per_pole", None)
     def test_same_outcome_bit_for_bit(self, pf, mode, cap):
         got = realizermod._shift_and_build(pf, mode, cap)
         want = _reference_stage(pf, mode, cap)
@@ -357,22 +357,29 @@ class TestShiftLoopMatchesReference:
             (LAMBDA_ZERO_POSITIVE, "conservative_sum", None, tuple),
             (NEGATIVE_MID_LOOP, "per_pole", None, pr.NoPositiveRealization),
             (DEEP, "conservative_sum", 1, pr.IterationCapExceeded),
+            (ONE_STATE_POLES, "per_pole", None, tuple),
         ],
     )
     def test_examples_reach_their_exit(self, pf, mode, cap, outcome):
         out = realizermod._shift_and_build(pf, mode, cap)
         assert isinstance(out, outcome)
         if outcome is tuple:
-            # the lam = 0 term was shifted away, so no block realizes it
-            _, prefix, plan, _, _ = out
-            assert len(prefix) >= 1
-            assert all(lam != 0.0 for lam, _ in plan.classification.n1_poles + plan.classification.n2_poles)
+            core, prefix, plan, _, summaries = out
+            cls = plan.classification
+            if any(t.pole == 0 for t in pf.terms):
+                # the lam = 0 term was shifted away, so no block realizes it
+                assert len(prefix) >= 1
+                assert all(lam != 0.0 for lam, _ in cls.n1_poles + cls.n2_poles)
+            if not cls.n2_poles and not cls.pair_assignments:
+                # the whole unit residue gets its own state, stacked last
+                assert summaries[-1] == pr.BlockSummary("dominant_remainder", 1, 1.0)
+                assert core.dim == cls.n1 + 1
         if outcome is pr.NoPositiveRealization:
             assert out.witness_index == 3
 
 
 def test_each_pole_is_paid_for_once(monkeypatch):
-    """One realize call: one polygon search per pair, one budget, one build per block, no rebuild."""
+    """One realize call: one polygon search per pair, one budget, one build per block, one t~_m per shift."""
     calls = Counter()
 
     def count(name, *modules):
@@ -387,7 +394,7 @@ def test_each_pole_is_paid_for_once(monkeypatch):
 
     count("minimal_polygon_index", geometrymod)
     count("budget", realizermod)
-    count("_rebuild_with_share", blocksmod)
+    count("leading_impulse", tfmod, realizermod)
     builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
     for name in builders:
         count(name, blocksmod, realizermod)
@@ -398,7 +405,8 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     assert out.trace.shifts_performed > 20
     assert calls["minimal_polygon_index"] == 1
     assert calls["budget"] == 1
-    assert calls["_rebuild_with_share"] == 0
+    # once for the sign tolerance, then inside each shift_once
+    assert calls["leading_impulse"] == out.trace.shifts_performed + 1
     built = Counter(f"{b.kind}_block" for b in out.trace.blocks)
     assert built == {"real_pole_block": 2, "complex_pair_block": 1}
     assert {name: calls[name] for name in built} == built

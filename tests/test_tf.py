@@ -9,7 +9,7 @@ import posreal as pr
 import posreal.tf as tfmod
 from posreal.errors import NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
-from conftest import hn_pf, hn_tf, hn_impulse
+from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
 from strategies import simple_stable_pfs
 
 
@@ -376,11 +376,10 @@ def test_shift_t_equals_impulse(pf, shifts):
 
 @given(simple_stable_pfs(), st.floats(0.2, 3.0), st.floats(0.4, 2.0))
 def test_normalize_round_trip(pf, gamma, lam0):
-    raw = pr.denormalize(
-        pr.PartialFraction(1.0, 1.0, pf.terms, scale_gamma=gamma, pole_scale=lam0)
-    )
+    raw = scaled_pf(pf, gamma, lam0)
     assert raw.dominant_pole == pytest.approx(lam0)
-    back = pr.denormalize(pr.normalize(raw))
+    norm = pr.normalize(raw)
+    back = scaled_pf(norm, norm.scale_gamma, norm.pole_scale)
     assert back.dominant_residue == pytest.approx(raw.dominant_residue, rel=1e-12)
     assert back.dominant_pole == pytest.approx(raw.dominant_pole, rel=1e-12)
     for a, b in zip(back.terms, raw.terms):
