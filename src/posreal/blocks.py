@@ -1,10 +1,11 @@
 """Elementary nonnegative blocks, budget allocation, assembly, and the lift.
 
 Each block realizes its pole terms plus a share R of the dominant residue
-1/(z - 1) and is self-checked at build time: its first 20 Markov parameters
-must match the target terms to relative 1e-9.  The cone model (F, P, g, h) it
-was generated from is kept for ``check.cone_check``.  The caller places the
-unspent residue before building; ``assemble`` only stacks the blocks.
+1/(z - 1).  The cone model (F, P, g, h) it was generated from is kept for
+``check.cone_check``.  The caller places the unspent residue before building;
+``assemble`` stacks the blocks and self-checks them all in one pass: each
+block's first 20 Markov parameters must match its target terms to relative
+1e-9.  A block built alone is unchecked until it is assembled.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ CONSERVATIVE_LIMIT = 2.0**-2.5
 
 def _clamped(arr: np.ndarray, what: str) -> np.ndarray:
     out = np.array(arr, dtype=float)
-    if np.any(out < -CLAMP_WINDOW):
-        raise NegativeEntry(f"{what} has entry {out.min():.6g} below the clamp window")
-    out[(out < 0)] = 0.0
+    if not out.min(initial=0.0) >= 0:  # NaN takes this path too
+        if np.any(out < -CLAMP_WINDOW):
+            raise NegativeEntry(f"{what} has entry {out.min():.6g} below the clamp window")
+        out[(out < 0)] = 0.0
     return out
 
 
@@ -89,25 +91,6 @@ class Block:
         return self.realization.dim
 
 
-def _target_markov(share: float, pole_terms, K: int) -> np.ndarray:
-    ks = np.arange(K)
-    out = np.full(K, float(share), dtype=complex)
-    for pole, coeff in pole_terms:
-        out += coeff * np.asarray(pole, dtype=complex) ** ks
-    return out.real
-
-
-def _verify_block(block: Block, K: int = 20) -> Block:
-    got = block.realization.markov(K)
-    want = _target_markov(block.dominant_share, block.pole_terms, K)
-    err = np.abs(got - want) / (1.0 + np.abs(want))
-    if np.max(err) > 1e-9:
-        raise InternalCheckError(
-            f"{block.kind} block self-check failed (relative error {np.max(err):.3g})"
-        )
-    return block
-
-
 def positive_pole_block(lam: float, c: float) -> Block:
     """One state for c/(z - lam) with lam in [0, 1) and c > 0; uses no share."""
     if not (0.0 <= lam < 1.0):
@@ -116,8 +99,7 @@ def positive_pole_block(lam: float, c: float) -> Block:
         raise BadPoleBlock(f"residue {c:.6g} must be positive")
     real = Realization(np.array([[lam]]), np.array([c]), np.array([1.0]))
     model = (np.array([[lam]]), np.array([[1.0]]), np.array([c]), np.array([1.0]))
-    block = Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),), model)
-    return _verify_block(block)
+    return Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),), model)
 
 
 def real_pole_block(lam: float, c: float, R: float) -> Block:
@@ -144,8 +126,7 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
         np.array([R, c]),
         np.array([1.0, 1.0]),
     )
-    block = Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), model)
-    return _verify_block(block)
+    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), model)
 
 
 def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
@@ -228,14 +209,13 @@ def complex_pair_block(
 
     pole = complex(z)
     coeff = eta * complex(math.cos(vartheta), math.sin(vartheta))
-    block = Block(
+    return Block(
         Realization(A, b, c),
         "complex_pair",
         float(R),
         ((pole, coeff), (pole.conjugate(), coeff.conjugate())),
         (F, P, g, h),
     )
-    return _verify_block(block)
 
 
 def dominant_remainder_block(R: float) -> Block:
@@ -244,7 +224,7 @@ def dominant_remainder_block(R: float) -> Block:
         raise LeftoverNegative(f"remainder share {R:.6g} is negative")
     real = Realization(np.array([[1.0]]), np.array([R]), np.array([1.0]))
     model = (np.array([[1.0]]), np.array([[1.0]]), np.array([R]), np.array([1.0]))
-    return _verify_block(Block(real, "dominant_remainder", float(R), (), model))
+    return Block(real, "dominant_remainder", float(R), (), model)
 
 
 @dataclass(frozen=True)
@@ -320,7 +300,13 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
 
 
 def assemble(blocks) -> Realization:
-    """Block-diagonal sum of the blocks, stacked in the order given."""
+    """Block-diagonal sum of the blocks, stacked in the order given and self-checked.
+
+    Row j of ``C`` holds block j's c on its own states, so one Markov pass
+    over the stack gives every block's first 20 parameters c A^k b.  Each
+    must match its share plus sum coeff * pole^k to relative 1e-9 (a
+    non-finite error fails); the first failing block in stack order is named.
+    """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("nothing to assemble")
@@ -328,13 +314,33 @@ def assemble(blocks) -> Realization:
     A = np.zeros((total, total))
     b = np.zeros(total)
     c = np.zeros(total)
+    C = np.zeros((len(blocks), total))
     at = 0
-    for blk in blocks:
+    for j, blk in enumerate(blocks):
         d = blk.dim
         A[at : at + d, at : at + d] = blk.realization.A
         b[at : at + d] = blk.realization.b
-        c[at : at + d] = blk.realization.c
+        c[at : at + d] = C[j, at : at + d] = blk.realization.c
         at += d
+
+    K = 20
+    got = markov(A, b, C, K)
+    want = np.tile([blk.dominant_share for blk in blocks], (K, 1))
+    terms = [(j, pole, coeff) for j, blk in enumerate(blocks) for pole, coeff in blk.pole_terms]
+    if terms:
+        owner, poles, coeffs = zip(*terms)
+        powers = np.array(poles, dtype=complex) ** np.arange(K)[:, None]
+        np.add.at(want, (slice(None), list(owner)), (np.array(coeffs) * powers).real)
+    err = np.abs(got - want) / (1.0 + np.abs(want))
+    failed = np.flatnonzero(~(err <= 1e-9).all(axis=0))
+    if failed.size:
+        # a non-finite entry of a block's A or b reaches every block through
+        # the stack's zeros (0 * nan), so that block is the one named
+        nonfinite = lambda blk: not np.isfinite(np.append(blk.realization.A, blk.realization.b)).all()
+        j = next((j for j in failed if nonfinite(blocks[j])), failed[0])
+        raise InternalCheckError(
+            f"{blocks[j].kind} block self-check failed (relative error {np.max(err[:, j]):.3g})"
+        )
     return Realization(A, b, c)
 
 

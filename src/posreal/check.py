@@ -51,9 +51,14 @@ def _triple(realization):
 
 
 def markov(A, b, c, K: int) -> np.ndarray:
-    """First K Markov parameters c A^(k-1) b."""
+    """First K Markov parameters c A^(k-1) b.
+
+    A matrix ``c`` gives one column per row, shape (K, rows); with the rows
+    of ``c`` on disjoint states of a block-diagonal ``A`` this reads off every
+    block's own sequence in one pass.
+    """
     x = np.asarray(b, dtype=float)
-    out = np.empty(K)
+    out = np.empty((K,) + np.shape(c)[:-1])
     for k in range(K):
         out[k] = c @ x
         x = A @ x

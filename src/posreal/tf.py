@@ -311,7 +311,10 @@ def _simple_residues(tf, clusters) -> np.ndarray:
     """Residues num(lam) / prod_{mu != lam} (lam - mu) at all-simple clusters at once."""
     lams = np.array([lam for lam, _ in clusters])
     diff = lams[:, None] - lams + np.eye(len(lams))  # unit diagonal
-    return tf.num(lams) / diff.prod(axis=1)
+    denom = diff.prod(axis=1)
+    if not denom.all():
+        raise _RetryExpansion("two refined roots coincide")
+    return tf.num(lams) / denom
 
 
 def _term_sort_key(term: PoleTerm):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
     InsufficientBudget,
+    InternalCheckError,
     LeftoverNegative,
     NegativeEntry,
     NegativePrefix,
@@ -222,6 +224,50 @@ class TestAssemble:
             total = sum(blk.realization.markov(30) for blk in blocks)
             rel = np.abs(asm.markov(30) - total) / (1.0 + np.abs(total))
             assert np.max(rel) < 1e-12
+
+
+def one_block_of_each_kind():
+    return [
+        pr.positive_pole_block(0.3, 0.2),
+        pr.real_pole_block(0.4, -0.64, 1.0),
+        pr.complex_pair_block(0.5, math.pi / 2, 0.01, 0.3, 3, 0.12),
+        pr.dominant_remainder_block(0.36),
+    ]
+
+
+def corrupted(blk, b_scale=1.0, c_scale=1.0):
+    real = blk.realization
+    return dataclasses.replace(blk, realization=pr.Realization(real.A, real.b * b_scale, real.c * c_scale))
+
+
+class TestAssembleSelfCheck:
+    @pytest.mark.parametrize("kind", ["positive_pole", "real_pole", "complex_pair", "dominant_remainder"])
+    @pytest.mark.parametrize("scales", [(1.0 + 1e-8, 1.0), (1.0, 1.5), (0.0, 1.0)])
+    def test_corrupted_block_between_healthy_ones_is_named(self, kind, scales):
+        blk = next(b for b in one_block_of_each_kind() if b.kind == kind)
+        left, right = pr.positive_pole_block(0.5, 0.1), pr.real_pole_block(-0.6, 0.2, 0.3)
+        assert pr.assemble([left, blk, right]).dim == left.dim + blk.dim + right.dim
+        with pytest.raises(InternalCheckError, match=f"^{kind} block self-check failed"):
+            pr.assemble([left, corrupted(blk, *scales), right])
+
+    def test_first_failing_block_in_stack_order_is_named(self):
+        blocks = [corrupted(b, c_scale=1.5) for b in one_block_of_each_kind()]
+        for first in range(len(blocks)):
+            stack = one_block_of_each_kind()[:first] + blocks[first:]
+            with pytest.raises(InternalCheckError, match=f"^{blocks[first].kind} block"):
+                pr.assemble(stack)
+
+    def test_non_finite_error_fails(self):
+        blk = pr.real_pole_block(0.4, -0.64, 1.0)
+        A = np.array(blk.realization.A)
+        A[1, 0] = math.nan
+        bad = dataclasses.replace(blk, realization=pr.Realization(A, blk.realization.b, blk.realization.c))
+        with pytest.raises(InternalCheckError, match="real_pole block self-check failed"):
+            pr.assemble([pr.positive_pole_block(0.3, 0.2), bad])
+
+    def test_builders_alone_do_not_check(self):
+        blk = corrupted(pr.positive_pole_block(0.3, 0.2), c_scale=1.5)
+        assert blk.realization.markov(2) == pytest.approx([0.3, 0.09])
 
 
 class TestPrefixLift:

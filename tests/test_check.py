@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posreal as pr
-from posreal.check import cone_check, markov_check
+from posreal.check import cone_check, markov, markov_check
 from posreal.errors import DimensionMismatch, InternalCheckError
 
 from conftest import hn_pf
@@ -135,6 +135,15 @@ class TestVectorizedMarkovCheck:
         triple = (np.array([[math.nan]]), np.array([3.0]), np.array([1.0]))
         report = markov_check(triple, tf, 5)
         assert (report.max_relative_error, report.worst_index) == (math.inf, 2)
+
+
+def test_matrix_c_gives_one_column_per_row():
+    rng = np.random.default_rng(4)
+    A, b, C = rng.uniform(0, 0.5, (5, 5)), rng.uniform(0, 1, 5), rng.uniform(0, 1, (3, 5))
+    got = markov(A, b, C, 12)
+    assert got.shape == (12, 3)
+    for j in range(3):
+        assert got[:, j] == pytest.approx(markov(A, b, C[j], 12), rel=1e-13)
 
 
 class TestConeCheck:

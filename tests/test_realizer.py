@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import posreal as pr
 import posreal.blocks as blocksmod
+import posreal.check as checkmod
 import posreal.geometry as geometrymod
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
@@ -399,6 +400,7 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     for name in builders:
         count(name, blocksmod, realizermod)
     count("dominant_remainder_block", blocksmod)
+    count("markov", checkmod, blocksmod)
 
     out = pr.realize(pr.recombine(DEEP), "per_pole")
     assert isinstance(out, pr.Realized)
@@ -411,3 +413,5 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     assert built == {"real_pole_block": 2, "complex_pair_block": 1}
     assert {name: calls[name] for name in built} == built
     assert calls["positive_pole_block"] == calls["dominant_remainder_block"] == 0
+    # one pass self-checks the whole stack, one verifies the lifted result
+    assert calls["markov"] == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,25 @@ class TestExpand:
         assert [(t.order, t.pole.imag) for t in pf.terms] == [(2, 0.0)]
         assert pf.terms[0].pole.real == pytest.approx(-0.4, abs=1e-9)
         assert [c.real for c in pf.terms[0].coeffs] == pytest.approx(coeffs, abs=1e-6)
+
+    def test_coinciding_refined_roots_retry_without_warnings(self):
+        # eigvals gives 0.1774 +- 1.9e-9i for this exact double pole; both
+        # refine to one value, so the first rung must retry, not divide by zero
+        lam, c1, c2 = 0.17744616706917446, 0.37729614953234475, 0.23517732197892147
+        pf_in = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(complex(lam), (complex(c1), complex(c2))),))
+        tf = pr.recombine(pf_in)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pf = pr.expand(tf)
+        assert [(t.order, t.pole.imag) for t in pf.terms] == [(2, 0.0)]
+        assert pf.terms[0].pole.real == pytest.approx(lam, abs=1e-12)
+        assert [c.real for c in pf.terms[0].coeffs] == pytest.approx([c1, c2], abs=1e-12)
+        assert pf.dominant_residue == pytest.approx(1.0, abs=1e-12)
+
+    def test_simple_residues_refuse_coinciding_roots(self):
+        tf = pr.recombine(hn_pf(4))
+        with pytest.raises(tfmod._RetryExpansion, match="coincide"):
+            tfmod._simple_residues(tf, [(1.0 + 0j, 1), (0.4 + 0j, 1), (0.4 + 0j, 1)])
 
     def test_dominance_tie_not_primitive(self):
         den = np.polynomial.polynomial.polymul([-0.9, 1.0], [0.9, 1.0])
