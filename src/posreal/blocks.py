@@ -132,27 +132,23 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
 def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
     """Nonnegative weights on the polygon vertices summing to one at w.
 
-    Deterministic triangle fan anchored at vertex 0; interior points always
-    land in some fan triangle with nonnegative barycentric coordinates.
+    Triangle fan anchored at vertex 0: the chord to vertex k leaves it at
+    angle pi/2 + pi*k/m (inscribed angle), so d = w - v0 lies in the triangle
+    (0, k, k+1) with k = floor(atan2(-Re d, Im d) * m/pi) clipped to [1, m-2].
     """
     m = len(verts)
+    d = w - verts[0]
+    k = min(max(math.floor(math.atan2(-d.real, d.imag) * m / math.pi), 1), m - 2)
+    u, v = verts[k] - verts[0], verts[k + 1] - verts[0]
+    det = u.real * v.imag - u.imag * v.real
+    wb = (d.real * v.imag - d.imag * v.real) / det
+    wc = (u.real * d.imag - u.imag * d.real) / det
+    wa = 1.0 - wb - wc
+    if not min(wa, wb, wc) >= -CLAMP_WINDOW:
+        raise DegenerateBarycentric(f"point {w:.12g} is not inside the polygon fan")
     weights = np.zeros(m)
-    for k in range(1, m - 1):
-        v0, vj, vk = verts[0], verts[k], verts[k + 1]
-        u, v = vj - v0, vk - v0
-        det = u.real * v.imag - u.imag * v.real
-        if det == 0:
-            continue
-        d = w - v0
-        wb = (d.real * v.imag - d.imag * v.real) / det
-        wc = (u.real * d.imag - u.imag * d.real) / det
-        wa = 1.0 - wb - wc
-        if min(wa, wb, wc) >= -CLAMP_WINDOW:
-            weights[0] += max(wa, 0.0)
-            weights[k] += max(wb, 0.0)
-            weights[k + 1] += max(wc, 0.0)
-            return weights
-    raise DegenerateBarycentric(f"point {w:.12g} is not inside the polygon fan")
+    weights[[0, k, k + 1]] = max(0.0, wa), max(0.0, wb), max(0.0, wc)  # -0.0 becomes 0.0
+    return weights
 
 
 def complex_pair_block(

@@ -92,7 +92,9 @@ def _as_complex(obj, what: str) -> complex:
     raise SchemaError(f"{what} must be a number or an object with re/im")
 
 
-_OPTION_KEYS = {"mode", "tol", "max_shifts", "horizon", "base", "base_shift"}
+_INT = (int, "an integer")
+_OPTION_TYPES = {"mode": (str, "a string"), "tol": ((int, float), "a number"), "max_shifts": _INT,
+                 "horizon": _INT, "base": ((str, dict), "a file name or an object"), "base_shift": _INT}
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -145,8 +147,8 @@ def load_problem(path: str) -> ProblemSpec:
         tf = recombine(pf)
 
     options = doc.get("options", {})
-    if not isinstance(options, dict) or set(options) - _OPTION_KEYS:
-        raise SchemaError(f"options keys must be within {sorted(_OPTION_KEYS)}")
+    if not isinstance(options, dict) or set(options) - _OPTION_TYPES.keys():
+        raise SchemaError(f"options keys must be within {sorted(_OPTION_TYPES)}")
     return ProblemSpec(tf, options)
 
 
@@ -278,10 +280,13 @@ def _emit(doc: dict, args) -> None:
     _write_output(text, args.output)
 
 
-def _resolve(flag, options: dict, key: str, default, cast=lambda v: v):
+def _resolve(flag, options: dict, key: str, default):
     """The flag if given, else the problem file's option (null counts as absent), else the default."""
-    value = flag if flag is not None else options.get(key)
-    return default if value is None else cast(value)
+    value = options.get(key) if flag is None else flag
+    types, what = _OPTION_TYPES[key]
+    if value is not None and (isinstance(value, bool) or not isinstance(value, types)):  # as _as_real_list
+        raise SchemaError(f"option {key} must be {what}")
+    return default if value is None else value
 
 
 _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_sum",
@@ -291,14 +296,14 @@ _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_s
 def _cmd_realize(args) -> int:
     problem = load_problem(args.problem)
     opts = problem.options
-    mode = _MODES.get(_resolve(args.mode, opts, "mode", "per-pole", str))
+    mode = _MODES.get(_resolve(args.mode, opts, "mode", "per-pole"))
     if mode is None:
         raise SchemaError("mode must be 'per-pole' or 'sum'")
-    tol = _resolve(args.tol, opts, "tol", 1e-6, float)
-    cap = _resolve(args.max_shifts, opts, "max_shifts", None, int)
-    horizon = _resolve(args.horizon, opts, "horizon", None, int)
+    tol = _resolve(args.tol, opts, "tol", 1e-6)
+    cap = _resolve(args.max_shifts, opts, "max_shifts", None)
+    horizon = _resolve(args.horizon, opts, "horizon", None)
     base_ref = _resolve(args.base, opts, "base", None)
-    base_shift = _resolve(args.base_shift, opts, "base_shift", None, int)
+    base_shift = _resolve(args.base_shift, opts, "base_shift", None)
     for name, bad, rule in (("tol", not (math.isfinite(tol) and tol > 0), "finite and > 0"),
                             ("horizon", horizon is not None and horizon < 1, ">= 1"),
                             ("max_shifts", cap is not None and cap < 0, ">= 0")):
@@ -368,8 +373,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     problem = load_problem(args.problem)
     A, b, c = load_realization(args.realization, Path(args.problem).parent)
-    tol = _resolve(args.tol, problem.options, "tol", 1e-6, float)
-    K = _resolve(args.horizon, problem.options, "horizon", None, int)
+    tol = _resolve(args.tol, problem.options, "tol", 1e-6)
+    K = _resolve(args.horizon, problem.options, "horizon", None)
     report = markov_check((A, b, c), problem.tf, K, tol)
     _emit(_verification_doc(report), args)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -377,7 +382,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_impulse(args) -> int:
     problem = load_problem(args.problem)
-    K = _resolve(args.horizon, problem.options, "horizon", 20, int)
+    K = _resolve(args.horizon, problem.options, "horizon", 20)
     if K < 1:
         raise SchemaError("impulse horizon must be positive")
     values = impulse_response(problem.tf, K)
@@ -436,7 +441,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (PosrealError, ValueError, OSError) as exc:
+    except (PosrealError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,7 +23,8 @@ def in_polygon(z: complex, j: int) -> bool:
     """Strict interior test for P_j in polar form.
 
     The point (rho, theta) is inside iff rho*cos((2k+1)*pi/j - theta) is
-    below cos(pi/j) for every k = 0 .. j-1.
+    below cos(pi/j) for every k = 0 .. j-1; the largest cosine is at the edge
+    normal nearest theta, k = round((theta*j/pi - 1)/2) mod j, the one tested.
     """
     if j < 3:
         raise ValueError("polygon index must be at least 3")
@@ -31,10 +32,8 @@ def in_polygon(z: complex, j: int) -> bool:
     rho = abs(z)
     theta = cmath.phase(z)
     edge = math.cos(math.pi / j)
-    for k in range(j):
-        if rho * math.cos((2 * k + 1) * math.pi / j - theta) >= edge - BOUNDARY_TOL:
-            return False
-    return True
+    k = round((theta * j / math.pi - 1) / 2) % j
+    return rho * math.cos((2 * k + 1) * math.pi / j - theta) < edge - BOUNDARY_TOL
 
 
 def minimal_polygon_index(z: complex) -> int:

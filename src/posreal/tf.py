@@ -325,31 +325,16 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     groups = _cluster_indices(roots, radius)
     raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
 
-    clusters: list[tuple[complex, int]] = []
-    uppers: list[tuple[complex, int]] = []
-    lowers: list[tuple[complex, int]] = []
+    # the roots come in exact conjugate pairs, so the clusters are mirrored
+    reals: list[tuple[complex, int]] = []
+    pairs: list[tuple[complex, int]] = []
     for center, mult in raw:
         if abs(center.imag) <= radius:
-            lam = _refine_root(tf.den.coeffs, complex(center.real, 0.0), mult)
-            clusters.append((lam, mult))
+            reals.append((_refine_root(tf.den.coeffs, complex(center.real, 0.0), mult), mult))
         elif center.imag > 0:
-            uppers.append((center, mult))
-        else:
-            lowers.append((center, mult))
-    if len(uppers) != len(lowers):
-        raise _RetryExpansion("unpaired complex clusters")
-    used = [False] * len(lowers)
-    for center, mult in uppers:
-        partners = (i for i, (lc, lm) in enumerate(lowers)
-                    if not used[i] and lm == mult and abs(lc.conjugate() - center) <= 4 * radius + 1e-12)
-        match = next(partners, None)
-        if match is None:
-            raise _RetryExpansion("no conjugate partner for a complex cluster")
-        used[match] = True
-        lam = 0.5 * (center + lowers[match][0].conjugate())
-        lam = _refine_root(tf.den.coeffs, lam, mult)
-        clusters.append((lam, mult))
-        clusters.append((lam.conjugate(), mult))
+            lam = _refine_root(tf.den.coeffs, complex(center), mult)
+            pairs += [(lam, mult), (lam.conjugate(), mult)]
+    clusters = reals + pairs
 
     if sum(m for _, m in clusters) != tf.mcmillan_degree:
         raise _RetryExpansion("cluster multiplicities inconsistent")
@@ -417,13 +402,13 @@ def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
     Poles come from the companion-matrix eigenvalues, each polished by
-    Newton until its step reaches rounding level; conjugate pairs are
-    symmetrized exactly and multiple roots are recovered by clustering at
-    increasing radii until the expansion reproduces the input on a test
-    circle.  When every cluster is simple the residues come in closed form,
-    num(lam) / prod_{mu != lam} (lam - mu); multiple clusters use truncated
-    Taylor division.  The dominant residue may be negative (``normalize``
-    refuses it).
+    Newton until its step reaches rounding level; the real companion matrix
+    gives exact conjugate pairs, so each upper-half cluster is refined and
+    mirrored.  Multiple roots are recovered by clustering at increasing radii
+    until the expansion reproduces the input on a test circle.  When every
+    cluster is simple the residues come in closed form, num(lam) /
+    prod_{mu != lam} (lam - mu); multiple clusters use truncated Taylor
+    division.  The dominant residue may be negative (``normalize`` refuses it).
     """
     roots = companion_roots(tf.den.coeffs)
     scale = 1.0 + float(np.max(np.abs(roots)))

@@ -6,9 +6,11 @@ import pytest
 
 import posreal as pr
 from posreal.check import cone_check
+from posreal.blocks import _fan_weights
 from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
+    DegenerateBarycentric,
     InsufficientBudget,
     InternalCheckError,
     LeftoverNegative,
@@ -268,6 +270,55 @@ class TestAssembleSelfCheck:
     def test_builders_alone_do_not_check(self):
         blk = corrupted(pr.positive_pole_block(0.3, 0.2), c_scale=1.5)
         assert blk.realization.markov(2) == pytest.approx([0.3, 0.09])
+
+
+def polygon(m: int) -> np.ndarray:
+    return np.exp(1j * 2.0 * np.pi * np.arange(m) / m)
+
+
+def assert_fan_weights_valid(w: complex, verts: np.ndarray) -> None:
+    wts = _fan_weights(w, verts)
+    assert wts.min() >= 0.0
+    assert np.count_nonzero(wts) <= 3
+    assert abs(wts.sum() - 1.0) <= 1e-12
+    assert abs(wts @ verts - w) <= 1e-12
+
+
+class TestFanWeights:
+    """The fan triangle is read off the angle of w - v0, not searched for."""
+
+    def test_random_interior_points(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            m = int(rng.integers(3, 41))
+            verts = polygon(m)
+            alpha = 0.05 if rng.random() < 0.5 else 1.0  # sparse weights reach edges and diagonals
+            assert_fan_weights_valid(complex(rng.dirichlet(np.full(m, alpha)) @ verts), verts)
+
+    def test_points_on_fan_diagonals(self):
+        rng = np.random.default_rng(6)
+        for m in range(4, 41):
+            verts = polygon(m)
+            for k in range(2, m - 1):
+                for t in (1e-9, rng.random(), 0.5, 1.0):
+                    assert_fan_weights_valid(complex((1 - t) * verts[0] + t * verts[k]), verts)
+
+    def test_points_near_vertex_zero(self):
+        rng = np.random.default_rng(7)
+        for m in range(3, 41):
+            verts = polygon(m)
+            assert_fan_weights_valid(complex(verts[0]), verts)
+            for scale in (1e-15, 1e-9, 1e-4):
+                w = verts[0] + scale * (rng.dirichlet(np.ones(m)) @ (verts - verts[0]))
+                assert_fan_weights_valid(complex(w), verts)
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 40])
+    def test_point_just_outside_an_edge_is_refused(self, m):
+        verts = polygon(m)
+        for k in range(m):
+            mid = 0.5 * (verts[k] + verts[(k + 1) % m])
+            with pytest.raises(DegenerateBarycentric):
+                _fan_weights(complex(mid * (1.0 + 1e-6 / abs(mid))), verts)
 
 
 class TestPrefixLift:

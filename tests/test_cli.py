@@ -411,3 +411,80 @@ class TestPartialFractionInput:
         path = write_problem(tmp_path, "both.json", doc)
         assert main(["realize", path]) == 3
         capsys.readouterr()
+
+
+ONE_POLE = {"transfer": {"num": [1.0], "den": [-1.0, 1.0]}}
+
+# option values of the wrong type: a bool is not a number, a fraction or a
+# string is not an integer
+BAD_OPTIONS = [
+    ("tol", True), ("tol", "1e-3"), ("tol", [1e-3]),
+    ("horizon", True), ("horizon", 7.0), ("horizon", "7"),
+    ("max_shifts", 2.9), ("max_shifts", False), ("max_shifts", "2"),
+    ("base_shift", 7.5), ("base_shift", True), ("base_shift", "7"),
+    ("mode", 5),
+]
+
+
+class TestOptionTypes:
+    @pytest.mark.parametrize("key, value", BAD_OPTIONS)
+    def test_realize_refuses_a_mistyped_option(self, tmp_path, capsys, key, value):
+        options = {key: value}
+        if key == "base_shift":
+            options["base"] = "base.json"
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options=options))
+        assert main(["realize", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"option {key} must be" in captured.err
+
+    @pytest.mark.parametrize("key, value", [kv for kv in BAD_OPTIONS if kv[0] in ("tol", "horizon")])
+    def test_verify_refuses_a_mistyped_option(self, tmp_path, capsys, key, value):
+        real = write_problem(tmp_path, "real.json", {"dimension": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]})
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options={key: value}))
+        assert main(["verify", path, "--realization", real]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"option {key} must be" in captured.err
+
+    @pytest.mark.parametrize("value", [True, 7.0, "7", 2.9])
+    def test_impulse_refuses_a_mistyped_horizon(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options={"horizon": value}))
+        assert main(["impulse", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "option horizon must be" in captured.err
+
+    def test_true_tolerance_does_not_pass_a_wrong_realization(self, problems_dir, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        assert main(["realize", str(problems_dir / "example1.json"), "--output", str(real)]) == 0
+        doc = json.loads(real.read_text())
+        doc["c"] = [1.5 * v for v in doc["c"]]
+        real.write_text(json.dumps(doc))
+        problem = json.loads((problems_dir / "example1.json").read_text())
+        assert main(["verify", write_problem(tmp_path, "p.json", problem), "--realization", str(real)]) == 4
+        problem["options"] = {"tol": True}
+        path = write_problem(tmp_path, "p_true.json", problem)
+        assert main(["verify", path, "--realization", str(real)]) == 3
+        assert "option tol must be a number" in capsys.readouterr().err
+
+    def test_well_typed_and_null_options_still_work(self, tmp_path, capsys):
+        options = {"tol": 1, "horizon": 30, "max_shifts": 5, "mode": "sum", "base": None, "base_shift": None}
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options=options))
+        assert main(["realize", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verification"]["horizon"] == 30
+        assert doc["trace"]["mode"] == "conservative_sum"
+        assert main(["impulse", path]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 30
+
+    def test_flags_take_precedence_over_a_mistyped_option(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options={"horizon": "7"}))
+        assert main(["impulse", path, "--horizon", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 4
+
+    def test_integer_tolerance_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"transfer": {"num": [1.0], "den": [-1.0, 1.0]}, "options": {"tol": 1%s}}' % ("0" * 400))
+        assert main(["realize", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import posreal as pr
 from posreal.errors import MultiplePoleUnsupported, NoPolygonIndex
+from posreal.geometry import BOUNDARY_TOL
 
 from conftest import hn_pf, random_stable_pf
 from strategies import disk_points
@@ -35,6 +36,38 @@ class TestInPolygon:
     def test_rejects_small_index(self):
         with pytest.raises(ValueError):
             pr.in_polygon(0.1 + 0.1j, 2)
+
+
+def in_polygon_all_edges(z: complex, j: int) -> bool:
+    """Reference: every one of the j polar edge inequalities."""
+    rho, theta = abs(z), math.atan2(z.imag, z.real)
+    edge = math.cos(math.pi / j)
+    return all(
+        rho * math.cos((2 * k + 1) * math.pi / j - theta) < edge - BOUNDARY_TOL
+        for k in range(j)
+    )
+
+
+class TestNearestEdge:
+    """``in_polygon`` tests only the edge nearest the point's angle."""
+
+    def test_random_points_match_all_edges(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20000):
+            j = int(rng.integers(3, 41))
+            z = 1.05 * math.sqrt(rng.random()) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            assert pr.in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
+
+    @pytest.mark.parametrize("offset", [-1e-12, -3e-13, 0.0, 3e-13, 1e-12])
+    def test_points_at_edges_and_vertices_match_all_edges(self, offset):
+        rng = np.random.default_rng(4)
+        for j in range(3, 41):
+            verts = np.exp(2j * math.pi * np.arange(j + 1) / j)
+            for k in range(j):
+                normal = np.exp(1j * (2 * k + 1) * math.pi / j)
+                for t in (0.0, rng.random(), 0.5, 1.0):  # vertex, edge point, midpoint
+                    z = complex((1 - t) * verts[k] + t * verts[k + 1] + offset * normal)
+                    assert pr.in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
 
 
 class TestMinimalPolygonIndex:

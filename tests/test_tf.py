@@ -338,6 +338,34 @@ def test_closed_form_residues_match_taylor_division(n, seed):
     np.testing.assert_allclose(closed, taylor, rtol=1e-12, atol=0.0)
 
 
+def _random_monic(rng, n: int) -> np.ndarray:
+    """Ascending monic coefficients of degree n: random coefficients, or random
+    roots with repeated real roots and repeated conjugate pairs."""
+    if rng.random() < 0.3:
+        return np.append(rng.normal(size=n), 1.0)
+    roots: list[complex] = []
+    while len(roots) < n:
+        times = int(rng.integers(1, 4))
+        if n - len(roots) >= 2 * times and rng.random() < 0.5:
+            z = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0.01, np.pi - 0.01))
+            roots += [z, z.conjugate()] * times
+        else:
+            roots += [complex(rng.uniform(-1.2, 1.2))] * min(times, n - len(roots))
+    return np.polynomial.polynomial.polyfromroots(roots).real
+
+
+def test_companion_roots_come_in_exact_conjugate_pairs():
+    # expand mirrors the upper clusters; that needs the lower-half roots to be
+    # the exact conjugates of the upper-half ones
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        coeffs = _random_monic(rng, int(rng.integers(2, 25)))
+        roots = pr.companion_roots(coeffs)
+        upper = np.sort_complex(roots[roots.imag > 0])
+        lower = np.sort_complex(roots[roots.imag < 0].conjugate())
+        assert upper.tobytes() == lower.tobytes(), coeffs
+
+
 # --- properties ------------------------------------------------------------
 
 
