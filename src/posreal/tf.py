@@ -459,21 +459,21 @@ def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
     """First K impulse-response values t_1 .. t_K (read-only) from the long-division recurrence.
 
     With H = (p_1 z^(n-1)+...+p_n)/(z^n+q_1 z^(n-1)+...+q_n), the values obey
-    t_k = p_k - sum_{i=1..min(k-1,n)} q_i t_{k-i}, with p_k = 0 for k > n.
+    t_k = p_k - sum_{i=1..min(k-1,n)} q_i t_{k-i}, with p_k = 0 for k > n, one step per
+    value on plain floats (powers of the signed companion matrix would cancel).
     """
     if K < 1:
         raise ValueError("K must be positive")
     n = tf.mcmillan_degree
-    p = np.zeros(n + 1)
-    p[n - tf.num.degree :] = tf.num.coeffs[::-1]  # p_k: coefficient of z^(n-k)
-    q = np.array(tf.den.coeffs[-2::-1])  # q_i: coefficient of z^(n-i)
-    t = np.zeros(K)
+    p = [0.0] * (n - tf.num.degree) + list(tf.num.coeffs[::-1])  # p_k: coefficient of z^(n-k)
+    q = tf.den.coeffs[-2::-1]  # q_i: coefficient of z^(n-i)
+    t = []
     for k in range(1, K + 1):
         acc = p[k] if k <= n else 0.0
-        w = min(k - 1, n)
-        if w:
-            acc -= float(np.dot(q[:w], t[k - 2 :: -1][:w]))
-        t[k - 1] = acc
+        for qi, ti in zip(q, reversed(t)):  # q_i t_(k-i), i = 1 .. min(k-1, n)
+            acc -= qi * ti
+        t.append(acc)
+    t = np.array(t)
     t.setflags(write=False)
     return t
 

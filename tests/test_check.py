@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,63 @@ class TestVectorizedMarkovCheck:
         triple = (np.array([[math.nan]]), np.array([3.0]), np.array([1.0]))
         report = markov_check(triple, tf, 5)
         assert (report.max_relative_error, report.worst_index) == (math.inf, 2)
+
+
+def scalar_markov(A, b, c, K):
+    """c A^(k-1) b one matvec per term, the reference for the strided kernel."""
+    x, out = b.astype(float), []
+    for _ in range(K):
+        out.append(c @ x)
+        x = A @ x
+    return np.array(out)
+
+
+class TestMarkovPastTheStride:
+    """Past 32 terms ``markov`` strides by a power of A; these reach past the stride."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 120), st.integers(1, 4), st.floats(0.05, 2.0),
+           st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+    def test_nonnegative_triples_match_the_loop(self, n, K, rows, scale, density, seed):
+        rng = np.random.default_rng(seed)
+        entries = lambda shape: rng.uniform(0.125, 1.0, shape) * (rng.random(shape) < density)
+        A, b, C = scale * entries((n, n)), entries(n), entries((rows, n))
+        for c in (C[0], C):
+            np.testing.assert_allclose(markov(A, b, c, K), scalar_markov(A, b, c, K), rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=500)
+    @given(small_triples(), st.sampled_from(REFERENCE_TFS), st.integers(1, 70), st.sampled_from([1e-6, 10.0]))
+    def test_never_passes_what_the_loop_fails(self, triple, tf, K, tol):
+        if not scalar_markov_check(triple, tf, K, tol)[2]:
+            assert not markov_check(triple, tf, K, tol).passed
+
+    @pytest.mark.parametrize("at", [(0, 0), (3, 7), (7, 2)])
+    def test_nan_in_a_reports_the_loops_first_non_finite_index(self, at):
+        rng = np.random.default_rng(8)
+        A, b, c = rng.uniform(0, 0.2, (8, 8)), rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
+        A[at] = math.nan
+        tf = pr.from_coefficients([1.0], [-1.0, 1.0])
+        report = markov_check((A, b, c), tf, 50)
+        worst, worst_k, _ = scalar_markov_check((A, b, c), tf, 50, 1e-6)
+        assert (report.max_relative_error, report.worst_index) == (worst, worst_k) == (math.inf, 2)
+
+    @settings(max_examples=200)
+    @given(st.data(), st.integers(1, 8), st.integers(1, 45))
+    def test_dyadic_triples_are_exact(self, data, n, K):
+        # A has at most two entries 1/2 per row, so A^k (k < 45) has entries in
+        # 2^-k Z within [0, 1], and A^k b, c A^k b and every partial sum fit in
+        # 53 bits: no operation of either evaluation rounds.
+        A = np.zeros((n, n))
+        for row in A:
+            row[data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))] = 0.5
+        halves = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)
+        b, c = np.array(data.draw(halves)), np.array(data.draw(halves))
+        got = markov(A, b, c, K)
+        x = [Fraction(v) for v in b]
+        for k in range(K):
+            assert Fraction(got[k]) == sum(Fraction(ci) * xi for ci, xi in zip(c, x)), k
+            x = [sum(Fraction(a) * xj for a, xj in zip(row, x)) for row in A]
 
 
 def test_matrix_c_gives_one_column_per_row():

@@ -488,3 +488,76 @@ class TestOptionTypes:
         path.write_text('{"transfer": {"num": [1.0], "den": [-1.0, 1.0]}, "options": {"tol": 1%s}}' % ("0" * 400))
         assert main(["realize", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestOptionRanges:
+    """``realize``, ``verify`` and ``impulse`` refuse an out-of-range option the same way."""
+
+    @pytest.fixture
+    def example1_wrong(self, problems_dir, tmp_path, capsys):
+        """example1 and its realization with c scaled by 1.5, which fails at any finite tol."""
+        real = tmp_path / "real.json"
+        assert main(["realize", str(problems_dir / "example1.json"), "--output", str(real)]) == 0
+        doc = json.loads(real.read_text())
+        doc["c"] = [1.5 * v for v in doc["c"]]
+        real.write_text(json.dumps(doc))
+        capsys.readouterr()
+        return json.loads((problems_dir / "example1.json").read_text()), str(real)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+    def test_verify_refuses_a_tolerance_flag_out_of_range(self, example1_wrong, tmp_path, capsys, tol):
+        problem, real = example1_wrong
+        path = write_problem(tmp_path, "p.json", problem)
+        assert main(["verify", path, "--realization", real, f"--tol={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "option tol must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1.0", "1e400", "1" + "0" * 400])  # 1e400 reads as inf
+    def test_verify_refuses_a_tolerance_option_out_of_range(self, example1_wrong, tmp_path, capsys, tol):
+        problem, real = example1_wrong
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem)[:-1] + ', "options": {"tol": %s}}' % tol)
+        path = str(path)
+        assert main(["verify", path, "--realization", real]) == 3
+        assert "option tol must be finite and >= 0" in capsys.readouterr().err
+
+    def test_wrong_realization_still_fails_at_a_large_finite_tolerance(self, example1_wrong, tmp_path, capsys):
+        problem, real = example1_wrong
+        path = write_problem(tmp_path, "p.json", problem)
+        assert main(["verify", path, "--realization", real, "--tol", "1e-3"]) == 4
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    @pytest.mark.parametrize("command", ["verify", "impulse", "realize"])
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_horizon_below_one_is_named(self, tmp_path, capsys, command, where):
+        real = write_problem(tmp_path, "real.json", {"dimension": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]})
+        options = {"horizon": 0} if where == "file" else {}
+        argv = [command, write_problem(tmp_path, "p.json", dict(ONE_POLE, options=options))]
+        argv += ["--realization", real] if command == "verify" else []
+        argv += ["--horizon", "0"] if where == "flag" else []
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "option horizon must be finite and >= 1" in captured.err
+        assert "K must be positive" not in captured.err
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_realize_refuses_a_zero_tolerance_verify_accepts(self, tmp_path, capsys, where):
+        real = write_problem(tmp_path, "real.json", {"dimension": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]})
+        path = write_problem(tmp_path, "p.json", dict(ONE_POLE, options={"tol": 0} if where == "file" else {}))
+        flag = ["--tol", "0"] if where == "flag" else []
+        assert main(["realize", path] + flag) == 3
+        assert "option tol must be > 0" in capsys.readouterr().err
+        assert main(["verify", path, "--realization", real] + flag) == 4  # error 0 is not < 0
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    @pytest.mark.parametrize("command", ["realize", "verify"])
+    def test_values_at_the_low_end_are_accepted(self, tmp_path, capsys, command):
+        real = write_problem(tmp_path, "real.json", {"dimension": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]})
+        options = {"tol": 1e-300, "horizon": 1}
+        argv = [command, write_problem(tmp_path, "p.json", dict(ONE_POLE, options=options))]
+        argv += ["--realization", real] if command == "verify" else ["--max-shifts", "0"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("verification", doc)["horizon"] == 1

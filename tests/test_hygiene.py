@@ -124,6 +124,32 @@ def functools_caches(source: str) -> list[str]:
     return sorted(found)
 
 
+def package_imports(source: str) -> set[str]:
+    """The posreal modules ``source`` imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("posreal")):
+            base = (node.module or "").removeprefix("posreal").lstrip(".")
+            found |= {base.split(".")[0]} if base else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("posreal.")}
+    return found
+
+
+def reachable_modules(start: str) -> set[str]:
+    """Every posreal module that importing ``start`` loads through posreal imports."""
+    seen, todo = set(), [start]
+    while todo:
+        mod = todo.pop()
+        if mod not in seen:
+            seen.add(mod)
+            todo += package_imports((SRC / f"{mod}.py").read_text(encoding="utf-8"))
+    return seen - {start}
+
+
+CONSTRUCTION = {"blocks", "realizer", "geometry", "bounds"}
+
+
 def test_modules_found():
     assert "realizer.py" in MODULES and "cli.py" in MODULES
 
@@ -152,6 +178,22 @@ def test_every_method_and_property_is_read():
     }
     assert "tests/test_hygiene.py" in readers and "bench/run.py" in readers
     assert unread_members(package, readers) == []
+
+
+def test_verifier_imports_nothing_from_the_construction():
+    # check.py compares against the recurrence alone (its docstring says so);
+    # through tf and errors it must not reach the modules that build realizations
+    reached = reachable_modules("check")
+    assert "tf" in reached
+    assert reached & CONSTRUCTION == set()
+
+
+def test_import_checker_finds_package_imports():
+    source = (
+        "from .blocks import x\nfrom . import geometry\nfrom posreal.bounds import y\n"
+        "import posreal.realizer as r\nfrom numpy import linalg\nimport math\n"
+    )
+    assert package_imports(source) == CONSTRUCTION
 
 
 def test_member_checker_flags_unread_members():

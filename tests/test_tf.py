@@ -1,5 +1,8 @@
+import json
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import posreal as pr
 import posreal.tf as tfmod
+from posreal.cli import load_problem
 from posreal.errors import NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
 from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
@@ -230,6 +234,42 @@ class TestImpulseResponse:
         t = pr.impulse_response(h4_tf, 5)
         with pytest.raises(ValueError):
             t[0] = 0.0
+
+
+def assert_each_step_is_the_recurrence(tf, t):
+    """Each computed t_k against p_k - sum q_i t_(k-i), evaluated exactly on the computed t.
+
+    Whatever the summation order, one step rounds each product and each
+    partial sum once, so it errs by at most (n + 1) eps (|p_k| + sum |q_i t_(k-i)|).
+    """
+    n = tf.mcmillan_degree
+    p = [Fraction(0)] * (n - tf.num.degree) + [Fraction(v) for v in tf.num.coeffs[::-1]]
+    q = [Fraction(v) for v in tf.den.coeffs[-2::-1]]
+    eps = Fraction(np.finfo(float).eps)
+    for k in range(1, len(t) + 1):
+        pk = p[k] if k <= n else Fraction(0)
+        terms = [qi * Fraction(ti) for qi, ti in zip(q, t[k - 2 :: -1] if k > 1 else [])]
+        exact = pk - sum(terms)
+        assert abs(Fraction(t[k - 1]) - exact) <= (n + 1) * eps * (abs(pk) + sum(map(abs, terms))), k
+
+
+PROBLEM_FILES = sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "problems").glob("*.json")
+    if {"transfer", "partial_fractions"} & json.loads(p.read_text()).keys()
+)
+
+
+class TestImpulseExactOracle:
+    @pytest.mark.parametrize("name", PROBLEM_FILES)
+    def test_problem_files(self, problems_dir, name):
+        tf = load_problem(str(problems_dir / name)).tf
+        assert_each_step_is_the_recurrence(tf, pr.impulse_response(tf, 150))
+
+    @settings(max_examples=60, deadline=None)
+    @given(simple_stable_pfs(max_real=4, max_pairs=3), st.integers(1, 120))
+    def test_simple_stable_pfs(self, pf, K):
+        tf = pr.recombine(pf)
+        assert_each_step_is_the_recurrence(tf, pr.impulse_response(tf, K))
 
 
 class TestShiftOnce:
