@@ -32,7 +32,7 @@ from .bounds import (
     quadratic_order_bound,
     zero_pattern,
 )
-from .check import ConeCertificate, VerificationReport, cone_check, markov_check
+from .check import VerificationReport, markov_check
 from .errors import *  # noqa: F401,F403
 from .geometry import (
     PairBucket,

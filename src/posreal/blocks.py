@@ -1,8 +1,9 @@
 """Elementary nonnegative blocks, budget allocation, assembly, and the lift.
 
 Each block realizes its pole terms plus a share R of the dominant residue
-1/(z - 1).  The cone model (F, P, g, h) it was generated from is kept for
-``check.cone_check``.  The caller places the unspent residue before building;
+1/(z - 1); its pole terms and share determine the cone model (F, P, g, h) it
+comes from, which the tests rebuild to check F P = P A, P b = g and
+c = P^T h.  The caller places the unspent residue before building;
 ``assemble`` stacks the blocks and self-checks them all in one pass: each
 block's first 20 Markov parameters must match its target terms to relative
 1e-9.  A block built alone is unchecked until it is assembled.
@@ -84,7 +85,6 @@ class Block:
     kind: str  # positive_pole | real_pole | complex_pair | dominant_remainder
     dominant_share: float
     pole_terms: tuple[tuple[complex, complex], ...]
-    cone_model: tuple  # (F, P, g, h) it was generated from
 
     @property
     def dim(self) -> int:
@@ -98,8 +98,7 @@ def positive_pole_block(lam: float, c: float) -> Block:
     if not c > 0:
         raise BadPoleBlock(f"residue {c:.6g} must be positive")
     real = Realization(np.array([[lam]]), np.array([c]), np.array([1.0]))
-    model = (np.array([[lam]]), np.array([[1.0]]), np.array([c]), np.array([1.0]))
-    return Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),), model)
+    return Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),))
 
 
 def real_pole_block(lam: float, c: float, R: float) -> Block:
@@ -120,13 +119,7 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
         np.array([R + c, R - c]),
         np.array([1.0, 0.0]),
     )
-    model = (
-        np.diag([1.0, lam]),
-        np.array([[0.5, 0.5], [0.5, -0.5]]),
-        np.array([R, c]),
-        np.array([1.0, 1.0]),
-    )
-    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), model)
+    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),))
 
 
 def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
@@ -162,11 +155,14 @@ def complex_pair_block(
     """m states for R/(z-1) + eta e^{i vt}/(z - rho e^{i th}) + conjugate.
 
     The generating cone has edges (alpha*cos(2 pi k/m), alpha*sin(2 pi k/m), 1)
-    with alpha = PAIR_ALPHA: a rotation-scaling by rho e^{i theta} maps each
-    edge back inside the polygon, so expressing the image in fan-barycentric
-    coordinates gives the nonnegative column of A.  The model input
-    (eta(cos vt - sin vt), eta(cos vt + sin vt), R) lands inside the cone
-    once R reaches ``pair_share_floor(eta, m)``.
+    with alpha = PAIR_ALPHA: a rotation-scaling by z = rho e^{i theta} maps
+    each edge back inside the polygon, and the image's fan-barycentric
+    coordinates are the nonnegative column of A.  The polygon is invariant
+    under rotation by 2 pi/m, so if z = sum_j w_j v_j then
+    z v_k = sum_j w_j v_{j+k}: A is circulant, A[j, k] = w[(j - k) mod m],
+    from one fan solve.  The model input (eta(cos vt - sin vt),
+    eta(cos vt + sin vt), R) lands inside the cone once R reaches
+    ``pair_share_floor(eta, m)``.
     """
     if m < 3:
         raise BadPoleBlock("polygon index must be at least 3")
@@ -181,36 +177,21 @@ def complex_pair_block(
     if floor > R * (1.0 + 1e-12):
         raise BudgetTooSmall(f"share {R:.6g} below the pair threshold {floor:.6g}")
 
-    phis = 2.0 * np.pi * np.arange(m) / m
+    idx = np.arange(m)
+    phis = 2.0 * np.pi * idx / m
     verts = np.exp(1j * phis)
-    A = np.empty((m, m))
-    for k in range(m):
-        A[:, k] = _fan_weights(z * verts[k], verts)
+    A = _fan_weights(z, verts)[(idx[:, None] - idx) % m]
 
     gx = eta * (math.cos(vartheta) - math.sin(vartheta))
     gy = eta * (math.cos(vartheta) + math.sin(vartheta))
     b = R * _fan_weights(complex(gx, gy) / (R * PAIR_ALPHA), verts)
     c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
-
-    F = np.array(
-        [
-            [rho * math.cos(theta), -rho * math.sin(theta), 0.0],
-            [rho * math.sin(theta), rho * math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    P = np.vstack([PAIR_ALPHA * np.cos(phis), PAIR_ALPHA * np.sin(phis), np.ones(m)])
-    g = np.array([gx, gy, R])
-    h = np.ones(3)
-
-    pole = complex(z)
     coeff = eta * complex(math.cos(vartheta), math.sin(vartheta))
     return Block(
         Realization(A, b, c),
         "complex_pair",
         float(R),
-        ((pole, coeff), (pole.conjugate(), coeff.conjugate())),
-        (F, P, g, h),
+        ((z, coeff), (z.conjugate(), coeff.conjugate())),
     )
 
 
@@ -219,8 +200,7 @@ def dominant_remainder_block(R: float) -> Block:
     if R < 0:
         raise LeftoverNegative(f"remainder share {R:.6g} is negative")
     real = Realization(np.array([[1.0]]), np.array([R]), np.array([1.0]))
-    model = (np.array([[1.0]]), np.array([[1.0]]), np.array([R]), np.array([1.0]))
-    return Block(real, "dominant_remainder", float(R), (), model)
+    return Block(real, "dominant_remainder", float(R), ())
 
 
 @dataclass(frozen=True)

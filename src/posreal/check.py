@@ -1,7 +1,9 @@
-"""Independent verification: Markov-parameter comparison and cone certificates.
+"""Independent verification: Markov-parameter comparison.
 
 This module knows nothing about how realizations were built and imports no module that
 builds them (tests/test_hygiene.py checks); the reference is the long-division recurrence.
+The cone relations a block comes from are checked in the tests, which rebuild each
+block's cone model from its pole terms and share.
 """
 
 from __future__ import annotations
@@ -28,21 +30,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.nonnegative and self.max_relative_error < self.tol
-
-
-@dataclass(frozen=True)
-class ConeCertificate:
-    residual_dynamics: float  # ||F P - P A||_max
-    residual_input: float  # ||P b - g||_max
-    residual_output: float  # ||c - P^T h||_max
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            max(self.residual_dynamics, self.residual_input, self.residual_output)
-            < self.tol
-        )
 
 
 def _triple(realization):
@@ -103,20 +90,3 @@ def markov_check(
     worst_k = int(np.argmax(err))
     nonneg = bool(A.min(initial=0.0) >= 0) and bool(b.min(initial=0.0) >= 0) and bool(c.min(initial=0.0) >= 0)
     return VerificationReport(int(K), float(err[worst_k]), worst_k + 1, nonneg, float(tol))
-
-
-def cone_check(F, P, g, h, realization, tol: float = 1e-10) -> ConeCertificate:
-    """Residuals of F P = P A, P b = g, c^T = h^T P for the given triple."""
-    F = np.atleast_2d(np.asarray(F, float))
-    P = np.atleast_2d(np.asarray(P, float))
-    g = np.asarray(g, float)
-    h = np.asarray(h, float)
-    A, b, c = _triple(realization)
-    n = F.shape[0]
-    M = A.shape[0]
-    if F.shape != (n, n) or P.shape != (n, M) or g.shape != (n,) or h.shape != (n,):
-        raise DimensionMismatch("cone certificate shapes are inconsistent")
-    rd = float(np.max(np.abs(F @ P - P @ A))) if M else 0.0
-    ri = float(np.max(np.abs(P @ b - g)))
-    ro = float(np.max(np.abs(c - P.T @ h)))
-    return ConeCertificate(rd, ri, ro, tol)

@@ -310,6 +310,8 @@ def _cmd_realize(args) -> int:
     if tol == 0:  # verify reports against tol 0 (nothing passes); realize would always fail
         raise SchemaError("option tol must be > 0 to realize")
 
+    if base_ref is None and base_shift is not None:
+        raise SchemaError("option base_shift (--base-shift) needs a base realization (--base)")
     if base_ref is not None:
         if base_shift is None:
             raise SchemaError("a base realization needs its shift index (--base-shift)")

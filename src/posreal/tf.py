@@ -13,7 +13,7 @@ tail t_2, t_3, ... back onto the same form with contracted coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,10 +75,15 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Strictly proper rational function with a monic denominator."""
+    """Strictly proper rational function with a monic denominator.
+
+    ``roots`` (read-only) holds the companion eigenvalues of ``den``, found
+    once here; the coprimality test and ``expand`` both read them.
+    """
 
     num: Polynomial
     den: Polynomial
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.den.degree < 1:
@@ -87,6 +92,9 @@ class TransferFunction:
             raise ValueError("denominator must be monic")
         if self.num.degree >= self.den.degree:
             raise NotStrictlyProper("numerator degree must be below denominator degree")
+        roots = companion_roots(self.den.coeffs)
+        roots.setflags(write=False)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def mcmillan_degree(self) -> int:
@@ -201,7 +209,7 @@ def from_coefficients(num, den) -> TransferFunction:
 def _reject_common_roots(tf: TransferFunction) -> None:
     # Resultant-style test: the resultant of num and den is the product of
     # num over den's roots; a vanishing factor flags a common root.
-    roots = companion_roots(tf.den.coeffs)
+    roots = tf.roots
     nc = np.abs(tf.num.coeffs)
     scale = np.sum(nc * np.abs(roots)[:, None] ** np.arange(len(nc)), axis=1)
     common = roots[np.abs(tf.num(roots)) <= 1e-9 * (scale + 1e-300)]
@@ -244,19 +252,24 @@ def _horner(poly: list, z):
     return acc
 
 
-def _refine_root(coeffs, z0: complex, mult: int) -> complex:
-    """Newton on the (mult-1)-th derivative, where the root is simple.
+def _newton_polys(coeffs, mult: int) -> tuple[list, list]:
+    """Descending coefficients of the (mult-1)-th derivative, where a root of
+    multiplicity mult is simple, and of the derivative after it."""
+    d = np.asarray(coeffs, dtype=float)
+    for _ in range(mult - 1):
+        d = _polyder(d)
+    dp = _polyder(d)
+    return d[::-1].tolist(), dp[::-1].tolist()
+
+
+def _refine_root(polys: tuple[list, list], z0: complex) -> complex:
+    """Newton on the polynomial pair (d, d') from ``_newton_polys``.
 
     Scalar Horner (floats for a real start); each step reuses the previous
     value.  Stops once |step| <= 4 eps |z| or after 12 steps, and returns
     the iterate with the smallest residual.
     """
-    d = np.asarray(coeffs, dtype=float)
-    for _ in range(mult - 1):
-        d = _polyder(d)
-    dp = _polyder(d)
-    d, dp = d[::-1].tolist(), dp[::-1].tolist()
-
+    d, dp = polys
     z = z0.real if z0.imag == 0 else complex(z0)
     f = _horner(d, z)
     best, best_val = z, abs(f)
@@ -326,13 +339,14 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
 
     # the roots come in exact conjugate pairs, so the clusters are mirrored
+    newton = {mult: _newton_polys(tf.den.coeffs, mult) for mult in {m for _, m in raw}}
     reals: list[tuple[complex, int]] = []
     pairs: list[tuple[complex, int]] = []
     for center, mult in raw:
         if abs(center.imag) <= radius:
-            reals.append((_refine_root(tf.den.coeffs, complex(center.real, 0.0), mult), mult))
+            reals.append((_refine_root(newton[mult], complex(center.real, 0.0)), mult))
         elif center.imag > 0:
-            lam = _refine_root(tf.den.coeffs, complex(center), mult)
+            lam = _refine_root(newton[mult], complex(center))
             pairs += [(lam, mult), (lam.conjugate(), mult)]
     clusters = reals + pairs
 
@@ -401,16 +415,16 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
 def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
-    Poles come from the companion-matrix eigenvalues, each polished by
-    Newton until its step reaches rounding level; the real companion matrix
-    gives exact conjugate pairs, so each upper-half cluster is refined and
-    mirrored.  Multiple roots are recovered by clustering at increasing radii
+    Poles come from the companion-matrix eigenvalues ``tf.roots``, each
+    polished by Newton until its step reaches rounding level; the real
+    companion matrix gives exact conjugate pairs, so each upper-half cluster
+    is refined and mirrored.  Multiple roots are recovered by clustering at increasing radii
     until the expansion reproduces the input on a test circle.  When every
     cluster is simple the residues come in closed form, num(lam) /
     prod_{mu != lam} (lam - mu); multiple clusters use truncated Taylor
     division.  The dominant residue may be negative (``normalize`` refuses it).
     """
-    roots = companion_roots(tf.den.coeffs)
+    roots = tf.roots
     scale = 1.0 + float(np.max(np.abs(roots)))
     failure: Exception | None = None
     for rung in _CLUSTER_LADDER:

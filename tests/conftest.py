@@ -77,6 +77,45 @@ def base_4dim() -> pr.Realization:
     return pr.Realization(A, np.array([0.0, 0.0, 0.0, 1.0]), np.array([6.0, 0.0, 0.0, 51.0]))
 
 
+def cone_model(blk: pr.Block) -> tuple:
+    """The cone model (F, P, g, h) a block comes from, rebuilt from its pole terms and share.
+
+    P's columns are the cone's generators, one per state; F acts on the cone as
+    A acts on the states, g is the model input and h the model output, so
+    h^T (zI - F)^(-1) g is the block's target R/(z - 1) + its pole terms.
+    """
+    R = blk.dominant_share
+    if blk.kind == "dominant_remainder":
+        return np.eye(1), np.eye(1), np.array([R]), np.ones(1)
+    lam, c = blk.pole_terms[0]
+    if blk.kind == "positive_pole":
+        return np.array([[lam.real]]), np.eye(1), np.array([c.real]), np.ones(1)
+    if blk.kind == "real_pole":
+        P = np.array([[0.5, 0.5], [0.5, -0.5]])
+        return np.diag([1.0, lam.real]), P, np.array([R, c.real]), np.ones(2)
+    assert blk.kind == "complex_pair"
+    phis = 2.0 * np.pi * np.arange(blk.dim) / blk.dim
+    alpha = pr.blocks.PAIR_ALPHA
+    F = np.array([[lam.real, -lam.imag, 0.0], [lam.imag, lam.real, 0.0], [0.0, 0.0, 1.0]])
+    P = np.vstack([alpha * np.cos(phis), alpha * np.sin(phis), np.ones(blk.dim)])
+    g = np.array([c.real - c.imag, c.real + c.imag, R])
+    return F, P, g, np.ones(3)
+
+
+def cone_residual(F, P, g, h, realization) -> float:
+    """Largest residual of F P = P A, P b = g and c = P^T h.
+
+    Together they give c A^k b = h^T F^k g for every k, so a residual at
+    rounding level certifies the whole Markov sequence.
+    """
+    A, b, c = realization.A, realization.b, realization.c
+    return max(
+        float(np.max(np.abs(F @ P - P @ A))),
+        float(np.max(np.abs(P @ b - g))),
+        float(np.max(np.abs(c - P.T @ h))),
+    )
+
+
 @pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return Path(__file__).resolve().parents[1] / "problems"

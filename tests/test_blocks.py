@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import posreal as pr
-from posreal.check import cone_check
 from posreal.blocks import _fan_weights
 from posreal.errors import (
     BadPoleBlock,
@@ -19,7 +19,7 @@ from posreal.errors import (
     NotInPolygon,
 )
 
-from conftest import hn_pf, hn_impulse, random_stable_pf
+from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf
 
 
 def pair_impulse(share, eta, vt, rho, th, K):
@@ -120,6 +120,19 @@ class TestComplexPairBlock:
         with pytest.raises(BudgetTooSmall):
             pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, 0.9 * pr.pair_share_floor(0.1, 3))
         pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, pr.pair_share_floor(0.1, 3))
+
+    @given(st.integers(3, 40), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    def test_circulant_columns_are_the_rotated_pole(self, m, rho, th):
+        # column k holds the fan weights of z v_k; rotating the polygon by
+        # 2 pi/m makes them column 0 shifted down by k
+        assume(pr.in_polygon(rho * complex(math.cos(th), math.sin(th)), m))
+        blk = pr.complex_pair_block(rho, th, 0.1, 0.3, m, pr.pair_share_floor(0.1, m))
+        A, z = blk.realization.A, blk.pole_terms[0][0]
+        verts = polygon(m)
+        assert A.min() >= 0.0
+        assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(verts @ A - z * verts).max() <= 1e-12
+        assert all((np.roll(A[:, 0], k) == A[:, k]).all() for k in range(m))
 
 
 class TestBudget:
@@ -351,8 +364,7 @@ def test_trivial_block_cone_models():
         pr.real_pole_block(0.4, -0.3, 0.5),
         pr.dominant_remainder_block(0.7),
     ):
-        cert = cone_check(*blk.cone_model, blk.realization)
-        assert cert.passed
+        assert cone_residual(*cone_model(blk), blk.realization) < 1e-10
 
 
 def test_block_cone_certificates_on_random_blocks():
@@ -368,8 +380,7 @@ def test_block_cone_certificates_on_random_blocks():
             rho, th, eta, rng.uniform(-math.pi, math.pi), m,
             pr.pair_share_floor(eta, m) * rng.uniform(1.0, 2.0),
         )
-        cert = cone_check(*blk.cone_model, blk.realization)
-        assert cert.passed
+        assert cone_residual(*cone_model(blk), blk.realization) < 1e-10
 
 
 def test_dimension_accounting_matches_prediction():

@@ -115,6 +115,19 @@ class TestRealizeCommand:
         assert code == 0
         assert doc["dimension"] == 10
 
+    def test_base_shift_without_base_flag(self, problems_dir, capsys):
+        assert main(["realize", str(problems_dir / "example1.json"), "--base-shift", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "option base_shift (--base-shift) needs a base realization" in captured.err
+
+    def test_base_shift_without_base_in_file(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "opt.json", dict(ONE_POLE, options={"base_shift": 7, "base": None}))
+        assert main(["realize", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "option base_shift (--base-shift) needs a base realization" in captured.err
+
     def test_options_from_file(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

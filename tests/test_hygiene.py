@@ -1,8 +1,10 @@
 """Source hygiene: every name a posreal module imports is used in that module,
 every module-level private name (``_x``) is referenced somewhere in the package,
 every method and property of a posreal class is read somewhere in the repository,
-and no module memoizes with ``functools`` (a cache would carry results from one
-request to the next, so a timed request would not redo its work).
+no module memoizes with ``functools`` (a cache would carry results from one
+request to the next, so a timed request would not redo its work), and only
+``TransferFunction.__post_init__`` solves for the poles (``companion_roots``),
+so each transfer function pays for one eigen-solve.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -124,6 +126,25 @@ def functools_caches(source: str) -> list[str]:
     return sorted(found)
 
 
+def companion_roots_reads(source: str) -> list[tuple[str, int]]:
+    """Where ``source`` reads the name ``companion_roots`` (a call, an alias or an
+    attribute), as (enclosing class/function path, line)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "companion_roots" and isinstance(getattr(child, "ctx", None), ast.Load):
+                found.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
 def package_imports(source: str) -> set[str]:
     """The posreal modules ``source`` imports, relatively or by absolute name."""
     found = set()
@@ -188,6 +209,15 @@ def test_verifier_imports_nothing_from_the_construction():
     assert reached & CONSTRUCTION == set()
 
 
+def test_only_the_constructor_solves_for_the_poles():
+    # from_coefficients' coprimality test and expand read TransferFunction.roots
+    reads = {
+        m: [scope for scope, _ in companion_roots_reads((SRC / m).read_text(encoding="utf-8"))]
+        for m in MODULES + ["__init__.py"]
+    }
+    assert {m: r for m, r in reads.items() if r} == {"tf.py": ["TransferFunction.__post_init__"]}
+
+
 def test_import_checker_finds_package_imports():
     source = (
         "from .blocks import x\nfrom . import geometry\nfrom posreal.bounds import y\n"
@@ -249,3 +279,14 @@ def test_checker_flags_functools_caches():
         "cached_property (line 8)",
         "lru_cache (line 3)",
     ]
+
+
+def test_checker_flags_companion_roots_reads():
+    source = (
+        "from .tf import companion_roots\nimport posreal.tf as tfm\n"
+        "def companion_roots(c):\n    return c\n"
+        "class T:\n    def __post_init__(self):\n        self.r = companion_roots(1)\n"
+        "    def again(self):\n        return tfm.companion_roots(2)\n"
+        "solve = companion_roots\n"
+    )
+    assert companion_roots_reads(source) == [("T.__post_init__", 7), ("T.again", 9), ("<module>", 10)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -48,6 +49,52 @@ class TestFromCoefficients:
     def test_zero_numerator(self):
         with pytest.raises(NotCoprime):
             pr.from_coefficients([0.0], [-1.0, 1.0])
+
+
+class TestRootsOnce:
+    """A transfer function finds its poles once; every later step reads ``roots``."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Counts the companion eigen-solves made while the test runs."""
+        calls = []
+        solve = tfmod.companion_roots
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return solve(coeffs)
+
+        monkeypatch.setattr(tfmod, "companion_roots", counting)
+        return calls
+
+    def test_realize_from_coefficients_solves_once(self, solves):
+        num = np.polynomial.polynomial.polyfromroots([0.3, -0.4 + 0.2j, -0.4 - 0.2j]).real
+        den = np.polynomial.polynomial.polyfromroots([1.0, 0.5, 0.2 + 0.6j, 0.2 - 0.6j]).real
+        assert isinstance(pr.realize(pr.from_coefficients(num, den)), pr.Realized)
+        assert len(solves) == 1
+
+    def test_realize_recombined_input_solves_once(self, solves):
+        assert isinstance(pr.realize(pr.recombine(hn_pf(4))), pr.Realized)
+        assert len(solves) == 1
+
+    def test_bounds_report_solves_once(self, solves):
+        # bounds_report expands twice; both expansions read the same roots
+        assert pr.bounds_report(pr.recombine(hn_pf(6))).k0 == 6
+        assert len(solves) == 1
+
+    def test_roots_are_the_companion_eigenvalues_and_read_only(self):
+        tf = pr.TransferFunction(pr.Polynomial((0.3, 1.0)), pr.Polynomial((0.1, -0.2, -0.5, 1.0)))
+        assert tf.roots.tobytes() == pr.companion_roots(tf.den.coeffs).tobytes()
+        with pytest.raises(ValueError):
+            tf.roots[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tf.roots = np.zeros(3)
+
+    def test_roots_do_not_enter_equality_or_hash(self):
+        a = pr.from_coefficients([0.3, 1.0], [0.1, -0.2, -0.5, 1.0])
+        b = pr.TransferFunction(pr.Polynomial((0.3, 1.0)), pr.Polynomial((0.1, -0.2, -0.5, 1.0)))
+        assert a == b and hash(a) == hash(b)
+        assert "roots" not in repr(a)
 
 
 class TestExpand:
@@ -337,7 +384,7 @@ class TestRefineRoot:
         den = tuple(np.polynomial.polynomial.polyfromroots(self.ROOTS).real)
         for z0 in pr.companion_roots(den):
             evaluations.clear()
-            z = tfmod._refine_root(den, complex(z0), 1)
+            z = tfmod._refine_root(tfmod._newton_polys(den, 1), complex(z0))
             # one value at the start, then a derivative and a value per step
             assert len(evaluations) <= 1 + 2 * 3
             assert min(abs(z - r) for r in self.ROOTS) < 1e-14
