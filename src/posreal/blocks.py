@@ -32,10 +32,12 @@ from .geometry import PoleClassification, in_polygon
 
 CLAMP_WINDOW = 1e-12
 
-# Half-width alpha of a pair block's generating cone.  At this alpha the pair
-# share floor 2^{3/2} * eta / (alpha * cos(pi/m)) is PAIR_BUDGET_COEFF * eta / cos(pi/m).
+# Half-width alpha of a pair block's generating cone.  The input g = (g_x, g_y, R)
+# is in the cone iff (g_x, g_y)/(R alpha) is in the m-gon, which holds the disc of
+# radius cos(pi/m); as |(g_x, g_y)| = sqrt(2) eta, R >= 2^{3/2} eta / cos(pi/m) is
+# enough at alpha = 1/2, and tight: along an edge normal the disc touches the edge.
 PAIR_ALPHA = 0.5
-PAIR_BUDGET_COEFF = 2.0**2.5
+PAIR_BUDGET_COEFF = 2.0**1.5
 CONSERVATIVE_LIMIT = 2.0**-2.5
 
 
@@ -228,13 +230,40 @@ class BudgetPlan:
 
 
 def pair_share_floor(eta: float, m: int) -> float:
-    return PAIR_BUDGET_COEFF * eta / math.cos(math.pi / m)
+    """Least share fitting |c| = eta in every direction; eta * pair_share_floor(1.0, m), bit for bit."""
+    return eta * (PAIR_BUDGET_COEFF / math.cos(math.pi / m))
+
+
+def floor_units(cls: PoleClassification) -> dict[complex, float]:
+    """Each floored pole's share floor per unit |c|: 1 per two-state real pole, the pair's floor at |c| = 1."""
+    units = {complex(lam): 1.0 for lam, _ in cls.n2_poles}
+    units.update((p.pole, pair_share_floor(1.0, p.polygon_index)) for p in cls.pair_assignments)
+    return units
+
+
+def term_floors(terms, units: dict[complex, float]) -> tuple[list[float], list[float], list[float]]:
+    """The floored ``(pole, c)`` terms in bucket order: each real floor, each pair's |c|, each pair floor.
+
+    A floor is |c| times the pole's unit from ``floor_units`` (|Re c| for a
+    real pole); poles without a unit carry no floor and are skipped.
+    """
+    n2, etas, pairs = [], [], []
+    for pole, c in terms:
+        unit = units.get(pole)
+        if unit is None:
+            continue
+        if pole.imag:
+            etas.append(abs(c))
+            pairs.append(etas[-1] * unit)
+        else:
+            n2.append(abs(c.real) * unit)
+    return n2, etas, pairs
 
 
 def share_floors(cls: PoleClassification) -> tuple[list[float], list[float]]:
     """Feasibility floors of the dominant shares: |c| per two-state real pole, one per pair."""
-    n2 = [abs(c) for _, c in cls.n2_poles]
-    pairs = [pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments]
+    terms = [(complex(lam), c) for lam, c in cls.n2_poles] + [(p.pole, p.coeff) for p in cls.pair_assignments]
+    n2, _, pairs = term_floors(terms, floor_units(cls))
     return n2, pairs
 
 
@@ -244,13 +273,12 @@ def per_pole_total(cls: PoleClassification) -> float:
     return sum(n2) + sum(pairs)
 
 
-def _stop_rule(cls: PoleClassification, mode: str, total: float) -> tuple[float, float]:
-    """What ``mode``'s stopping rule bounds, and its bound; ``total`` is ``per_pole_total(cls)``."""
+def _stop_rule(mode: str, total: float, n2: list[float], etas: list[float]) -> tuple[float, float]:
+    """``mode``'s stopping quantity and its bound, from the floor total and the real and pair |c|."""
     if mode == "per_pole":
         return total, 1.0 + 1e-12
     if mode == "conservative_sum":
-        pairs = sum(abs(p.coeff) for p in cls.pair_assignments)
-        return sum(abs(c) for _, c in cls.n2_poles) + 2.0 * pairs, CONSERVATIVE_LIMIT
+        return sum(n2) + 2.0 * sum(etas), CONSERVATIVE_LIMIT
     raise ValueError(f"unknown budget mode {mode!r}")
 
 
@@ -264,7 +292,7 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     """
     n2_shares, pair_shares = share_floors(cls)
     total = float(sum(n2_shares) + sum(pair_shares))
-    needed, limit = _stop_rule(cls, mode, total)
+    needed, limit = _stop_rule(mode, total, n2_shares, [abs(p.coeff) for p in cls.pair_assignments])
     if needed > limit:
         raise InsufficientBudget(needed, limit)
     if mode == "conservative_sum" and total > 0:

@@ -28,11 +28,11 @@ from .blocks import (
     budget,
     complex_pair_block,
     dominant_remainder_block,
-    per_pole_total,
+    floor_units,
     positive_pole_block,
     prefix_lift,
     real_pole_block,
-    share_floors,
+    term_floors,
 )
 from .bounds import _certified_scan
 from .check import VerificationReport, markov_check
@@ -61,7 +61,7 @@ class BlockSummary:
     kind: str
     dim: int
     share: float  # as built: the carrier's includes the leftover
-    share_floor: float | None = None  # enforced floor: |c| real, 2^{5/2} eta / cos(pi/m) pair
+    share_floor: float | None = None  # enforced floor: |c| real, 2^{3/2} eta / cos(pi/m) pair
 
 
 @dataclass(frozen=True)
@@ -173,17 +173,18 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
 
     cls = classify(pf)
+    units = floor_units(cls)  # fixed for the request, as no shift changes a bucket
     prefix: list[float] = []
     totals: list[float] = []
     while True:
-        total = per_pole_total(cls)
+        n2, etas, pairs = term_floors(((t.pole, t.coeffs[0]) for t in pf.terms), units)
+        total = sum(n2) + sum(pairs)
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
-        needed, limit = _stop_rule(cls, mode, total)
-        # No sign check on stopping: the floors |c| and 2^{5/2} eta / cos(pi/m)
-        # bound every coefficient and the conservative sum is at most 2^{-5/2},
-        # so t~_m >= 1 - needed >= -1e-12 > -neg_tol.
+        needed, limit = _stop_rule(mode, total, n2, etas)
+        # No sign check on stopping: the floors |c| and 2^{3/2} eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
+        # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -neg_tol.
         if needed <= limit:
             break
         # a negative t~_m wins over the cap: shift once more and report it below
@@ -194,8 +195,8 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
             m = len(prefix) + 1
             return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
         prefix.append(t if t > 0 else 0.0)
-        cls = _reread(cls, pf)
 
+    cls = _reread(cls, pf)
     plan = budget(cls, mode)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state
@@ -217,8 +218,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         blocks.append(blk)
     if carrier is None:  # no share was allocated, so the leftover is the whole unit
         blocks.append(dominant_remainder_block(plan.leftover))
-    n2_floors, pair_floors = share_floors(cls)
-    floors = [None] * cls.n1 + n2_floors + pair_floors + [None]  # a remainder has no floor
+    floors = [None] * cls.n1 + n2 + pairs + [None]  # a remainder has no floor
     summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, f) for b, f in zip(blocks, floors)]
     return assemble(blocks), prefix, plan, totals, summaries
 

@@ -112,7 +112,7 @@ class PoleTerm:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         if not cs:
             raise ValueError("pole term needs at least one coefficient")
         if cs[-1] == 0:
@@ -518,15 +518,12 @@ def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
     t = leading_impulse(pf)
     new_terms = []
     for term in pf.terms:
-        cs = term.coeffs
-        shifted = [
-            term.pole * cs[i] + (cs[i + 1] if i + 1 < len(cs) else 0.0)
-            for i in range(len(cs))
-        ]
+        pole, cs = term.pole, term.coeffs
+        shifted = [pole * a + b for a, b in zip(cs, cs[1:])] + [pole * cs[-1]]
         while shifted and shifted[-1] == 0:
             shifted.pop()
         if shifted:
-            new_terms.append(PoleTerm(term.pole, tuple(shifted)))
+            new_terms.append(PoleTerm(pole, tuple(shifted)))
     return t, PartialFraction(
         pf.dominant_pole, pf.dominant_residue, tuple(new_terms), pf.scale_gamma, pf.pole_scale
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import posreal as pr
-from posreal.blocks import _fan_weights
+from posreal.blocks import PAIR_ALPHA, _fan_weights
 from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
@@ -106,7 +106,7 @@ class TestComplexPairBlock:
         rho = abs(pair.pole)
         th = math.atan2(pair.pole.imag, pair.pole.real)
         share = pr.pair_share_floor(eta, 4)
-        assert share == pytest.approx(8.0 * eta)
+        assert share == pytest.approx(4.0 * eta)  # 2^{3/2} / cos(pi/4)
         blk = pr.complex_pair_block(rho, th, eta, vt, 4, share)
         assert blk.dim == 4
         want = pair_impulse(share, eta, vt, rho, th, 20)
@@ -120,6 +120,32 @@ class TestComplexPairBlock:
         with pytest.raises(BudgetTooSmall):
             pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, 0.9 * pr.pair_share_floor(0.1, 3))
         pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, pr.pair_share_floor(0.1, 3))
+
+    @given(
+        st.integers(3, 40),
+        st.floats(1e-12, 1e12),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.0, 0.999),
+        st.floats(0.0, math.pi),
+    )
+    def test_block_at_the_floor_is_nonnegative(self, m, eta, vt, r, th):
+        # at R = floor, g/(R alpha) lies on the disc of radius cos(pi/m) that the m-gon contains
+        blk = pr.complex_pair_block(r * math.cos(math.pi / m), th, eta, vt, m, pr.pair_share_floor(eta, m))
+        assert blk.realization.b.min() >= 0.0
+        pr.assemble([blk])  # its first 20 Markov parameters match to relative 1e-9
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 30])
+    def test_floor_is_tight_along_each_edge_normal(self, m):
+        # vt = (2k+1) pi/m - pi/4 points (g_x, g_y) along edge k's normal, where the
+        # disc of radius cos(pi/m) touches the edge: 0.99 x the floor leaves the m-gon
+        verts, eta = polygon(m), 0.3
+        for k in range(m):
+            vt = (2 * k + 1) * math.pi / m - math.pi / 4
+            g = eta * complex(math.cos(vt) - math.sin(vt), math.cos(vt) + math.sin(vt))
+            R = pr.pair_share_floor(eta, m)
+            assert _fan_weights(g / (R * PAIR_ALPHA), verts).min() >= 0.0
+            with pytest.raises(DegenerateBarycentric):
+                _fan_weights(g / (0.99 * R * PAIR_ALPHA), verts)
 
     @given(st.integers(3, 40), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
     def test_circulant_columns_are_the_rotated_pole(self, m, rho, th):

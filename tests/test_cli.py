@@ -75,7 +75,9 @@ class TestRealizeCommand:
         capsys.readouterr()
 
     def test_max_shifts_flag(self, problems_dir, capsys):
-        code = main(["realize", str(problems_dir / "example1.json"), "--max-shifts", "0"])
+        # example1 needs 3 shifts under the sum rule (none per pole)
+        argv = ["realize", str(problems_dir / "example1.json"), "--mode", "sum", "--max-shifts", "0"]
+        code = main(argv)
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["status"] == "iteration_cap_exceeded"

@@ -15,7 +15,7 @@ from posreal.cli import main
 REALIZE = {
     ("base_h4", "per-pole"): (3, None, None, None, None),
     ("base_h4", "sum"): (3, None, None, None, None),
-    ("example1", "per-pole"): (0, "realized", 6, 1, True),
+    ("example1", "per-pole"): (0, "realized", 5, 0, True),
     ("example1", "sum"): (0, "realized", 8, 3, True),
     ("h10", "per-pole"): (0, "realized", 13, 10, True),
     ("h10", "sum"): (0, "realized", 15, 12, True),

@@ -2,9 +2,11 @@
 every module-level private name (``_x``) is referenced somewhere in the package,
 every method and property of a posreal class is read somewhere in the repository,
 no module memoizes with ``functools`` (a cache would carry results from one
-request to the next, so a timed request would not redo its work), and only
+request to the next, so a timed request would not redo its work), only
 ``TransferFunction.__post_init__`` solves for the poles (``companion_roots``),
-so each transfer function pays for one eigen-solve.
+so each transfer function pays for one eigen-solve, and only
+``pair_share_floor`` reads ``PAIR_BUDGET_COEFF``, so the pair floor has one
+formula.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -126,8 +128,8 @@ def functools_caches(source: str) -> list[str]:
     return sorted(found)
 
 
-def companion_roots_reads(source: str) -> list[tuple[str, int]]:
-    """Where ``source`` reads the name ``companion_roots`` (a call, an alias or an
+def name_reads(source: str, target: str) -> list[tuple[str, int]]:
+    """Where ``source`` reads the name ``target`` (a call, an alias or an
     attribute), as (enclosing class/function path, line)."""
     found = []
 
@@ -137,7 +139,7 @@ def companion_roots_reads(source: str) -> list[tuple[str, int]]:
                 visit(child, scope + [child.name])
                 continue
             name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name == "companion_roots" and isinstance(getattr(child, "ctx", None), ast.Load):
+            if name == target and isinstance(getattr(child, "ctx", None), ast.Load):
                 found.append((".".join(scope) or "<module>", child.lineno))
             visit(child, scope)
 
@@ -212,10 +214,20 @@ def test_verifier_imports_nothing_from_the_construction():
 def test_only_the_constructor_solves_for_the_poles():
     # from_coefficients' coprimality test and expand read TransferFunction.roots
     reads = {
-        m: [scope for scope, _ in companion_roots_reads((SRC / m).read_text(encoding="utf-8"))]
+        m: [scope for scope, _ in name_reads((SRC / m).read_text(encoding="utf-8"), "companion_roots")]
         for m in MODULES + ["__init__.py"]
     }
     assert {m: r for m, r in reads.items() if r} == {"tf.py": ["TransferFunction.__post_init__"]}
+
+
+def test_only_the_floor_reads_the_pair_coefficient():
+    # the shift loop and budget read the floors through term_floors, whose pair
+    # units come from pair_share_floor, as does the pair builder's floor
+    reads = {
+        m: [scope for scope, _ in name_reads((SRC / m).read_text(encoding="utf-8"), "PAIR_BUDGET_COEFF")]
+        for m in MODULES + ["__init__.py"]
+    }
+    assert {m: r for m, r in reads.items() if r} == {"blocks.py": ["pair_share_floor"]}
 
 
 def test_import_checker_finds_package_imports():
@@ -289,4 +301,14 @@ def test_checker_flags_companion_roots_reads():
         "    def again(self):\n        return tfm.companion_roots(2)\n"
         "solve = companion_roots\n"
     )
-    assert companion_roots_reads(source) == [("T.__post_init__", 7), ("T.again", 9), ("<module>", 10)]
+    assert name_reads(source, "companion_roots") == [("T.__post_init__", 7), ("T.again", 9), ("<module>", 10)]
+
+
+def test_checker_flags_pair_budget_coeff_reads():
+    source = (
+        "import posreal.blocks as b\nPAIR_BUDGET_COEFF = 2.0**1.5\n"
+        "def pair_share_floor(eta, m):\n    return eta * PAIR_BUDGET_COEFF\n"
+        "def total(etas):\n    return PAIR_BUDGET_COEFF * sum(etas)\n"
+        "unit = b.PAIR_BUDGET_COEFF\n"
+    )
+    assert name_reads(source, "PAIR_BUDGET_COEFF") == [("pair_share_floor", 4), ("total", 6), ("<module>", 7)]

@@ -35,8 +35,8 @@ class TestRealize:
     def test_example1_per_pole(self, example1_tf):
         out = pr.realize(example1_tf, "per_pole")
         assert isinstance(out, pr.Realized)
-        assert out.trace.final_dimension == 6
-        assert out.trace.shifts_performed == 1
+        assert out.trace.final_dimension == 5
+        assert out.trace.shifts_performed == 0
         kinds = sorted((b.kind, b.dim) for b in out.trace.blocks)
         assert kinds == [("complex_pair", 4), ("positive_pole", 1)]
         assert out.trace.verification.passed
@@ -326,7 +326,7 @@ def shift_loop_inputs(draw):
 LAMBDA_ZERO = _pf((0.0, -0.3), (-0.8, 0.9), (0.5, -0.2))  # the lam = 0 term vanishes after shift 1
 LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
 NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
-DEEP = _pf((cmath.rect(0.95, 0.3), cmath.rect(0.5, 1.0)), (-0.93, 0.5), (0.4, -0.3))
+DEEP = _pf((cmath.rect(0.97, 0.1), cmath.rect(0.6, 1.0)), (-0.93, 0.5), (0.4, -0.3))  # 23 shifts per pole, 64 by sum
 ONE_STATE_POLES = _pf((0.5, 0.3))  # nothing carries a share: a one-state remainder is appended
 
 
@@ -380,7 +380,11 @@ class TestShiftLoopMatchesReference:
 
 
 def test_each_pole_is_paid_for_once(monkeypatch):
-    """One realize call: one polygon search per pair, one budget, one build per block, one t~_m per shift."""
+    """One realize call: one polygon search per pair, one budget, one build per block, one t~_m per shift.
+
+    The buckets and the floors cost the same whatever the number of shifts:
+    both modes run DEEP with different shift counts and the same calls.
+    """
     calls = Counter()
 
     def count(name, *modules):
@@ -394,6 +398,11 @@ def test_each_pole_is_paid_for_once(monkeypatch):
             monkeypatch.setattr(module, name, counted)
 
     count("minimal_polygon_index", geometrymod)
+    count("classify", realizermod)
+    count("_reread", realizermod)
+    count("floor_units", blocksmod, realizermod)
+    count("pair_share_floor", blocksmod)
+    count("share_floors", blocksmod)
     count("budget", realizermod)
     count("leading_impulse", tfmod, realizermod)
     builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
@@ -402,16 +411,26 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     count("dominant_remainder_block", blocksmod)
     count("markov", checkmod, blocksmod)
 
-    out = pr.realize(pr.recombine(DEEP), "per_pole")
-    assert isinstance(out, pr.Realized)
-    assert out.trace.shifts_performed > 20
-    assert calls["minimal_polygon_index"] == 1
-    assert calls["budget"] == 1
-    # once for the sign tolerance, then inside each shift_once
-    assert calls["leading_impulse"] == out.trace.shifts_performed + 1
-    built = Counter(f"{b.kind}_block" for b in out.trace.blocks)
-    assert built == {"real_pole_block": 2, "complex_pair_block": 1}
-    assert {name: calls[name] for name in built} == built
-    assert calls["positive_pole_block"] == calls["dominant_remainder_block"] == 0
-    # one pass self-checks the whole stack, one verifies the lifted result
-    assert calls["markov"] == 2
+    shifts = {}
+    for mode in ("per_pole", "conservative_sum"):
+        calls.clear()
+        out = pr.realize(pr.recombine(DEEP), mode)
+        assert isinstance(out, pr.Realized)
+        shifts[mode] = out.trace.shifts_performed
+        assert shifts[mode] > 20
+        assert calls["minimal_polygon_index"] == 1
+        assert calls["budget"] == 1
+        # once for the sign tolerance, then inside each shift_once
+        assert calls["leading_impulse"] == shifts[mode] + 1
+        built = Counter(f"{b.kind}_block" for b in out.trace.blocks)
+        assert built == {"real_pole_block": 2, "complex_pair_block": 1}
+        assert {name: calls[name] for name in built} == built
+        assert calls["positive_pole_block"] == calls["dominant_remainder_block"] == 0
+        # one pass self-checks the whole stack, one verifies the lifted result
+        assert calls["markov"] == 2
+        # classified once, re-read once at the stopping shift; the floor units are
+        # fixed for the loop and in budget's share_floors, and the builder reads the pair's floor
+        names = ("classify", "_reread", "floor_units", "pair_share_floor", "share_floors")
+        fixed = {name: calls[name] for name in names}
+        assert fixed == {"classify": 1, "_reread": 1, "floor_units": 2, "pair_share_floor": 3, "share_floors": 1}
+    assert shifts["per_pole"] < shifts["conservative_sum"]
