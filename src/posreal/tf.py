@@ -336,7 +336,10 @@ def _term_sort_key(term: PoleTerm):
 
 def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) -> PartialFraction:
     groups = _cluster_indices(roots, radius)
-    raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
+    if len(groups) == len(roots):  # all single roots; + 0j signs zeros as numpy's sum does
+        raw = [(z + 0j, 1) for z in roots.tolist()]
+    else:
+        raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
 
     # the roots come in exact conjugate pairs, so the clusters are mirrored
     newton = {mult: _newton_polys(tf.den.coeffs, mult) for mult in {m for _, m in raw}}
@@ -374,10 +377,10 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
             raise NotPrimitive("dominant pole is not separated (possibly multiple)")
 
     if all(m == 1 for _, m in clusters):
-        residues = _simple_residues(tf, clusters)
+        residues = _simple_residues(tf, clusters).tolist()
         coeffs_at = lambda i: residues[i : i + 1]
     else:
-        coeffs_at = lambda i: _coeffs_at_cluster(tf, clusters, i)
+        coeffs_at = lambda i: _coeffs_at_cluster(tf, clusters, i).tolist()
 
     gamma_c = coeffs_at(d)[0]
     if abs(gamma_c.imag) > 1e-8 * (1.0 + abs(gamma_c)):
@@ -390,9 +393,9 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
             continue
         coeffs = coeffs_at(i)
         if lam.imag == 0:
-            if np.any(np.abs(coeffs.imag) > 1e-7 * (1.0 + np.abs(coeffs))):
+            if any(abs(c.imag) > 1e-7 * (1.0 + abs(c)) for c in coeffs):
                 raise _RetryExpansion("real pole with non-real coefficients")
-            terms.append(PoleTerm(lam, tuple(coeffs.real)))
+            terms.append(PoleTerm(lam, tuple(c.real for c in coeffs)))
         else:
             terms.append(PoleTerm(lam, tuple(coeffs)))
             terms.append(PoleTerm(lam.conjugate(), tuple(c.conjugate() for c in coeffs)))
