@@ -568,24 +568,25 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
     factors += [(t.pole, t.order) for t in pf.terms]
 
-    def poly_power(root: complex, k: int) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for _ in range(k):
-            out = np.convolve(out, np.array([-root, 1.0 + 0j]))
-        return out
-
-    den = np.array([1.0 + 0j])
+    # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j
+    powers = []
     for root, mult in factors:
-        den = np.convolve(den, poly_power(root, mult))
+        ps = [np.array([1.0 + 0j])]
+        for _ in range(mult):
+            ps.append(np.convolve(ps[-1], np.array([-root, 1.0 + 0j])))
+        powers.append(ps)
+    prefix = [np.array([1.0 + 0j])]
+    for ps in powers:
+        prefix.append(np.convolve(prefix[-1], ps[-1]))
 
+    den = prefix[-1]
     deg = len(den) - 1
     num = np.zeros(deg, dtype=complex)
 
     def rest_product(skip: int, reduce_by: int) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for j, (root, mult) in enumerate(factors):
-            k = mult - reduce_by if j == skip else mult
-            out = np.convolve(out, poly_power(root, k))
+        out = np.convolve(prefix[skip], powers[skip][-1 - reduce_by])
+        for ps in powers[skip + 1 :]:
+            out = np.convolve(out, ps[-1])
         return out
 
     contrib = pf.dominant_residue * rest_product(0, 1)
