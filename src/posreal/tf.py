@@ -266,13 +266,16 @@ def _refine_root(polys: tuple[list, list], z0: complex) -> complex:
     """Newton on the polynomial pair (d, d') from ``_newton_polys``.
 
     Scalar Horner (floats for a real start); each step reuses the previous
-    value.  Stops once |step| <= 4 eps |z| or after 12 steps, and returns
-    the iterate with the smallest residual.
+    value.  Stops at the first of: |step| <= 4 eps |z|; a |step| no smaller
+    than the one before (past the rounding floor of d the steps are noise,
+    while a linearly converging step still shrinks); 12 steps.  Returns the
+    iterate with the smallest residual.
     """
     d, dp = polys
     z = z0.real if z0.imag == 0 else complex(z0)
     f = _horner(d, z)
     best, best_val = z, abs(f)
+    last_step = math.inf
     for _ in range(12):
         fp = _horner(dp, z)
         if fp == 0:
@@ -282,8 +285,9 @@ def _refine_root(polys: tuple[list, list], z0: complex) -> complex:
         f = _horner(d, z)
         if abs(f) < best_val:
             best, best_val = z, abs(f)
-        if abs(step) <= _STEP_RTOL * abs(z):
+        if abs(step) <= _STEP_RTOL * abs(z) or abs(step) >= last_step:
             break
+        last_step = abs(step)
     return complex(best)
 
 

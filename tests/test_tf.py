@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import posreal as pr
@@ -396,6 +396,27 @@ class TestRefineRoot:
         # a conjugate pair is refined once, on its upper root
         assert len(evaluations) <= (1 + 2 * 3) * (len(self.ROOTS) - 2)
 
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    def test_newton_stops_at_the_rounding_floor(self, evaluations, n):
+        # at these degrees 4 eps |z| lies below the Horner rounding floor, so
+        # only the stall stop keeps a refinement from running to the cap
+        rng = np.random.default_rng(n)
+        counts = []
+        for _ in range(100):
+            den = np.polynomial.polynomial.polyfromroots(_separated_poles(rng, n)).real
+            polys = tfmod._newton_polys(den, 1)
+            for z0 in pr.companion_roots(den):
+                if z0.imag < 0:  # expand refines the upper root of a pair
+                    continue
+                evaluations.clear()
+                z = tfmod._refine_root(polys, complex(z0))
+                counts.append(len(evaluations))
+                start = z0.real if z0.imag == 0 else complex(z0)
+                assert abs(tfmod._horner(polys[0], z)) <= abs(tfmod._horner(polys[0], start))
+        # one value at the start, then a derivative and a value per step
+        assert max(counts) < 1 + 2 * 12
+        assert np.mean(counts) <= 7
+
 
 def _separated_poles(rng, n: int, gap: float = 0.05) -> list[complex]:
     poles: list[complex] = []
@@ -423,6 +444,37 @@ def test_closed_form_residues_match_taylor_division(n, seed):
     closed = tfmod._simple_residues(tf, clusters)
     taylor = [tfmod._coeffs_at_cluster(tf, clusters, i)[0] for i in range(n)]
     np.testing.assert_allclose(closed, taylor, rtol=1e-12, atol=0.0)
+
+
+@given(st.integers(12, 24), st.integers(0, 2**32 - 1))
+def test_round_trip_at_wide_degrees(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for p in _separated_poles(rng, n - 1):
+        c = rng.uniform(0.05, 1.0) * (np.exp(1j * rng.uniform(-np.pi, np.pi)) if p.imag else rng.choice([-1, 1]))
+        if p.imag >= 0:
+            terms.append(pr.PoleTerm(p, (c,)))
+        if p.imag > 0:
+            terms.append(pr.PoleTerm(p.conjugate(), (np.conj(c),)))
+    pf = pr.PartialFraction(1.0, 1.0, tuple(terms))
+    try:
+        tf = pr.recombine(pf)
+    except NotCoprime:
+        # from_coefficients' common-root test is relative to the numerator's
+        # terms and reads some degree-20+ numerators as vanishing at a pole
+        # (about 1 draw in 600); that refusal is not expand's
+        reject()
+    back = pr.expand(tf)
+    # a pole moves by about eps * cond when recombine rounds the coefficients
+    den = np.array(tf.den.coeffs)
+    dden = np.polynomial.polynomial.polyder(den)
+    for t in pf.terms:
+        z = t.pole
+        cond = np.polynomial.polynomial.polyval(abs(z), np.abs(den)) / abs(np.polynomial.polynomial.polyval(z, dden))
+        assert min(abs(u.pole - z) for u in back.terms) <= 1e-9 + 16 * np.finfo(float).eps * cond
+    sample = 1.7 * np.exp(2j * np.pi * (np.arange(41) + 0.37) / 41)  # off the check's own circle
+    href = tf(sample)
+    assert np.max(np.abs(back.evaluate(sample) - href) / (1.0 + np.abs(href))) < 1e-8
 
 
 def _random_monic(rng, n: int) -> np.ndarray:
