@@ -340,7 +340,7 @@ def _term_sort_key(term: PoleTerm):
 
 def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) -> PartialFraction:
     groups = _cluster_indices(roots, radius)
-    if len(groups) == len(roots):  # all single roots; + 0j signs zeros as numpy's sum does
+    if len(groups) == len(roots):  # no two roots within radius; + 0j clears -0.0 as .sum() did
         raw = [(z + 0j, 1) for z in roots.tolist()]
     else:
         raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
@@ -423,9 +423,10 @@ def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
     Poles come from the companion-matrix eigenvalues ``tf.roots``, each
-    polished by Newton until its step reaches rounding level; the real
-    companion matrix gives exact conjugate pairs, so each upper-half cluster
-    is refined and mirrored.  Multiple roots are recovered by clustering at increasing radii
+    polished by Newton until its step reaches rounding level or stops
+    shrinking (``_refine_root``); the real companion matrix gives exact
+    conjugate pairs, so each upper-half cluster is refined once and
+    mirrored.  Multiple roots are recovered by clustering at increasing radii
     until the expansion reproduces the input on a test circle.  When every
     cluster is simple the residues come in closed form, num(lam) /
     prod_{mu != lam} (lam - mu); multiple clusters use truncated Taylor
@@ -584,8 +585,7 @@ def recombine(pf: PartialFraction) -> TransferFunction:
         prefix.append(np.convolve(prefix[-1], ps[-1]))
 
     den = prefix[-1]
-    deg = len(den) - 1
-    num = np.zeros(deg, dtype=complex)
+    num = np.zeros(len(den) - 1, dtype=complex)
 
     def rest_product(skip: int, reduce_by: int) -> np.ndarray:
         out = np.convolve(prefix[skip], powers[skip][-1 - reduce_by])
