@@ -340,8 +340,8 @@ def _term_sort_key(term: PoleTerm):
 
 def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) -> PartialFraction:
     groups = _cluster_indices(roots, radius)
-    if len(groups) == len(roots):  # no two roots within radius; + 0j clears -0.0 as .sum() did
-        raw = [(z + 0j, 1) for z in roots.tolist()]
+    if len(groups) == len(roots):  # no two roots within the radius
+        raw = [(z + 0j, 1) for z in roots.tolist()]  # + 0j: a -0.0 part becomes 0.0, as in a mean
     else:
         raw = [(roots[g].sum() / len(g), len(g)) for g in groups]
 
