@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -241,44 +243,47 @@ def floor_units(cls: PoleClassification) -> dict[complex, float]:
     return units
 
 
-def term_floors(terms, units: dict[complex, float]) -> tuple[list[float], list[float], list[float]]:
-    """The floored ``(pole, c)`` terms in bucket order: each real floor, each pair's |c|, each pair floor.
+def term_floors(terms, units: dict[complex, float]) -> tuple[list[float], list[float]]:
+    """The floors of the floored ``(pole, c)`` terms in bucket order: each real floor, each pair floor.
 
     A floor is |c| times the pole's unit from ``floor_units`` (|Re c| for a
     real pole); poles without a unit carry no floor and are skipped.
     """
-    n2, etas, pairs = [], [], []
+    n2, pairs = [], []
     for pole, c in terms:
         unit = units.get(pole)
         if unit is None:
             continue
         if pole.imag:
-            etas.append(abs(c))
-            pairs.append(etas[-1] * unit)
+            pairs.append(abs(c) * unit)
         else:
             n2.append(abs(c.real) * unit)
-    return n2, etas, pairs
+    return n2, pairs
 
 
 def share_floors(cls: PoleClassification) -> tuple[list[float], list[float]]:
     """Feasibility floors of the dominant shares: |c| per two-state real pole, one per pair."""
     terms = [(complex(lam), c) for lam, c in cls.n2_poles] + [(p.pole, p.coeff) for p in cls.pair_assignments]
-    n2, _, pairs = term_floors(terms, floor_units(cls))
-    return n2, pairs
+    return term_floors(terms, floor_units(cls))
+
+
+def _left_sum(values) -> float:
+    """Left-to-right sum from 0, as the shift loop adds its floors (``sum`` compensates from Python 3.12)."""
+    return reduce(add, values, 0)
 
 
 def per_pole_total(cls: PoleClassification) -> float:
     """Sum of the per-pole share floors (the tight stopping quantity)."""
     n2, pairs = share_floors(cls)
-    return sum(n2) + sum(pairs)
+    return _left_sum(n2) + _left_sum(pairs)
 
 
-def _stop_rule(mode: str, total: float, n2: list[float], etas: list[float]) -> tuple[float, float]:
-    """``mode``'s stopping quantity and its bound, from the floor total and the real and pair |c|."""
+def _stop_rule(mode: str, n2_sum: float, eta_sum: float, pair_sum: float) -> tuple[float, float]:
+    """``mode``'s stopping quantity and its bound, from the sums of the real floors, the pair |c| and the pair floors."""
     if mode == "per_pole":
-        return total, 1.0 + 1e-12
+        return n2_sum + pair_sum, 1.0 + 1e-12
     if mode == "conservative_sum":
-        return sum(n2) + 2.0 * sum(etas), CONSERVATIVE_LIMIT
+        return n2_sum + 2.0 * eta_sum, CONSERVATIVE_LIMIT
     raise ValueError(f"unknown budget mode {mode!r}")
 
 
@@ -291,8 +296,9 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     which case the floors provably fit and are scaled up to spend the unit.
     """
     n2_shares, pair_shares = share_floors(cls)
-    total = float(sum(n2_shares) + sum(pair_shares))
-    needed, limit = _stop_rule(mode, total, n2_shares, [abs(p.coeff) for p in cls.pair_assignments])
+    n2_sum, pair_sum = _left_sum(n2_shares), _left_sum(pair_shares)
+    total = float(n2_sum + pair_sum)
+    needed, limit = _stop_rule(mode, n2_sum, _left_sum(abs(p.coeff) for p in cls.pair_assignments), pair_sum)
     if needed > limit:
         raise InsufficientBudget(needed, limit)
     if mode == "conservative_sum" and total > 0:

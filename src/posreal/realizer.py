@@ -177,12 +177,24 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     prefix: list[float] = []
     totals: list[float] = []
     while True:
-        n2, etas, pairs = term_floors(((t.pole, t.coeffs[0]) for t in pf.terms), units)
-        total = sum(n2) + sum(pairs)
+        # the real-floor, pair-|c| and pair-floor sums in one pass, added in budget's order (blocks._left_sum)
+        n2_sum = eta_sum = pair_sum = 0
+        for term in pf.terms:
+            unit = units.get(term.pole)
+            if unit is None:
+                continue
+            c = term.coeffs[0]
+            if term.pole.imag:
+                eta = abs(c)
+                eta_sum += eta
+                pair_sum += eta * unit
+            else:
+                n2_sum += abs(c.real) * unit
+        total = n2_sum + pair_sum
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
-        needed, limit = _stop_rule(mode, total, n2, etas)
+        needed, limit = _stop_rule(mode, n2_sum, eta_sum, pair_sum)
         # No sign check on stopping: the floors |c| and 2^{3/2} eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
         # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -neg_tol.
         if needed <= limit:
@@ -198,6 +210,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
 
     cls = _reread(cls, pf)
     plan = budget(cls, mode)
+    n2, pairs = term_floors(((t.pole, t.coeffs[0]) for t in pf.terms), units)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state
     shares = list(plan.n2_shares + plan.pair_shares)

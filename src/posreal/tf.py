@@ -319,6 +319,8 @@ def _coeffs_at_cluster(tf, clusters, idx: int) -> np.ndarray:
     for mu, mj in clusters[:idx] + clusters[idx + 1 :]:
         for _ in range(mj):  # times (lam - mu + w), truncated
             den_rest = np.convolve(den_rest, [lam - mu, 1.0])[:mult]
+    if den_rest[0] == 0:
+        raise _RetryExpansion("two refined cluster centres coincide")
     series = _series_div(_taylor_at(tf.num.coeffs, lam, mult), den_rest, mult)
     # series[s] is the coefficient of (z - lam)^(s - mult); c^(i) = series[mult - i]
     return series[::-1]
@@ -414,7 +416,7 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     sample = r * np.exp(2j * np.pi * np.arange(32) / 32)
     href = tf(sample)
     resid = np.abs(pf.evaluate(sample) - href) / (1.0 + np.abs(href))
-    if np.max(resid) > RECONSTRUCT_RTOL:
+    if not np.max(resid) <= RECONSTRUCT_RTOL:  # a NaN residual fails too
         raise _RetryExpansion(f"reconstruction residual {np.max(resid):.3g}")
     return pf
 
@@ -516,25 +518,50 @@ def leading_impulse(pf: PartialFraction) -> float:
     return float(total.real)
 
 
+def _unvalidated(cls, **values):
+    """``cls(**values)`` without its constructor's checks and conversions.
+
+    Only for values that would pass them unchanged: ``complex`` poles and
+    coefficients with a nonzero top one, a tuple of terms.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
     """Remove the leading impulse value and return (t_1, tail function).
 
     Termwise, z/(z - lam)^i = 1/(z - lam)^(i-1) + lam/(z - lam)^i, so the new
     coefficients are c'_i = lam*c_i + c_{i+1}; simple poles contract by lam.
-    The dominant residue stays exactly 1.
+    The dominant residue stays exactly 1.  Trailing zero coefficients are
+    dropped, and a term left with none (order 1 at lam = 0) drops out.  The
+    tail is built from ``pf``'s validated values, so no constructor re-checks
+    them.
     """
     t = leading_impulse(pf)
     new_terms = []
     for term in pf.terms:
         pole, cs = term.pole, term.coeffs
+        if len(cs) == 1:
+            c = pole * cs[0]
+            if c != 0:
+                new_terms.append(_unvalidated(PoleTerm, pole=pole, coeffs=(c,)))
+            continue
         shifted = [pole * a + b for a, b in zip(cs, cs[1:])] + [pole * cs[-1]]
         while shifted and shifted[-1] == 0:
             shifted.pop()
         if shifted:
-            new_terms.append(PoleTerm(pole, tuple(shifted)))
-    return t, PartialFraction(
-        pf.dominant_pole, pf.dominant_residue, tuple(new_terms), pf.scale_gamma, pf.pole_scale
+            new_terms.append(_unvalidated(PoleTerm, pole=pole, coeffs=tuple(shifted)))
+    tail = _unvalidated(
+        PartialFraction,
+        dominant_pole=pf.dominant_pole,
+        dominant_residue=pf.dominant_residue,
+        terms=tuple(new_terms),
+        scale_gamma=pf.scale_gamma,
+        pole_scale=pf.pole_scale,
     )
+    return t, tail
 
 
 def iteration_estimate(pf: PartialFraction) -> int:

@@ -4,9 +4,11 @@ every method and property of a posreal class is read somewhere in the repository
 no module memoizes with ``functools`` (a cache would carry results from one
 request to the next, so a timed request would not redo its work), only
 ``TransferFunction.__post_init__`` solves for the poles (``companion_roots``),
-so each transfer function pays for one eigen-solve, and only
+so each transfer function pays for one eigen-solve, only
 ``pair_share_floor`` reads ``PAIR_BUDGET_COEFF``, so the pair floor has one
-formula.
+formula, and only ``shift_once`` builds objects past their constructors'
+checks (``tf._unvalidated``), from values of a partial fraction that passed
+them.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -221,13 +223,26 @@ def test_only_the_constructor_solves_for_the_poles():
 
 
 def test_only_the_floor_reads_the_pair_coefficient():
-    # the shift loop and budget read the floors through term_floors, whose pair
-    # units come from pair_share_floor, as does the pair builder's floor
+    # the shift loop and budget take their pair units from floor_units, which
+    # reads pair_share_floor, as does the pair builder's floor
     reads = {
         m: [scope for scope, _ in name_reads((SRC / m).read_text(encoding="utf-8"), "PAIR_BUDGET_COEFF")]
         for m in MODULES + ["__init__.py"]
     }
     assert {m: r for m, r in reads.items() if r} == {"blocks.py": ["pair_share_floor"]}
+
+
+def reader_scopes(sources: dict[str, str], target: str) -> dict[str, list[str]]:
+    """Per module of ``sources`` that reads ``target``, the distinct scopes that read it."""
+    reads = {m: sorted({scope for scope, _ in name_reads(src, target)}) for m, src in sources.items()}
+    return {m: r for m, r in reads.items() if r}
+
+
+def test_only_the_shift_skips_the_constructors():
+    # shift_once's tail reuses the validated pole and coefficients of its input;
+    # any other caller of _unvalidated would bypass the checks on fresh values
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "_unvalidated") == {"tf.py": ["shift_once"]}
 
 
 def test_import_checker_finds_package_imports():
@@ -312,3 +327,19 @@ def test_checker_flags_pair_budget_coeff_reads():
         "unit = b.PAIR_BUDGET_COEFF\n"
     )
     assert name_reads(source, "PAIR_BUDGET_COEFF") == [("pair_share_floor", 4), ("total", 6), ("<module>", 7)]
+
+
+def test_checker_flags_unvalidated_reads():
+    sources = {
+        "tf.py": (
+            "def _unvalidated(cls, **values):\n    return cls\n"
+            "def shift_once(pf):\n    a = _unvalidated(int)\n    return _unvalidated(float)\n"
+            "class P:\n    def copy(self):\n        def inner():\n            return _unvalidated(P)\n        return inner\n"
+        ),
+        "blocks.py": "import posreal.tf as t\nmake = t._unvalidated\n",
+        "geometry.py": "def _unvalidated():\n    pass\n",
+    }
+    assert reader_scopes(sources, "_unvalidated") == {
+        "tf.py": ["P.copy.inner", "shift_once"],
+        "blocks.py": ["<module>"],
+    }

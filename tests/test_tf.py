@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import posreal as pr
 import posreal.tf as tfmod
 from posreal.cli import load_problem
-from posreal.errors import NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
+from posreal.errors import ExpansionFailed, NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
 from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
 from strategies import simple_stable_pfs
@@ -194,6 +194,32 @@ class TestExpand:
         assert pf.terms[0].pole.real == pytest.approx(lam, abs=1e-12)
         assert [c.real for c in pf.terms[0].coeffs] == pytest.approx([c1, c2], abs=1e-12)
         assert pf.dominant_residue == pytest.approx(1.0, abs=1e-12)
+
+    def test_coinciding_cluster_centres_fail_cleanly(self):
+        # two refined centres of this degree-15 input coincide at -0.0884: the
+        # Taylor path must retry there, not divide by zero and accept a NaN residual
+        P = np.polynomial.polynomial
+        roots = [1.0, -0.1256, -0.1256, 0.7241]
+        for z in (-0.0884 + 0.0015j, 0.2257 + 0.2667j, -0.0457 + 0.0559j):
+            roots += [z, z.conjugate()] * 2
+        tf = pr.from_coefficients(np.random.default_rng(0).normal(size=15), P.polyfromroots(roots).real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pf = pr.expand(tf)
+            except ExpansionFailed:
+                return
+        assert all(np.isfinite(c) for t in pf.terms for c in t.coeffs)
+
+    def test_taylor_division_refuses_coinciding_centres(self):
+        tf = pr.recombine(hn_pf(4))
+        with pytest.raises(tfmod._RetryExpansion, match="coincide"):
+            tfmod._coeffs_at_cluster(tf, [(1.0 + 0j, 1), (0.4 + 0j, 2), (0.4 + 0j, 1)], 1)
+
+    def test_nan_reconstruction_residual_is_refused(self, monkeypatch, h4_tf):
+        monkeypatch.setattr(tfmod, "_simple_residues", lambda tf, clusters: np.full(len(clusters), complex("nan")))
+        with pytest.raises(ExpansionFailed, match="residual nan"):
+            pr.expand(h4_tf)
 
     def test_simple_residues_refuse_coinciding_roots(self):
         tf = pr.recombine(hn_pf(4))
@@ -537,6 +563,78 @@ def test_impulse_matches_direct_evaluation_multiple_pole():
     want = 1.0 + 0.7 * 0.5 ** (k - 1)
     want += 0.3 * np.where(k >= 2, (k - 1) * 0.5 ** np.maximum(k - 2, 0), 0.0)
     assert np.max(np.abs(t - want) / (1.0 + np.abs(want))) < 1e-9
+
+
+def _shift_through_constructors(pf):
+    """``shift_once``'s tail rebuilt through the public, validating constructors."""
+    terms = []
+    for term in pf.terms:
+        cs = term.coeffs
+        shifted = [term.pole * a + b for a, b in zip(cs, cs[1:])] + [term.pole * cs[-1]]
+        while shifted and shifted[-1] == 0:
+            shifted.pop()
+        if shifted:
+            terms.append(pr.PoleTerm(term.pole, tuple(shifted)))
+    return pr.PartialFraction(pf.dominant_pole, pf.dominant_residue, terms, pf.scale_gamma, pf.pole_scale)
+
+
+def _bits(x):
+    """A value's exact bits, with its type: -0.0 and 0.0 differ."""
+    if isinstance(x, complex):
+        return type(x), x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return type(x), x.hex()
+    if isinstance(x, tuple):
+        return type(x), tuple(_bits(v) for v in x)
+    if isinstance(x, pr.PoleTerm):
+        return type(x), _bits(x.pole), _bits(x.coeffs)
+    return type(x), x
+
+
+@st.composite
+def shiftable_pfs(draw):
+    """Normalized partial fractions with terms of order 1-3, real (possibly zero) or in conjugate pairs."""
+    coeff = st.floats(-2.0, 2.0, allow_subnormal=False)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            lam = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.95, 0.95)))
+            cs = [complex(draw(coeff)) for _ in range(order)]
+            assume(cs[-1] != 0)
+            terms.append(pr.PoleTerm(complex(lam), cs))
+        else:
+            lam = complex(draw(st.floats(-0.9, 0.9)), draw(st.floats(0.05, 0.9)))
+            cs = [complex(draw(coeff), draw(coeff)) for _ in range(order)]
+            assume(cs[-1] != 0)
+            terms.append(pr.PoleTerm(lam, cs))
+            terms.append(pr.PoleTerm(lam.conjugate(), [c.conjugate() for c in cs]))
+    scale = st.floats(1e-3, 1e3)
+    return pr.PartialFraction(1.0, 1.0, terms, draw(scale), draw(scale))
+
+
+MULTIPLE_POLE = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.7 + 0j, 0.3 + 0j)),), 2.0, 0.5)
+DROPS_OUT = pr.PartialFraction(
+    1.0, 1.0, (pr.PoleTerm(0j, (0.4 + 0j,)), pr.PoleTerm(0j - 0.6, (0.2 + 0j,)), pr.PoleTerm(0j, (0.1 + 0j, 0.3 + 0j)))
+)
+
+
+@given(shiftable_pfs(), st.integers(1, 4))
+@example(MULTIPLE_POLE, 3)
+@example(DROPS_OUT, 2)
+def test_shift_once_equals_the_validated_tail(pf, shifts):
+    """Bit for bit: the unchecked tail is the one the public constructors build, shift after shift."""
+    cur = pf
+    for _ in range(shifts):
+        t, got = pr.shift_once(cur)
+        want = _shift_through_constructors(cur)
+        assert t == pr.leading_impulse(cur)
+        assert got == want and hash(got) == hash(want)
+        assert [f.name for f in dataclasses.fields(got)] == list(vars(got)) == list(vars(want))
+        assert [_bits(getattr(got, f)) for f in vars(got)] == [_bits(getattr(want, f)) for f in vars(want)]
+        cur = got
+    if pf is DROPS_OUT:
+        assert [(t.pole, t.order) for t in cur.terms] == [(-0.6 + 0j, 1)]
 
 
 @given(simple_stable_pfs(), st.integers(1, 8))
