@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,39 +242,56 @@ def floor_units(cls: PoleClassification) -> dict[complex, float]:
     return units
 
 
-def term_floors(terms, units: dict[complex, float]) -> tuple[list[float], list[float]]:
-    """The floors of the floored ``(pole, c)`` terms in bucket order: each real floor, each pair floor.
+def term_floors(terms, units: dict[complex, float], n2=None, pairs=None) -> tuple[float, float, float]:
+    """The sums of the floored terms' real floors, pair |c| and pair floors, added left to right in one pass.
 
-    A floor is |c| times the pole's unit from ``floor_units`` (|Re c| for a
-    real pole); poles without a unit carry no floor and are skipped.
+    ``terms`` are shaped like ``PoleTerm``s and read at their first
+    coefficient c.  A floor is |c| times the pole's unit from ``floor_units``
+    (|Re c| for a real pole); poles without a unit carry no floor and are
+    skipped.  Each real or pair floor is also appended to ``n2`` or ``pairs``
+    when one is given.
     """
-    n2, pairs = [], []
-    for pole, c in terms:
-        unit = units.get(pole)
+    n2_sum = eta_sum = pair_sum = 0
+    for term in terms:
+        unit = units.get(term.pole)
         if unit is None:
             continue
-        if pole.imag:
-            pairs.append(abs(c) * unit)
+        c = term.coeffs[0]
+        if term.pole.imag:
+            eta = abs(c)
+            floor = eta * unit
+            eta_sum += eta
+            pair_sum += floor
+            if pairs is not None:
+                pairs.append(floor)
         else:
-            n2.append(abs(c.real) * unit)
-    return n2, pairs
+            floor = abs(c.real) * unit
+            n2_sum += floor
+            if n2 is not None:
+                n2.append(floor)
+    return n2_sum, eta_sum, pair_sum
 
 
-def share_floors(cls: PoleClassification) -> tuple[list[float], list[float]]:
-    """Feasibility floors of the dominant shares: |c| per two-state real pole, one per pair."""
-    terms = [(complex(lam), c) for lam, c in cls.n2_poles] + [(p.pole, p.coeff) for p in cls.pair_assignments]
-    return term_floors(terms, floor_units(cls))
+class _BucketTerm(NamedTuple):
+    """A bucket's pole and coefficient, in the shape ``term_floors`` reads."""
+
+    pole: complex
+    coeffs: tuple[complex]
 
 
-def _left_sum(values) -> float:
-    """Left-to-right sum from 0, as the shift loop adds its floors (``sum`` compensates from Python 3.12)."""
-    return reduce(add, values, 0)
+def share_floors(cls: PoleClassification) -> tuple[list[float], list[float], tuple[float, float, float]]:
+    """Feasibility floors of the dominant shares, |c| per two-state real pole and one per pair, and their sums."""
+    terms = [_BucketTerm(complex(lam), (c,)) for lam, c in cls.n2_poles]
+    terms += [_BucketTerm(p.pole, (p.coeff,)) for p in cls.pair_assignments]
+    n2, pairs = [], []
+    sums = term_floors(terms, floor_units(cls), n2, pairs)
+    return n2, pairs, sums
 
 
 def per_pole_total(cls: PoleClassification) -> float:
     """Sum of the per-pole share floors (the tight stopping quantity)."""
-    n2, pairs = share_floors(cls)
-    return _left_sum(n2) + _left_sum(pairs)
+    n2_sum, _, pair_sum = share_floors(cls)[2]
+    return n2_sum + pair_sum
 
 
 def _stop_rule(mode: str, n2_sum: float, eta_sum: float, pair_sum: float) -> tuple[float, float]:
@@ -295,10 +311,9 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
     of non-gain coefficients (pairs counted twice) is at most 2^{-5/2}, in
     which case the floors provably fit and are scaled up to spend the unit.
     """
-    n2_shares, pair_shares = share_floors(cls)
-    n2_sum, pair_sum = _left_sum(n2_shares), _left_sum(pair_shares)
-    total = float(n2_sum + pair_sum)
-    needed, limit = _stop_rule(mode, n2_sum, _left_sum(abs(p.coeff) for p in cls.pair_assignments), pair_sum)
+    n2_shares, pair_shares, sums = share_floors(cls)
+    total = float(sums[0] + sums[2])
+    needed, limit = _stop_rule(mode, *sums)
     if needed > limit:
         raise InsufficientBudget(needed, limit)
     if mode == "conservative_sum" and total > 0:

@@ -177,19 +177,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     prefix: list[float] = []
     totals: list[float] = []
     while True:
-        # the real-floor, pair-|c| and pair-floor sums in one pass, added in budget's order (blocks._left_sum)
-        n2_sum = eta_sum = pair_sum = 0
-        for term in pf.terms:
-            unit = units.get(term.pole)
-            if unit is None:
-                continue
-            c = term.coeffs[0]
-            if term.pole.imag:
-                eta = abs(c)
-                eta_sum += eta
-                pair_sum += eta * unit
-            else:
-                n2_sum += abs(c.real) * unit
+        n2_sum, eta_sum, pair_sum = term_floors(pf.terms, units)
         total = n2_sum + pair_sum
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
@@ -210,7 +198,8 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
 
     cls = _reread(cls, pf)
     plan = budget(cls, mode)
-    n2, pairs = term_floors(((t.pole, t.coeffs[0]) for t in pf.terms), units)
+    n2, pairs = [], []  # the stop's floors, for the block summaries
+    term_floors(pf.terms, units, n2, pairs)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state
     shares = list(plan.n2_shares + plan.pair_shares)
