@@ -543,6 +543,11 @@ def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
     new_terms = []
     for term in pf.terms:
         pole, cs = term.pole, term.coeffs
+        if len(cs) == 1:  # the realize loop's only order; the general path gives the same bits, slower
+            c = pole * cs[0]
+            if c != 0:
+                new_terms.append(_unvalidated(PoleTerm, pole=pole, coeffs=(c,)))
+            continue
         shifted = [pole * a + b for a, b in zip(cs, cs[1:])] + [pole * cs[-1]]
         while shifted and shifted[-1] == 0:
             shifted.pop()
