@@ -223,8 +223,8 @@ def test_only_the_constructor_solves_for_the_poles():
 
 
 def test_only_the_floor_reads_the_pair_coefficient():
-    # the shift loop and budget take their pair units from floor_units, which
-    # reads pair_share_floor, as does the pair builder's floor
+    # the shift loop and budget read the floors through term_floors, whose pair
+    # units come from pair_share_floor, as does the pair builder's floor
     reads = {
         m: [scope for scope, _ in name_reads((SRC / m).read_text(encoding="utf-8"), "PAIR_BUDGET_COEFF")]
         for m in MODULES + ["__init__.py"]
