@@ -24,10 +24,8 @@ from .blocks import (
 )
 from .bounds import (
     BoundsReport,
-    RootBoundInput,
     bounds_report,
     cone_order_bound,
-    exp_poly_root_bound,
     positivity_horizon,
     quadratic_order_bound,
     zero_pattern,

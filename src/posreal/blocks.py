@@ -35,7 +35,7 @@ CLAMP_WINDOW = 1e-12
 
 # Half-width alpha of a pair block's generating cone.  The input g = (g_x, g_y, R)
 # is in the cone iff (g_x, g_y)/(R alpha) is in the m-gon, which holds the disc of
-# radius cos(pi/m); as |(g_x, g_y)| = sqrt(2) eta, R >= 2^{3/2} eta / cos(pi/m) is
+# radius cos(pi/m); as |(g_x, g_y)| = sqrt(2) |c|, R >= 2^{3/2} |c| / cos(pi/m) is
 # enough at alpha = 1/2, and tight: along an edge normal the disc touches the edge.
 PAIR_ALPHA = 0.5
 PAIR_BUDGET_COEFF = 2.0**1.5
@@ -82,12 +82,13 @@ class Realization:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One assembled unit: its realization, target terms, and dominant share."""
+    """One assembled unit: its realization, target terms, dominant share, and share floor."""
 
     realization: Realization
     kind: str  # positive_pole | real_pole | complex_pair | dominant_remainder
     dominant_share: float
     pole_terms: tuple[tuple[complex, complex], ...]
+    share_floor: float | None = None  # least share the builder accepts: |c| real, pair_share_floor(|c|, m) pair
 
     @property
     def dim(self) -> int:
@@ -113,8 +114,9 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
     """
     if not (-1.0 < lam < 1.0):
         raise BadPoleBlock(f"pole {lam:.6g} outside (-1, 1)")
-    if R < abs(c):
-        raise BudgetTooSmall(f"share {R:.6g} below |c| = {abs(c):.6g}")
+    floor = float(abs(c))
+    if R < floor:
+        raise BudgetTooSmall(f"share {R:.6g} below |c| = {floor:.6g}")
     hi = (1.0 + lam) / 2.0
     lo = (1.0 - lam) / 2.0
     real = Realization(
@@ -122,7 +124,7 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
         np.array([R + c, R - c]),
         np.array([1.0, 0.0]),
     )
-    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),))
+    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), floor)
 
 
 def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
@@ -147,55 +149,38 @@ def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
     return weights
 
 
-def complex_pair_block(
-    rho: float,
-    theta: float,
-    eta: float,
-    vartheta: float,
-    m: int,
-    R: float,
-) -> Block:
-    """m states for R/(z-1) + eta e^{i vt}/(z - rho e^{i th}) + conjugate.
+def complex_pair_block(pole: complex, coeff: complex, m: int, R: float) -> Block:
+    """m states for R/(z-1) + c/(z - p) + conjugate, with p = ``pole`` and c = ``coeff``.
 
     The generating cone has edges (alpha*cos(2 pi k/m), alpha*sin(2 pi k/m), 1)
-    with alpha = PAIR_ALPHA: a rotation-scaling by z = rho e^{i theta} maps
-    each edge back inside the polygon, and the image's fan-barycentric
-    coordinates are the nonnegative column of A.  The polygon is invariant
-    under rotation by 2 pi/m, so if z = sum_j w_j v_j then
-    z v_k = sum_j w_j v_{j+k}: A is circulant, A[j, k] = w[(j - k) mod m],
-    from one fan solve.  The model input (eta(cos vt - sin vt),
-    eta(cos vt + sin vt), R) lands inside the cone once R reaches
-    ``pair_share_floor(eta, m)``.
+    with alpha = PAIR_ALPHA: a rotation-scaling by p maps each edge back
+    inside the polygon, and the image's fan-barycentric coordinates are the
+    nonnegative column of A.  The polygon is invariant under rotation by
+    2 pi/m, so if p = sum_j w_j v_j then p v_k = sum_j w_j v_{j+k}: A is
+    circulant, A[j, k] = w[(j - k) mod m], from one fan solve.  The model
+    input (Re c - Im c, Re c + Im c, R) lands inside the cone once R reaches
+    ``pair_share_floor(|c|, m)``.
     """
     if m < 3:
         raise BadPoleBlock("polygon index must be at least 3")
-    if eta < 0:
-        raise BadPoleBlock("eta must be nonnegative")
     if R <= 0:
         raise BudgetTooSmall("dominant share must be positive")
-    z = rho * complex(math.cos(theta), math.sin(theta))
-    if not in_polygon(z, m):
-        raise NotInPolygon(f"{z:.12g} is not inside the polygon with {m} edges")
-    floor = pair_share_floor(eta, m)
+    if not in_polygon(pole, m):
+        raise NotInPolygon(f"{pole:.12g} is not inside the polygon with {m} edges")
+    floor = pair_share_floor(abs(coeff), m)
     if floor > R * (1.0 + 1e-12):
         raise BudgetTooSmall(f"share {R:.6g} below the pair threshold {floor:.6g}")
 
     idx = np.arange(m)
     phis = 2.0 * np.pi * idx / m
     verts = np.exp(1j * phis)
-    A = _fan_weights(z, verts)[(idx[:, None] - idx) % m]
+    A = _fan_weights(pole, verts)[(idx[:, None] - idx) % m]
 
-    gx = eta * (math.cos(vartheta) - math.sin(vartheta))
-    gy = eta * (math.cos(vartheta) + math.sin(vartheta))
-    b = R * _fan_weights(complex(gx, gy) / (R * PAIR_ALPHA), verts)
+    g = complex(coeff.real - coeff.imag, coeff.real + coeff.imag)
+    b = R * _fan_weights(g / (R * PAIR_ALPHA), verts)
     c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
-    coeff = eta * complex(math.cos(vartheta), math.sin(vartheta))
-    return Block(
-        Realization(A, b, c),
-        "complex_pair",
-        float(R),
-        ((z, coeff), (z.conjugate(), coeff.conjugate())),
-    )
+    pole_terms = ((pole, coeff), (pole.conjugate(), coeff.conjugate()))
+    return Block(Realization(A, b, c), "complex_pair", float(R), pole_terms, floor)
 
 
 def dominant_remainder_block(R: float) -> Block:

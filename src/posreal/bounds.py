@@ -21,33 +21,6 @@ _HORIZON_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
-class RootBoundInput:
-    """Strictly decreasing positive bases with their polynomial degrees."""
-
-    bases: tuple[float, ...]
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        bases = tuple(float(b) for b in self.bases)
-        degrees = tuple(int(d) for d in self.degrees)
-        if len(bases) != len(degrees) or not bases:
-            raise ValueError("bases and degrees must be nonempty and aligned")
-        if any(b <= 0 for b in bases):
-            raise ValueError("bases must be positive")
-        if any(x <= y for x, y in zip(bases, bases[1:])):
-            raise ValueError("bases must be strictly decreasing")
-        if any(d < 0 for d in degrees):
-            raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "degrees", degrees)
-
-
-def exp_poly_root_bound(inp: RootBoundInput) -> int:
-    """Maximal number of distinct real roots of sum_j p_j(x) * base_j^x."""
-    return sum(d + 1 for d in inp.degrees) - 1
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     k0: int
     zero_indices: tuple[int, ...]

@@ -15,7 +15,6 @@ shift loop and the blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,7 @@ class BlockSummary:
     kind: str
     dim: int
     share: float  # as built: the carrier's includes the leftover
-    share_floor: float | None = None  # enforced floor: |c| real, 2^{3/2} eta / cos(pi/m) pair
+    share_floor: float | None = None  # the block's Block.share_floor, the least share its builder accepts
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,6 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
 
     cls = _reread(cls, pf)
     plan = budget(cls, mode)
-    n2, pairs = [], []  # the stop's floors, for the block summaries
-    term_floors(pf.terms, units, n2, pairs)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state
     shares = list(plan.n2_shares + plan.pair_shares)
@@ -208,20 +205,13 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         shares[carrier] += plan.leftover
     blocks = [positive_pole_block(lam, c) for lam, c in cls.n1_poles]
     blocks += [real_pole_block(lam, c, share) for (lam, c), share in zip(cls.n2_poles, shares)]
-    for pair, share in zip(cls.pair_assignments, shares[cls.n2 :]):
-        blk = complex_pair_block(
-            abs(pair.pole),
-            math.atan2(pair.pole.imag, pair.pole.real),
-            abs(pair.coeff),
-            math.atan2(pair.coeff.imag, pair.coeff.real),
-            pair.polygon_index,
-            share,
-        )
-        blocks.append(blk)
+    blocks += [
+        complex_pair_block(pair.pole, pair.coeff, pair.polygon_index, share)
+        for pair, share in zip(cls.pair_assignments, shares[cls.n2 :])
+    ]
     if carrier is None:  # no share was allocated, so the leftover is the whole unit
         blocks.append(dominant_remainder_block(plan.leftover))
-    floors = [None] * cls.n1 + n2 + pairs + [None]  # a remainder has no floor
-    summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, f) for b, f in zip(blocks, floors)]
+    summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, b.share_floor) for b in blocks]
     return assemble(blocks), prefix, plan, totals, summaries
 
 

@@ -646,7 +646,8 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
         raise NotPrimitive("dominant pole must be positive with a nonzero residue")
 
     reals: list[PoleTerm] = []
-    complexes: list[PoleTerm] = []
+    upper: list[PoleTerm] = []
+    lower: list[PoleTerm] = []
     for term in raw_terms:
         pole = complex(term.pole)
         coeffs = tuple(complex(c) for c in term.coeffs)
@@ -658,39 +659,28 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
                 rcs.append(complex(c.real, 0.0))
             reals.append(PoleTerm(complex(pole.real, 0.0), tuple(rcs)))
         else:
-            complexes.append(PoleTerm(pole, coeffs))
+            (upper if pole.imag > 0 else lower).append(PoleTerm(pole, coeffs))
 
+    # each upper term takes the first lower term, in input order, that is its conjugate
+    close = lambda a, b: abs(a.conjugate() - b) <= PAIR_RTOL * (1.0 + abs(b))
     paired: list[PoleTerm] = []
-    used = [False] * len(complexes)
-    for i, term in enumerate(complexes):
-        if used[i] or term.pole.imag < 0:
-            continue
-        partner = None
-        for j, other in enumerate(complexes):
-            if used[j] or j == i or other.pole.imag > 0:
-                continue
-            if (
-                other.order == term.order
-                and abs(other.pole.conjugate() - term.pole)
-                <= PAIR_RTOL * (1.0 + abs(term.pole))
-                and all(
-                    abs(oc.conjugate() - tc) <= PAIR_RTOL * (1.0 + abs(tc))
-                    for oc, tc in zip(other.coeffs, term.coeffs)
-                )
-            ):
-                partner = j
-                break
+    for term in upper:
+        partners = (
+            j
+            for j, other in enumerate(lower)
+            if other.order == term.order
+            and close(other.pole, term.pole)
+            and all(map(close, other.coeffs, term.coeffs))
+        )
+        partner = next(partners, None)
         if partner is None:
             raise ValueError(f"complex pole {term.pole:.12g} has no conjugate partner")
-        used[i] = used[partner] = True
-        pole = 0.5 * (term.pole + complexes[partner].pole.conjugate())
-        coeffs = tuple(
-            0.5 * (tc + oc.conjugate())
-            for tc, oc in zip(term.coeffs, complexes[partner].coeffs)
-        )
+        other = lower.pop(partner)
+        pole = 0.5 * (term.pole + other.pole.conjugate())
+        coeffs = tuple(0.5 * (tc + oc.conjugate()) for tc, oc in zip(term.coeffs, other.coeffs))
         paired.append(PoleTerm(pole, coeffs))
         paired.append(PoleTerm(pole.conjugate(), tuple(c.conjugate() for c in coeffs)))
-    if not all(used):
+    if lower:
         raise ValueError("complex pole terms do not form conjugate pairs")
 
     terms = tuple(sorted(reals + paired, key=_term_sort_key))

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -22,11 +23,8 @@ from posreal.errors import (
 from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf
 
 
-def pair_impulse(share, eta, vt, rho, th, K):
-    k = np.arange(K)
-    c = eta * complex(math.cos(vt), math.sin(vt))
-    lam = rho * complex(math.cos(th), math.sin(th))
-    return share + 2.0 * (c * lam**k).real
+def pair_impulse(share, coeff, pole, K):
+    return share + 2.0 * (coeff * pole ** np.arange(K)).real
 
 
 class TestRealization:
@@ -88,38 +86,35 @@ class TestRealPoleBlock:
 
 class TestComplexPairBlock:
     def test_small_pair_markov(self):
-        blk = pr.complex_pair_block(0.5, math.pi / 2, 0.01, 0.0, 3, 0.12)
-        want = pair_impulse(0.12, 0.01, 0.0, 0.5, math.pi / 2, 6)
+        blk = pr.complex_pair_block(0.5j, 0.01 + 0j, 3, 0.12)
+        want = pair_impulse(0.12, 0.01, 0.5j, 6)
         assert blk.realization.markov(6) == pytest.approx(want, rel=1e-12)
         assert want[:3] == pytest.approx([0.14, 0.12, 0.115])
 
     def test_eta_zero_reduces_to_constant(self):
-        blk = pr.complex_pair_block(0.3, 1.0, 0.0, 0.0, 4, 0.25)
+        blk = pr.complex_pair_block(cmath.rect(0.3, 1.0), 0j, 4, 0.25)
         assert blk.realization.markov(5) == pytest.approx(np.full(5, 0.25))
 
     def test_example1_pair_after_one_shift(self, example1_tf):
         pf = pr.normalize(pr.expand(example1_tf))
         _, pf = pr.shift_once(pf)
         pair = next(t for t in pf.terms if t.pole.imag > 0)
-        eta = abs(pair.coeffs[0])
-        vt = math.atan2(pair.coeffs[0].imag, pair.coeffs[0].real)
-        rho = abs(pair.pole)
-        th = math.atan2(pair.pole.imag, pair.pole.real)
-        share = pr.pair_share_floor(eta, 4)
-        assert share == pytest.approx(4.0 * eta)  # 2^{3/2} / cos(pi/4)
-        blk = pr.complex_pair_block(rho, th, eta, vt, 4, share)
+        coeff = pair.coeffs[0]
+        share = pr.pair_share_floor(abs(coeff), 4)
+        assert share == pytest.approx(4.0 * abs(coeff))  # 2^{3/2} / cos(pi/4)
+        blk = pr.complex_pair_block(pair.pole, coeff, 4, share)
         assert blk.dim == 4
-        want = pair_impulse(share, eta, vt, rho, th, 20)
+        want = pair_impulse(share, coeff, pair.pole, 20)
         assert blk.realization.markov(20) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_not_in_polygon(self):
         with pytest.raises(NotInPolygon):
-            pr.complex_pair_block(0.9, math.pi / 4, 0.01, 0.0, 3, 1.0)
+            pr.complex_pair_block(cmath.rect(0.9, math.pi / 4), 0.01 + 0j, 3, 1.0)
 
     def test_budget_threshold(self):
         with pytest.raises(BudgetTooSmall):
-            pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, 0.9 * pr.pair_share_floor(0.1, 3))
-        pr.complex_pair_block(0.5, math.pi / 2, 0.1, 0.0, 3, pr.pair_share_floor(0.1, 3))
+            pr.complex_pair_block(0.5j, 0.1 + 0j, 3, 0.9 * pr.pair_share_floor(0.1, 3))
+        pr.complex_pair_block(0.5j, 0.1 + 0j, 3, pr.pair_share_floor(0.1, 3))
 
     @given(
         st.integers(3, 40),
@@ -130,7 +125,8 @@ class TestComplexPairBlock:
     )
     def test_block_at_the_floor_is_nonnegative(self, m, eta, vt, r, th):
         # at R = floor, g/(R alpha) lies on the disc of radius cos(pi/m) that the m-gon contains
-        blk = pr.complex_pair_block(r * math.cos(math.pi / m), th, eta, vt, m, pr.pair_share_floor(eta, m))
+        pole, coeff = cmath.rect(r * math.cos(math.pi / m), th), cmath.rect(eta, vt)
+        blk = pr.complex_pair_block(pole, coeff, m, pr.pair_share_floor(abs(coeff), m))
         assert blk.realization.b.min() >= 0.0
         pr.assemble([blk])  # its first 20 Markov parameters match to relative 1e-9
 
@@ -151,14 +147,51 @@ class TestComplexPairBlock:
     def test_circulant_columns_are_the_rotated_pole(self, m, rho, th):
         # column k holds the fan weights of z v_k; rotating the polygon by
         # 2 pi/m makes them column 0 shifted down by k
-        assume(pr.in_polygon(rho * complex(math.cos(th), math.sin(th)), m))
-        blk = pr.complex_pair_block(rho, th, 0.1, 0.3, m, pr.pair_share_floor(0.1, m))
-        A, z = blk.realization.A, blk.pole_terms[0][0]
+        z = cmath.rect(rho, th)
+        assume(pr.in_polygon(z, m))
+        A = pr.complex_pair_block(z, cmath.rect(0.1, 0.3), m, pr.pair_share_floor(0.1, m)).realization.A
         verts = polygon(m)
         assert A.min() >= 0.0
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(verts @ A - z * verts).max() <= 1e-12
         assert all((np.roll(A[:, 0], k) == A[:, k]).all() for k in range(m))
+
+    def test_pole_terms_are_the_given_pair(self):
+        pole, coeff = 0.3 + 0.4j, 0.01 - 0.02j
+        blk = pr.complex_pair_block(pole, coeff, 5, 0.5)
+        assert blk.pole_terms == ((pole, coeff), (pole.conjugate(), coeff.conjugate()))
+
+
+class TestShareFloor:
+    """``Block.share_floor`` is the least share its builder accepts, or None for a share-free kind."""
+
+    @given(st.floats(0.0, 0.999), st.floats(1e-12, 1e12), st.floats(0.0, 1e12))
+    def test_share_free_kinds_have_none(self, lam, c, R):
+        assert pr.positive_pole_block(lam, c).share_floor is None
+        assert pr.dominant_remainder_block(R).share_floor is None
+
+    @given(st.floats(-0.999, 0.999), st.floats(-1e12, 1e12).filter(bool))
+    def test_real_pole_floor_is_tight(self, lam, c):
+        floor = pr.real_pole_block(lam, c, 2.0 * abs(c)).share_floor
+        assert floor == abs(c)
+        assert pr.real_pole_block(lam, c, floor).share_floor == floor
+        with pytest.raises(BudgetTooSmall):
+            pr.real_pole_block(lam, c, math.nextafter(abs(c), 0.0))
+
+    @given(
+        st.integers(3, 40),
+        st.floats(0.0, 0.999),
+        st.floats(0.0, math.pi),
+        st.floats(1e-12, 1e12),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_pair_floor_is_tight(self, m, r, th, eta, vt):
+        pole, coeff = cmath.rect(r * math.cos(math.pi / m), th), cmath.rect(eta, vt)
+        floor = pr.complex_pair_block(pole, coeff, m, 8.0 * eta).share_floor
+        assert floor == pr.pair_share_floor(abs(coeff), m)
+        assert pr.complex_pair_block(pole, coeff, m, floor).share_floor == floor
+        with pytest.raises(BudgetTooSmall):
+            pr.complex_pair_block(pole, coeff, m, floor * (1.0 - 2e-12))
 
 
 class TestBudget:
@@ -249,13 +282,13 @@ class TestAssemble:
             if rng.random() < 0.7:
                 m = int(rng.integers(3, 7))
                 while True:
-                    rho, th = rng.uniform(0.05, 0.9), rng.uniform(0.1, math.pi - 0.1)
-                    if pr.in_polygon(rho * np.exp(1j * th), m):
+                    z = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(0.1, math.pi - 0.1))
+                    if pr.in_polygon(z, m):
                         break
                 eta = rng.uniform(0.001, 0.3)
                 blocks.append(
                     pr.complex_pair_block(
-                        rho, th, eta, rng.uniform(-math.pi, math.pi), m,
+                        z, cmath.rect(eta, rng.uniform(-math.pi, math.pi)), m,
                         pr.pair_share_floor(eta, m) * rng.uniform(1, 2),
                     )
                 )
@@ -271,7 +304,7 @@ def one_block_of_each_kind():
     return [
         pr.positive_pole_block(0.3, 0.2),
         pr.real_pole_block(0.4, -0.64, 1.0),
-        pr.complex_pair_block(0.5, math.pi / 2, 0.01, 0.3, 3, 0.12),
+        pr.complex_pair_block(0.5j, cmath.rect(0.01, 0.3), 3, 0.12),
         pr.dominant_remainder_block(0.36),
     ]
 
@@ -398,12 +431,12 @@ def test_block_cone_certificates_on_random_blocks():
     for _ in range(100):
         m = int(rng.integers(3, 9))
         while True:
-            rho, th = rng.uniform(0.05, 0.95), rng.uniform(0.05, math.pi - 0.05)
-            if pr.in_polygon(rho * np.exp(1j * th), m):
+            z = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0.05, math.pi - 0.05))
+            if pr.in_polygon(z, m):
                 break
         eta = rng.uniform(1e-4, 0.4)
         blk = pr.complex_pair_block(
-            rho, th, eta, rng.uniform(-math.pi, math.pi), m,
+            z, cmath.rect(eta, rng.uniform(-math.pi, math.pi)), m,
             pr.pair_share_floor(eta, m) * rng.uniform(1.0, 2.0),
         )
         assert cone_residual(*cone_model(blk), blk.realization) < 1e-10
@@ -428,16 +461,7 @@ def test_dimension_accounting_matches_prediction():
         blocks = [pr.positive_pole_block(l, c) for l, c in cls.n1_poles]
         blocks += [pr.real_pole_block(l, c, s) for (l, c), s in zip(cls.n2_poles, shares)]
         for pair, s in zip(cls.pair_assignments, shares[cls.n2 :]):
-            blocks.append(
-                pr.complex_pair_block(
-                    abs(pair.pole),
-                    math.atan2(pair.pole.imag, pair.pole.real),
-                    abs(pair.coeff),
-                    math.atan2(pair.coeff.imag, pair.coeff.real),
-                    pair.polygon_index,
-                    s,
-                )
-            )
+            blocks.append(pr.complex_pair_block(pair.pole, pair.coeff, pair.polygon_index, s))
         if not carriers:
             blocks.append(pr.dominant_remainder_block(plan.leftover))
         asm = pr.assemble(blocks)

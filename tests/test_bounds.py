@@ -89,23 +89,6 @@ class TestQuadraticOrderBound:
                 assert K * (K + 1) // 2 - 1 + K * K < N
 
 
-class TestExpPolyRootBound:
-    def test_single_exponential(self):
-        assert pr.exp_poly_root_bound(pr.RootBoundInput((0.5,), (0,))) == 0
-
-    def test_two_simple(self):
-        assert pr.exp_poly_root_bound(pr.RootBoundInput((0.9, 0.5), (0, 0))) == 1
-
-    def test_with_degrees(self):
-        assert pr.exp_poly_root_bound(pr.RootBoundInput((0.9, 0.5), (2, 1))) == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pr.RootBoundInput((0.5, 0.9), (0, 0))
-        with pytest.raises(ValueError):
-            pr.RootBoundInput((0.5, -0.1), (0, 0))
-
-
 class TestBoundsReport:
     def test_family_ten(self):
         rep = pr.bounds_report(hn_tf(10))
@@ -153,29 +136,6 @@ def test_horizon_soundness_random():
         tf = pr.recombine(pf)
         t = pr.impulse_response(tf, horizon + 100)
         assert np.all(t[horizon:] > 0)
-
-
-def test_exp_poly_sign_changes_stay_within_bound():
-    rng = np.random.default_rng(29)
-    x = np.linspace(0.0, 200.0, 2001)
-    for _ in range(100):
-        r = int(rng.integers(1, 4))
-        bases = np.sort(rng.uniform(0.05, 1.5, size=r))[::-1]
-        while np.any(np.diff(-bases) <= 0.02):
-            bases = np.sort(rng.uniform(0.05, 1.5, size=r))[::-1]
-        degrees = rng.integers(0, 3, size=r)
-        f = np.zeros_like(x)
-        for base, deg in zip(bases, degrees):
-            coeffs = rng.uniform(-3.0, 3.0, size=deg + 1)
-            if abs(coeffs[-1]) < 0.1:
-                coeffs[-1] = 0.5
-            f += np.polynomial.polynomial.polyval(x, coeffs) * base**x
-        signs = np.sign(f)
-        flips = int(np.sum(signs[:-1] * signs[1:] < 0))
-        bound = pr.exp_poly_root_bound(
-            pr.RootBoundInput(tuple(bases), tuple(int(d) for d in degrees))
-        )
-        assert flips <= bound
 
 
 def _just_below_zero(eps: float) -> pr.TransferFunction:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -212,11 +213,11 @@ class TestConeCheck:
         assert cone_residual(tf_real.A, np.eye(3), tf_real.b, tf_real.c, tf_real) == 0.0
 
     def test_pair_block_internals(self):
-        blk = pr.complex_pair_block(0.5, np.pi / 2, 0.01, 0.2, 4, 0.5)
+        blk = pr.complex_pair_block(0.5j, cmath.rect(0.01, 0.2), 4, 0.5)
         assert cone_residual(*cone_model(blk), blk.realization) < 1e-10
 
     def test_perturbed_p_fails(self):
-        blk = pr.complex_pair_block(0.5, np.pi / 2, 0.01, 0.2, 4, 0.5)
+        blk = pr.complex_pair_block(0.5j, cmath.rect(0.01, 0.2), 4, 0.5)
         F, P, g, h = cone_model(blk)
         P = P.copy()
         P[0, 0] += 0.1
@@ -229,17 +230,15 @@ def test_cone_pass_implies_markov_pass_for_blocks():
     for _ in range(30):
         m = int(rng.integers(3, 7))
         while True:
-            rho, th = rng.uniform(0.1, 0.9), rng.uniform(0.1, np.pi - 0.1)
-            if pr.in_polygon(rho * np.exp(1j * th), m):
+            lam = cmath.rect(rng.uniform(0.1, 0.9), rng.uniform(0.1, np.pi - 0.1))
+            if pr.in_polygon(lam, m):
                 break
         eta = rng.uniform(1e-3, 0.3)
-        vt = rng.uniform(-np.pi, np.pi)
+        c = cmath.rect(eta, rng.uniform(-np.pi, np.pi))
         share = pr.pair_share_floor(eta, m) * rng.uniform(1.0, 1.5)
-        blk = pr.complex_pair_block(rho, th, eta, vt, m, share)
+        blk = pr.complex_pair_block(lam, c, m, share)
         assert cone_residual(*cone_model(blk), blk.realization) < 1e-10
         k = np.arange(25)
-        lam = rho * np.exp(1j * th)
-        c = eta * np.exp(1j * vt)
         want = share + 2.0 * (c * lam**k).real
         got = blk.realization.markov(25)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-10

@@ -6,9 +6,10 @@ request to the next, so a timed request would not redo its work), only
 ``TransferFunction.__post_init__`` solves for the poles (``companion_roots``),
 so each transfer function pays for one eigen-solve, only
 ``pair_share_floor`` reads ``PAIR_BUDGET_COEFF``, so the pair floor has one
-formula, and only ``shift_once`` builds objects past their constructors'
+formula, only ``shift_once`` builds objects past their constructors'
 checks (``tf._unvalidated``), from values of a partial fraction that passed
-them.
+them, and only ``blocks._fan_weights`` reads ``atan2``, so no caller puts a
+pair in polar form.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -243,6 +244,13 @@ def test_only_the_shift_skips_the_constructors():
     # any other caller of _unvalidated would bypass the checks on fresh values
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "_unvalidated") == {"tf.py": ["shift_once"]}
+
+
+def test_only_the_fan_solve_reads_an_angle():
+    # the pair builder takes the pole and coefficient as complex numbers, so no
+    # caller converts a pair to polar form; only the fan picks its triangle by angle
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "atan2") == {"blocks.py": ["_fan_weights"]}
 
 
 def test_import_checker_finds_package_imports():

@@ -279,16 +279,7 @@ def _reference_stage(pf, mode, cap_override):
     blocks = [pr.positive_pole_block(lam, c) for lam, c in cls.n1_poles]
     blocks += [pr.real_pole_block(lam, c, s) for (lam, c), s in zip(cls.n2_poles, shares)]
     for pair, s in zip(cls.pair_assignments, shares[cls.n2 :]):
-        blocks.append(
-            pr.complex_pair_block(
-                abs(pair.pole),
-                math.atan2(pair.pole.imag, pair.pole.real),
-                abs(pair.coeff),
-                math.atan2(pair.coeff.imag, pair.coeff.real),
-                pair.polygon_index,
-                s,
-            )
-        )
+        blocks.append(pr.complex_pair_block(pair.pole, pair.coeff, pair.polygon_index, s))
     summaries = [pr.BlockSummary(blk.kind, blk.dim, 0.0) for blk in blocks[: cls.n1]]
     summaries += [
         pr.BlockSummary(blk.kind, blk.dim, s, f)
@@ -403,6 +394,7 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     count("floor_units", blocksmod, realizermod)
     count("pair_share_floor", blocksmod)
     count("share_floors", blocksmod)
+    count("term_floors", blocksmod, realizermod)
     count("budget", realizermod)
     count("leading_impulse", tfmod, realizermod)
     builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
@@ -420,6 +412,8 @@ def test_each_pole_is_paid_for_once(monkeypatch):
         assert shifts[mode] > 20
         assert calls["minimal_polygon_index"] == 1
         assert calls["budget"] == 1
+        # one floor pass per loop pass (the stopping one included), one in budget
+        assert calls["term_floors"] == shifts[mode] + 2
         # once for the sign tolerance, then inside each shift_once
         assert calls["leading_impulse"] == shifts[mode] + 1
         built = Counter(f"{b.kind}_block" for b in out.trace.blocks)

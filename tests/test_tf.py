@@ -373,6 +373,59 @@ class TestShiftOnce:
         assert nxt.terms == ()
 
 
+UPPER = pr.PoleTerm(0.1 + 0.3j, (0.02 + 0.01j,))
+LOWER = pr.PoleTerm(0.1 - 0.3j, (0.02 - 0.01j,))
+
+
+class TestBuildPartialFraction:
+    """Every way ``build_partial_fraction`` refuses supplied terms, and its symmetrized pairs."""
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([UPPER], "complex pole 0.1\\+0.3j has no conjugate partner"),
+            ([LOWER], "complex pole terms do not form conjugate pairs"),
+            ([UPPER, LOWER, LOWER], "complex pole terms do not form conjugate pairs"),
+            # a lower term of another order, or off by more than 1e-9 relative, is not a partner
+            ([UPPER, pr.PoleTerm(0.1 - 0.3j, (0.02 - 0.01j, 0.1))], "has no conjugate partner"),
+            ([UPPER, pr.PoleTerm(0.1 + 2e-9 - 0.3j, (0.02 - 0.01j,))], "has no conjugate partner"),
+            ([UPPER, pr.PoleTerm(0.1 - 0.3j, (0.02 - 0.01j + 2e-9,))], "has no conjugate partner"),
+            ([pr.PoleTerm(0.5, (0.2 + 1e-6j,))], "real pole carries a non-real coefficient"),
+            ([pr.PoleTerm(0.5, (0.2,)), pr.PoleTerm(0.5, (0.3,))], "pairwise distinct poles"),
+            ([UPPER, LOWER, UPPER, LOWER], "pairwise distinct poles"),
+        ],
+    )
+    def test_malformed_terms_raise_value_error(self, terms, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            pr.build_partial_fraction(1.0, 1.0, terms)
+        assert not isinstance(exc.value, NotPrimitive)
+
+    @pytest.mark.parametrize(
+        "lam0, gamma, terms, message",
+        [
+            (1.0, 1.0, [pr.PoleTerm(-1.0, (0.2,))], "reaches the dominant modulus"),
+            (1.0, 1.0, [pr.PoleTerm(1j, (0.2,)), pr.PoleTerm(-1j, (0.2,))], "reaches the dominant modulus"),
+            (0.0, 1.0, [], "dominant pole must be positive with a nonzero residue"),
+            (-1.0, 1.0, [], "dominant pole must be positive with a nonzero residue"),
+            (1.0, 0.0, [], "dominant pole must be positive with a nonzero residue"),
+        ],
+    )
+    def test_non_primitive_input_raises(self, lam0, gamma, terms, message):
+        with pytest.raises(NotPrimitive, match=message):
+            pr.build_partial_fraction(lam0, gamma, terms)
+
+    def test_near_conjugates_come_back_exactly_symmetric(self):
+        # the lower term is listed first and sits 1e-12 off the conjugate
+        lower = pr.PoleTerm(0.1 + 1e-12 - 0.3j, (0.02 + 1e-12 - 0.01j, 0.05 - 1e-12 + 0.04j))
+        upper = pr.PoleTerm(0.1 + 0.3j, (0.02 + 0.01j, 0.05 - 0.04j))
+        pf = pr.build_partial_fraction(1.0, 1.0, [lower, pr.PoleTerm(0.5 + 1e-12j, (0.2,)), upper])
+        up, down, real = pf.terms
+        assert (real.pole, real.coeffs) == (0.5, (0.2,))
+        assert up.pole.imag > 0 and up.pole == pytest.approx(0.1 + 0.5e-12 + 0.3j, abs=1e-15)
+        assert down.pole == up.pole.conjugate()
+        assert down.coeffs == tuple(c.conjugate() for c in up.coeffs)
+
+
 class TestIterationEstimate:
     def test_all_positive_terms(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.5 + 0j,)),))
