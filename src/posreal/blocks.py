@@ -30,6 +30,7 @@ from .errors import (
     NotInPolygon,
 )
 from .geometry import PoleClassification, in_polygon
+from .tf import CONSERVATIVE_LIMIT
 
 CLAMP_WINDOW = 1e-12
 
@@ -39,7 +40,6 @@ CLAMP_WINDOW = 1e-12
 # enough at alpha = 1/2, and tight: along an edge normal the disc touches the edge.
 PAIR_ALPHA = 0.5
 PAIR_BUDGET_COEFF = 2.0**1.5
-CONSERVATIVE_LIMIT = 2.0**-2.5
 
 
 def _clamped(arr: np.ndarray, what: str) -> np.ndarray:

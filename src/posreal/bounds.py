@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NegativeImpulse, NonpositiveDominantResidue, NotApplicable, PosrealError
-from .tf import PartialFraction, TransferFunction, expand, impulse_response, normalize
+from .errors import NonpositiveDominantResidue, NotApplicable, PosrealError
+from .tf import PartialFraction, TransferFunction, _normalized_impulse, _zero_band, expand, normalize
 
 _HORIZON_GUARD = 1_000_000
 
@@ -70,42 +70,35 @@ def positivity_horizon(pf: PartialFraction) -> int:
 
 
 def _certified_scan(tf: TransferFunction, pf: PartialFraction):
-    """Normalized impulse values up to the certified horizon, with their zero tolerance.
+    """Normalized impulse values t~ up to the certified horizon, and the horizon.
 
-    ``pf`` is the expansion of ``tf``, with dominant term g/(z - l0); the
-    values are t~_k = t_k / (s l0^(k-1)) below the positivity horizon of
-    the s-scaled terms, s = g for g > 0.  For g < 0, s = |g|/2 gives t~_k <=
-    -2 + envelope(k) < -1 at the horizon, so a negative value is found
-    unless rounding hides it, and then ``NonpositiveDominantResidue`` says
-    so.  The first t~_k below -tol, tol = 1e-9 * (1 + max |t~_k|), raises
-    ``NegativeImpulse`` with its index and t_k.  Returns (t~, tol, horizon).
+    ``pf`` is the expansion of ``tf``, with dominant term g/(z - l0); t~_k =
+    t_k / (s l0^(k-1)) below the positivity horizon of the s-scaled terms,
+    s = g for g > 0.  For g < 0, s = |g|/2 gives t~_k <= -2 + envelope(k) <
+    -1 at the horizon, so a witness (``NegativeImpulse``) is found unless
+    rounding hides it, and then ``NonpositiveDominantResidue`` says so.
     """
     gamma = pf.dominant_residue
     npf = normalize(replace(pf, dominant_residue=gamma if gamma > 0 else -gamma / 2))
     horizon = positivity_horizon(npf)
-    t = impulse_response(tf, horizon)
-    tnorm = t / (npf.scale_gamma * npf.pole_scale ** np.arange(horizon))
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(tnorm))))
-    neg = np.nonzero(tnorm < -tol)[0]
-    if neg.size:
-        raise NegativeImpulse(int(neg[0]) + 1, float(t[neg[0]]))
+    tnorm = _normalized_impulse(tf, npf, horizon)
     if gamma < 0:
         raise NonpositiveDominantResidue(
             f"dominant residue {gamma:.6g} is not positive; no impulse value up to "
             f"the certified horizon {horizon} is below the rounding tolerance"
         )
-    return tnorm, tol, horizon
+    return tnorm, horizon
 
 
 def zero_pattern(tf: TransferFunction):
     """Locate the impulse-response zeros below the certified horizon.
 
     Returns (k0, zero_indices, horizon_used), the zeros being the t~_k within
-    the scan tolerance of zero (zeros and signs are scale-invariant); a
-    negative value raises ``NegativeImpulse`` as ``_certified_scan`` says.
+    the zero band (zeros and signs are scale-invariant); a negative value
+    raises ``NegativeImpulse`` as ``_certified_scan`` says.
     """
-    tnorm, tol, horizon = _certified_scan(tf, expand(tf))
-    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= tol)[0])
+    tnorm, horizon = _certified_scan(tf, expand(tf))
+    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= _zero_band(tnorm[0]))[0])
     k0 = max(zeros) if zeros else 0
     return k0, zeros, horizon
 
@@ -141,7 +134,7 @@ def quadratic_order_bound(N: int) -> int:
 def bounds_report(tf: TransferFunction) -> BoundsReport:
     """Zero pattern plus whichever lower bounds apply."""
     k0, zeros, horizon = zero_pattern(tf)
-    pf = normalize(expand(tf))
+    pf = expand(tf)  # as it is: cone_order_bound reads pole signs and the degree, which normalize keeps
     try:
         theo2 = cone_order_bound(pf, k0)
     except NotApplicable:

@@ -47,7 +47,8 @@ from .tf import (
     PartialFraction,
     TransferFunction,
     expand,
-    impulse_response,
+    _normalized_impulse,
+    _zero_band,
     iteration_estimate,
     leading_impulse,
     normalize,
@@ -124,11 +125,11 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
         if pf.dominant_residue < 0:
             _certified_scan(tf, pf)  # always raises: NegativeImpulse, or the residue at rounding level
         pf = normalize(pf)
+        staged = stage(pf)
     except (NotPrimitive, NonpositiveDominantResidue) as exc:
         return Unsupported(str(exc))
     except NegativeImpulse as exc:
         return NoPositiveRealization(exc.index, exc.value)
-    staged = stage(pf)
     if not isinstance(staged, tuple):
         return staged
     core, prefix, plan, totals, summaries = staged
@@ -168,7 +169,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     """``realize``'s stage: shift until the budget fits, then build and assemble the blocks."""
     if any(t.order > 1 for t in pf.terms):
         return Unsupported("multiple non-dominant poles are not constructed here")
-    neg_tol = 1e-10 * (1.0 + abs(leading_impulse(pf)))
+    band = _zero_band(leading_impulse(pf))
     cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
 
     cls = classify(pf)
@@ -183,16 +184,15 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         totals.append(total)
         needed, limit = _stop_rule(mode, n2_sum, eta_sum, pair_sum)
         # No sign check on stopping: the floors |c| and 2^{3/2} eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
-        # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -neg_tol.
+        # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -band.
         if needed <= limit:
             break
-        # a negative t~_m wins over the cap: shift once more and report it below
-        if len(prefix) >= cap and leading_impulse(pf) >= -neg_tol:
-            return IterationCapExceeded(cap)
         t, pf = shift_once(pf)
-        if t < -neg_tol:
+        if t < -band:  # a witness wins over the cap
             m = len(prefix) + 1
             return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
+        if len(prefix) >= cap:
+            return IterationCapExceeded(cap)
         prefix.append(t if t > 0 else 0.0)
 
     cls = _reread(cls, pf)
@@ -236,16 +236,10 @@ def realize(
 
 
 def _base_check(tf: TransferFunction, pf: PartialFraction, base: Realization, m: int):
-    """``realize_with_base``'s stage: the prefix t~_1 .. t~_{m-1} and a check of the base."""
+    """``realize_with_base``'s stage: the prefix t~_1 .. t~_{m-1} and a check of the base, or a witness."""
     need = m - 1 + _BASE_HORIZON
-    t = impulse_response(tf, need)
-    tnorm = t / (pf.scale_gamma * pf.pole_scale ** np.arange(need))
-    neg_tol = 1e-10 * (1.0 + abs(tnorm[0]))
-    prefix = tnorm[: m - 1].copy()
-    bad = np.nonzero(prefix < -neg_tol)[0]
-    if bad.size:
-        return NoPositiveRealization(int(bad[0]) + 1, float(t[bad[0]]))
-    prefix[prefix < 0] = 0.0
+    tnorm = _normalized_impulse(tf, pf, need)
+    prefix = tnorm[: m - 1].clip(min=0.0)
 
     got = base.markov(_BASE_HORIZON)
     want = tnorm[m - 1 :]
@@ -274,8 +268,8 @@ def realize_with_base(
 
     ``base`` takes the place of ``realize``'s shift loop and blocks.  It
     must reproduce the normalized impulse values t_m, t_{m+1}, ... (checked
-    over 50 terms at relative 1e-8); the prefix t_1 .. t_{m-1} must be
-    nonnegative.
+    over 50 terms at relative 1e-8); a negative value among t_1 .. t_{m+49}
+    is a witness, as in ``realize``.
     """
     if m < 1:
         raise ValueError("shift index m must be at least 1")

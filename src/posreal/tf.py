@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ExpansionFailed,
     MultiplePoleUnsupported,
+    NegativeImpulse,
     NonpositiveDominantResidue,
     NotCoprime,
     NotPrimitive,
@@ -32,6 +33,9 @@ from .errors import (
 PAIR_RTOL = 1e-9
 DOMINANCE_RTOL = 1e-9
 RECONSTRUCT_RTOL = 1e-8
+
+# The sum rule stops the shifts once the plain sum of the non-gain |c| is at most this.
+CONSERVATIVE_LIMIT = 2.0**-2.5
 
 # Root clusters are formed at increasing radii until the reconstruction
 # check passes; the first rung keeps well-separated simple poles intact,
@@ -222,21 +226,14 @@ def _reject_common_roots(tf: TransferFunction) -> None:
 
 
 def _cluster_indices(roots: np.ndarray, radius: float) -> list[list[int]]:
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    close = np.triu(np.abs(roots[:, None] - roots[None, :]) <= radius, 1)
-    for i, j in zip(*np.nonzero(close)):
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    """Index groups of the roots linked by chains of steps within ``radius``, each in index order."""
+    reach = np.abs(roots[:, None] - roots[None, :]) <= radius
+    if np.count_nonzero(reach) > len(roots):  # some pair is close: close the relation by squaring
+        for _ in range(len(roots).bit_length()):
+            reach = (reach.astype(float) @ reach) > 0
+    groups: dict[int, list[int]] = {}  # keyed by each component's first index
+    for i, first in enumerate(reach.argmax(axis=1).tolist()):
+        groups.setdefault(first, []).append(i)
     return list(groups.values())
 
 
@@ -502,6 +499,22 @@ def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
     return t
 
 
+def _zero_band(t1: float) -> float:
+    """Half-width of the band in which a normalized impulse value is zero (below it, a witness), for
+    t~_1 = ``t1``: rounding leaves a true zero below 4e-15 (1 + |t~_1|), four decades inside."""
+    return 1e-10 * (1.0 + abs(t1))
+
+
+def _normalized_impulse(tf: TransferFunction, pf: PartialFraction, K: int) -> np.ndarray:
+    """t~_k = t_k / (g l0^(k-1)), k = 1 .. K, at ``pf``'s scaling; ``NegativeImpulse(k, t_k)`` at a witness."""
+    t = impulse_response(tf, K)
+    tnorm = t / (pf.scale_gamma * pf.pole_scale ** np.arange(K))
+    neg = np.nonzero(tnorm < -_zero_band(tnorm[0]))[0]
+    if neg.size:
+        raise NegativeImpulse(int(neg[0]) + 1, float(t[neg[0]]))
+    return tnorm
+
+
 def _require_normalized(pf: PartialFraction) -> None:
     if not pf.is_normalized:
         raise ValueError("operation requires a normalized partial fraction")
@@ -569,7 +582,7 @@ def iteration_estimate(pf: PartialFraction) -> int:
 
     Only poles that are not nonnegative real with nonnegative residue count;
     their coefficients contract by max|lam| each shift, so
-    ceil(|log(2^{5/2} n max|c|) / log max|lam||) shifts suffice.
+    ceil(|log(n max|c| / CONSERVATIVE_LIMIT) / log max|lam||) shifts suffice.
     """
     _require_normalized(pf)
     if any(t.order > 1 for t in pf.terms):
@@ -583,7 +596,7 @@ def iteration_estimate(pf: PartialFraction) -> int:
         return 1
     maxc = max(abs(t.coeffs[0]) for t in counted)
     maxl = max(abs(t.pole) for t in counted)
-    arg = 2**2.5 * len(counted) * maxc
+    arg = len(counted) * maxc / CONSERVATIVE_LIMIT
     if arg <= 1.0 or maxl == 0.0:
         return 1
     if maxl >= 1.0:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import posreal as pr
+import posreal.realizer as realizermod
 from posreal.errors import NegativeImpulse, NotApplicable
 
-from conftest import hn_pf, hn_tf
+from conftest import hn_pf, hn_tf, scaled_pf
 
 
 class TestZeroPattern:
@@ -138,24 +141,16 @@ def test_horizon_soundness_random():
         assert np.all(t[horizon:] > 0)
 
 
-def _just_below_zero(eps: float) -> pr.TransferFunction:
-    """H^4 with its last residue shrunk by eps, so t_3 = -3 eps lies just below zero."""
-    return pr.recombine(
-        pr.PartialFraction(
-            1.0, 1.0, (pr.PoleTerm(0.4, (-25.0,)), pr.PoleTerm(0.2, (75.0 * (1.0 - eps),)))
-        )
-    )
+def _just_below_zero(eps: float, gain: float = 1.0, lam0: float = 1.0) -> pr.TransferFunction:
+    """H^4 with its last residue shrunk by eps, so t~_3 = -3 eps lies just below zero,
+    at gain ``gain`` and dominant pole ``lam0``."""
+    pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.4, (-25.0,)), pr.PoleTerm(0.2, (75.0 * (1.0 - eps),))))
+    return pr.recombine(scaled_pf(pf, gain, lam0))
 
 
-# The shift loop calls t~ < -1e-10 (1 + |t~_1|) a witness, while the scan calls
-# |t~| <= 1e-9 (1 + max |t~|) a zero; between the two, realize refuses with a
-# witness and bounds reports a zero.
-DISAGREE = pytest.mark.xfail(strict=True, reason="realize and bounds use different zero tolerances")
-
-
-@pytest.mark.parametrize(
-    "eps", [1e-9, pytest.param(5e-9, marks=DISAGREE), pytest.param(1e-8, marks=DISAGREE), 2e-8]
-)
+# Both read the zero band of tf._zero_band: realize's witness is bounds' witness,
+# and a value inside the band is a zero for both.
+@pytest.mark.parametrize("eps", [1e-9, 5e-9, 1e-8, 2e-8])
 def test_realize_and_bounds_agree_just_below_zero(eps):
     tf = _just_below_zero(eps)
     out = pr.realize(tf)
@@ -167,3 +162,19 @@ def test_realize_and_bounds_agree_just_below_zero(eps):
         assert out.witness_value == pytest.approx(exc.value, rel=1e-6)
     else:
         assert isinstance(out, pr.Realized)
+
+
+@given(st.floats(-11.0, -6.0), st.floats(-8.0, 8.0), st.floats(0.5, 2.0))
+def test_realize_and_bounds_name_one_witness_at_any_scale(log_eps, log_gain, lam0):
+    # t~_3 = -3 eps crosses the zero band at eps ~ 1.7e-9; on either side both agree.
+    # realize's shift loop decides the sign, so its outcome is read before verification:
+    # markov_check compares unnormalized values, and at large gain it refuses an in-band
+    # value clipped to 0.
+    tf = _just_below_zero(10.0**log_eps, 10.0**log_gain, lam0)
+    out = realizermod._shift_and_build(pr.normalize(pr.expand(tf)), "per_pole", None)
+    try:
+        pr.bounds_report(tf)
+        witness = None
+    except NegativeImpulse as exc:
+        witness = exc.index
+    assert getattr(out, "witness_index", None) == witness

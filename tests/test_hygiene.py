@@ -8,8 +8,11 @@ so each transfer function pays for one eigen-solve, only
 ``pair_share_floor`` reads ``PAIR_BUDGET_COEFF``, so the pair floor has one
 formula, only ``shift_once`` builds objects past their constructors'
 checks (``tf._unvalidated``), from values of a partial fraction that passed
-them, and only ``blocks._fan_weights`` reads ``atan2``, so no caller puts a
-pair in polar form.
+them, only ``blocks._fan_weights`` reads ``atan2``, so no caller puts a
+pair in polar form, the sum rule's stop and the shift cap read one
+``CONSERVATIVE_LIMIT``, and one zero band (``tf._zero_band``) decides an
+impulse value's sign: no 1e-9 or 1e-10 tolerance is multiplied out in
+``realizer`` or ``bounds``.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  Only the standard library is used, so the checks run
@@ -251,6 +254,50 @@ def test_only_the_fan_solve_reads_an_angle():
     # caller converts a pair to polar form; only the fan picks its triangle by angle
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "atan2") == {"blocks.py": ["_fan_weights"]}
+
+
+def test_one_sum_rule_constant():
+    # the shift cap follows the limit the sum rule stops at
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "CONSERVATIVE_LIMIT") == {
+        "blocks.py": ["_stop_rule"],
+        "tf.py": ["iteration_estimate"],
+    }
+
+
+def tolerance_literals(source: str) -> list[int]:
+    """Lines of ``source`` that multiply by the literal 1e-9 or 1e-10."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(isinstance(x, ast.Constant) and x.value in (1e-9, 1e-10) for x in sides):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_one_zero_band():
+    # the shift loop, the normalized scan (bounds' and the base lift's) and the zero count
+    # read one band; neither realizer nor bounds keeps a tolerance of its own
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "_zero_band") == {
+        "bounds.py": ["zero_pattern"],
+        "realizer.py": ["_shift_and_build"],
+        "tf.py": ["_normalized_impulse"],
+    }
+    assert reader_scopes(sources, "_normalized_impulse") == {
+        "bounds.py": ["_certified_scan"],
+        "realizer.py": ["_base_check"],
+    }
+    assert {m: tolerance_literals(sources[m]) for m in ("realizer.py", "bounds.py")} == {
+        "realizer.py": [],
+        "bounds.py": [],
+    }
+
+
+def test_checker_flags_tolerance_literals():
+    source = "tol = 1e-9 * (1.0 + x)\nneg = (1 + y) * 1e-10\nok = 1e-8 * x\nalso = 1e-9 + x\n"
+    assert tolerance_literals(source) == [1, 2]
 
 
 def test_import_checker_finds_package_imports():

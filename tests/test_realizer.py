@@ -156,6 +156,13 @@ class TestRealizeWithBase:
         assert pr.realize(tf) == expected
         assert pr.realize_with_base(tf, one_state, 1) == expected
 
+    def test_witness_in_the_tail_gives_witness(self):
+        # 1/(z-1) + 1.2/(z+0.9): the prefix for m = 2 is t_1 = 2.2, and the tail opens with t_2 = -0.08
+        tf = pr.recombine(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(-0.9 + 0j, (1.2 + 0j,)),)))
+        expected = pr.NoPositiveRealization(2, pytest.approx(-0.08, abs=1e-12))
+        assert pr.realize(tf) == expected
+        assert pr.realize_with_base(tf, ONE_STATE, 2) == expected
+
 
 def test_random_realize_soundness_small():
     rng = np.random.default_rng(17)

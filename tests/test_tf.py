@@ -723,3 +723,43 @@ def test_normalize_round_trip(pf, gamma, lam0):
     for a, b in zip(back.terms, raw.terms):
         assert a.pole == pytest.approx(b.pole, rel=1e-12)
         assert a.coeffs[0] == pytest.approx(b.coeffs[0], rel=1e-12)
+
+
+def _components(roots, radius):
+    """Reference for tf._cluster_indices: depth-first search over the pairs within ``radius``."""
+    groups, seen = [], set()
+    for start in range(len(roots)):
+        if start in seen:
+            continue
+        seen.add(start)
+        group, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            group.append(i)
+            near = [j for j in range(len(roots)) if j not in seen and abs(roots[i] - roots[j]) <= radius]
+            seen.update(near)
+            todo += near
+        groups.append(sorted(group))
+    return groups
+
+
+@given(
+    st.lists(
+        st.tuples(st.complex_numbers(max_magnitude=2.0), st.lists(st.floats(0.3, 1.5), max_size=6)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(-10.0, -1.0),
+    st.randoms(use_true_random=False),
+)
+def test_root_clusters_are_the_chained_components(walks, log_radius, rnd):
+    # walks in steps near the radius, so single links chain past it; shuffled, so group order shows
+    radius = 10.0**log_radius
+    roots = []
+    for start, steps in walks:
+        roots.append(start)
+        for step in steps:
+            roots.append(roots[-1] + step * radius)
+    rnd.shuffle(roots)
+    roots = np.array(roots, dtype=complex)
+    assert tfmod._cluster_indices(roots, radius) == _components(roots, radius)
