@@ -34,12 +34,14 @@ from .tf import CONSERVATIVE_LIMIT
 
 CLAMP_WINDOW = 1e-12
 
-# Half-width alpha of a pair block's generating cone.  The input g = (g_x, g_y, R)
-# is in the cone iff (g_x, g_y)/(R alpha) is in the m-gon, which holds the disc of
-# radius cos(pi/m); as |(g_x, g_y)| = sqrt(2) |c|, R >= 2^{3/2} |c| / cos(pi/m) is
-# enough at alpha = 1/2, and tight: along an edge normal the disc touches the edge.
-PAIR_ALPHA = 0.5
-PAIR_BUDGET_COEFF = 2.0**1.5
+# Half-width alpha of a pair block's generating cone, the widest whose output row
+# c_k = 1 + alpha (cos phi_k + sin phi_k) = 1 + sqrt(2) alpha sin(phi_k + pi/4) stays
+# nonnegative for every m.  The input g = (g_x, g_y, R) is in the cone iff
+# (g_x, g_y)/(R alpha) is in the m-gon, which holds the disc of radius cos(pi/m); as
+# |(g_x, g_y)| = sqrt(2) |c|, R >= 2 |c| / cos(pi/m) is enough at alpha = 1/sqrt(2),
+# and tight: along an edge normal the disc touches the edge.
+PAIR_ALPHA = 2.0**-0.5
+PAIR_BUDGET_COEFF = 2.0
 
 
 def _clamped(arr: np.ndarray, what: str) -> np.ndarray:

@@ -183,7 +183,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
         needed, limit = _stop_rule(mode, n2_sum, eta_sum, pair_sum)
-        # No sign check on stopping: the floors |c| and 2^{3/2} eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
+        # No sign check on stopping: the floors |c| and 2 eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
         # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -band.
         if needed <= limit:
             break

@@ -101,7 +101,7 @@ class TestComplexPairBlock:
         pair = next(t for t in pf.terms if t.pole.imag > 0)
         coeff = pair.coeffs[0]
         share = pr.pair_share_floor(abs(coeff), 4)
-        assert share == pytest.approx(4.0 * abs(coeff))  # 2^{3/2} / cos(pi/4)
+        assert share == pytest.approx(2.0**1.5 * abs(coeff), rel=1e-15)  # 2 / cos(pi/4)
         blk = pr.complex_pair_block(pair.pole, coeff, 4, share)
         assert blk.dim == 4
         want = pair_impulse(share, coeff, pair.pole, 20)

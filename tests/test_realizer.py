@@ -324,7 +324,7 @@ def shift_loop_inputs(draw):
 LAMBDA_ZERO = _pf((0.0, -0.3), (-0.8, 0.9), (0.5, -0.2))  # the lam = 0 term vanishes after shift 1
 LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
 NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
-DEEP = _pf((cmath.rect(0.97, 0.1), cmath.rect(0.6, 1.0)), (-0.93, 0.5), (0.4, -0.3))  # 23 shifts per pole, 64 by sum
+DEEP = _pf((cmath.rect(0.98, 0.05), cmath.rect(0.6, 1.0)), (-0.96, 0.5), (0.4, -0.3))  # 24 shifts per pole, 98 by sum
 ONE_STATE_POLES = _pf((0.5, 0.3))  # nothing carries a share: a one-state remainder is appended
 
 
