@@ -295,8 +295,9 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
 
     per_pole: each bucket gets its feasibility floor; succeeds when the
     floors total at most 1.  conservative_sum: succeeds when the plain sum
-    of non-gain coefficients (pairs counted twice) is at most 2^{-5/2}, in
-    which case the floors provably fit and are scaled up to spend the unit.
+    of non-gain coefficients (pairs counted twice) is at most
+    CONSERVATIVE_LIMIT = 1/2, in which case the floors provably fit (each is
+    at most twice its part of the sum) and are scaled up to spend the unit.
     """
     n2_shares, pair_shares, sums = share_floors(cls)
     total = float(sums[0] + sums[2])

@@ -184,7 +184,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         totals.append(total)
         needed, limit = _stop_rule(mode, n2_sum, eta_sum, pair_sum)
         # No sign check on stopping: the floors |c| and 2 eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
-        # each term's part of t~_m, and the sum rule's at most 2^{-5/2}: t~_m >= 1 - needed > -band.
+        # each term's part of t~_m, and the sum rule's at most 1/2: t~_m >= 1 - needed > -band.
         if needed <= limit:
             break
         t, pf = shift_once(pf)
@@ -228,7 +228,7 @@ def realize(
     ``mode`` selects the stopping rule: "per_pole" compares the exact share
     floors against the unit residue (tighter, smaller dimensions), while
     "conservative_sum" stops once the plain coefficient sum drops below
-    2^{-5/2}.  The number of shifts is capped at twice the closed-form
+    1/2.  The number of shifts is capped at twice the closed-form
     estimate unless ``cap_override`` is given.
     """
     stage = lambda pf: _shift_and_build(pf, mode, cap_override)

@@ -214,26 +214,18 @@ class TestBudget:
         assert plan.leftover == 1.0
 
     def test_conservative_counts_pairs_twice(self):
-        c = 0.1 * 2**-2.5
-        pf = pr.PartialFraction(
-            1.0,
-            1.0,
-            (
-                pr.PoleTerm(0.5j, (complex(c),)),
-                pr.PoleTerm(-0.5j, (complex(c),)),
-            ),
-        )
-        plan = pr.budget(pr.classify(pf), "conservative_sum")
+        # a pair in the triangle at |c| = 1/4 sums to the limit 1/2 exactly and passes;
+        # one ulp more is past it
+        def pair(c):
+            return pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5j, (complex(c),)), pr.PoleTerm(-0.5j, (complex(c),))))
+
+        cls = pr.classify(pair(0.25))
+        assert cls.pair_assignments[0].polygon_index == 3
+        plan = pr.budget(cls, "conservative_sum")
         assert plan.total == pytest.approx(1.0)
-        # doubling the coefficient past half the limit must fail
-        big = 0.51 * 2**-2.5
-        pf2 = pr.PartialFraction(
-            1.0,
-            1.0,
-            (pr.PoleTerm(0.5j, (complex(big),)), pr.PoleTerm(-0.5j, (complex(big),))),
-        )
-        with pytest.raises(InsufficientBudget):
-            pr.budget(pr.classify(pf2), "conservative_sum")
+        with pytest.raises(InsufficientBudget) as exc:
+            pr.budget(pr.classify(pair(math.nextafter(0.25, 1.0))), "conservative_sum")
+        assert exc.value.limit == 0.5
 
     def test_conservative_spends_full_unit(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.4 + 0j, (-0.1 + 0j,)),))

@@ -75,12 +75,14 @@ class TestRealizeCommand:
         capsys.readouterr()
 
     def test_max_shifts_flag(self, problems_dir, capsys):
-        # example1 needs 3 shifts under the sum rule (none per pole)
-        argv = ["realize", str(problems_dir / "example1.json"), "--mode", "sum", "--max-shifts", "0"]
-        code = main(argv)
+        # h4 needs 5 shifts under the sum rule: a cap of 4 stops it, a cap of 5 does not
+        argv = ["realize", str(problems_dir / "h4.json"), "--mode", "sum", "--max-shifts"]
+        code = main(argv + ["4"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["status"] == "iteration_cap_exceeded"
+        assert main(argv + ["5"]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"]["shifts_performed"] == 5
 
     @pytest.mark.parametrize(
         "flag, value, name",

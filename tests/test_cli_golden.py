@@ -16,11 +16,11 @@ REALIZE = {
     ("base_h4", "per-pole"): (3, None, None, None, None),
     ("base_h4", "sum"): (3, None, None, None, None),
     ("example1", "per-pole"): (0, "realized", 5, 0, True),
-    ("example1", "sum"): (0, "realized", 8, 3, True),
+    ("example1", "sum"): (0, "realized", 5, 0, True),
     ("h10", "per-pole"): (0, "realized", 13, 10, True),
-    ("h10", "sum"): (0, "realized", 15, 12, True),
+    ("h10", "sum"): (0, "realized", 14, 11, True),
     ("h4", "per-pole"): (0, "realized", 7, 4, True),
-    ("h4", "sum"): (0, "realized", 9, 6, True),
+    ("h4", "sum"): (0, "realized", 8, 5, True),
     ("no_positive", "per-pole"): (1, "no_positive_realization", None, None, None),
     ("no_positive", "sum"): (1, "no_positive_realization", None, None, None),
     ("h10", "base"): (0, "realized", 10, 6, True),

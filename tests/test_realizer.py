@@ -73,10 +73,12 @@ class TestRealize:
         assert isinstance(out, pr.NoPositiveRealization)
         assert out.witness_value < 0
 
-    def test_iteration_cap(self, example1_tf):
-        out = pr.realize(example1_tf, "conservative_sum", cap_override=1)
+    def test_iteration_cap(self, h4_tf):
+        # H4 takes 5 shifts under the sum rule
+        out = pr.realize(h4_tf, "conservative_sum", cap_override=4)
         assert isinstance(out, pr.IterationCapExceeded)
-        assert out.cap == 1
+        assert out.cap == 4
+        assert pr.realize(h4_tf, "conservative_sum", cap_override=5).trace.shifts_performed == 5
 
     def test_denormalization(self):
         # dominant pole at 2 with gain 3; the output must match the original
@@ -324,7 +326,7 @@ def shift_loop_inputs(draw):
 LAMBDA_ZERO = _pf((0.0, -0.3), (-0.8, 0.9), (0.5, -0.2))  # the lam = 0 term vanishes after shift 1
 LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
 NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
-DEEP = _pf((cmath.rect(0.98, 0.05), cmath.rect(0.6, 1.0)), (-0.96, 0.5), (0.4, -0.3))  # 24 shifts per pole, 98 by sum
+DEEP = _pf((cmath.rect(0.98, 0.05), cmath.rect(0.6, 1.0)), (-0.96, 0.5), (0.4, -0.3))  # 24 shifts per pole, 51 by sum
 ONE_STATE_POLES = _pf((0.5, 0.3))  # nothing carries a share: a one-state remainder is appended
 
 

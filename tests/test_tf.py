@@ -433,8 +433,8 @@ class TestIterationEstimate:
 
     def test_formula_on_counted_pole(self):
         # same arithmetic as the positive-residue case, on a pole that counts
-        pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (-0.5 + 0j,)),))
-        want = math.ceil(abs(math.log(2**2.5 * 1 * 0.5) / math.log(0.5)))
+        pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (-1.5 + 0j,)),))
+        want = math.ceil(abs(math.log(1 * 1.5 / pr.tf.CONSERVATIVE_LIMIT) / math.log(0.5)))
         assert want == 2
         assert pr.iteration_estimate(pf) == 2
 
