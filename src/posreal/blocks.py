@@ -34,12 +34,11 @@ from .tf import CONSERVATIVE_LIMIT
 
 CLAMP_WINDOW = 1e-12
 
-# Half-width alpha of a pair block's generating cone, the widest whose output row
-# c_k = 1 + alpha (cos phi_k + sin phi_k) = 1 + sqrt(2) alpha sin(phi_k + pi/4) stays
-# nonnegative for every m.  The input g = (g_x, g_y, R) is in the cone iff
-# (g_x, g_y)/(R alpha) is in the m-gon, which holds the disc of radius cos(pi/m); as
-# |(g_x, g_y)| = sqrt(2) |c|, R >= 2 |c| / cos(pi/m) is enough at alpha = 1/sqrt(2),
-# and tight: along an edge normal the disc touches the edge.
+# Half-width alpha of a pair block's generating cone: the widest that keeps its output
+# row c_k = 1 + sqrt(2) alpha sin(phi_k + pi/4) nonnegative for every m.  The input
+# (g_x, g_y, R) is in the cone iff (g_x, g_y)/(R alpha) is in the m-gon, which holds the
+# disc of radius cos(pi/m); as |(g_x, g_y)| = sqrt(2) |c|, R >= 2 |c| / cos(pi/m) is
+# enough, and tight: along an edge normal the disc touches the edge.
 PAIR_ALPHA = 2.0**-0.5
 PAIR_BUDGET_COEFF = 2.0
 
@@ -295,9 +294,8 @@ def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
 
     per_pole: each bucket gets its feasibility floor; succeeds when the
     floors total at most 1.  conservative_sum: succeeds when the plain sum
-    of non-gain coefficients (pairs counted twice) is at most
-    CONSERVATIVE_LIMIT = 1/2, in which case the floors provably fit (each is
-    at most twice its part of the sum) and are scaled up to spend the unit.
+    of non-gain coefficients (pairs counted twice) is at most 1/2, in
+    which case the floors provably fit and are scaled up to spend the unit.
     """
     n2_shares, pair_shares, sums = share_floors(cls)
     total = float(sums[0] + sums[2])

@@ -34,10 +34,8 @@ PAIR_RTOL = 1e-9
 DOMINANCE_RTOL = 1e-9
 RECONSTRUCT_RTOL = 1e-8
 
-# The sum rule stops the shifts once the plain sum of the non-gain |c| (pairs
-# counted twice) is at most this.  A real floor is |c| and a pair's at most
-# 4 |c| (2 |c| / cos(pi/m) at m = 3), so the per-pole total is at most twice
-# the sum: at 1/2 a sum-rule stop is a per-pole stop.
+# The sum rule stops once the plain sum of the non-gain |c| (pairs twice) is at most
+# this: a pair's floor is at most 4 |c| (m = 3), so the floors total at most twice it.
 CONSERVATIVE_LIMIT = 0.5
 
 # Root clusters are formed at increasing radii until the reconstruction

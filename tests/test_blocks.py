@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import posreal as pr
-from posreal.blocks import PAIR_ALPHA, _fan_weights
+from posreal.blocks import PAIR_ALPHA, _fan_weights, _stop_rule, share_floors
 from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
@@ -19,12 +19,41 @@ from posreal.errors import (
     NegativePrefix,
     NotInPolygon,
 )
+from posreal.tf import CONSERVATIVE_LIMIT
 
 from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf
 
 
 def pair_impulse(share, coeff, pole, K):
     return share + 2.0 * (coeff * pole ** np.arange(K)).real
+
+
+@st.composite
+def floored_classifications(draw):
+    """Two-state real poles and pairs with m = 3..40, scaled so the sum rule's quantity lies in [1/2, 1] x its limit."""
+    reals = draw(st.lists(st.tuples(st.floats(-0.99, 0.99), st.floats(-1.0, 1.0)), max_size=4))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(3, 40),
+                st.floats(0.01, 0.999),
+                st.floats(0.01, math.pi - 0.01),
+                st.floats(0.0, 1.0),
+                st.floats(-math.pi, math.pi),
+            ),
+            max_size=4,
+        )
+    )
+    raw = sum(abs(c) for _, c in reals) + sum(2.0 * eta for *_, eta, _ in pairs)
+    assume(raw > 0)
+    scale = draw(st.floats(0.5, 1.0)) * CONSERVATIVE_LIMIT / raw
+    n2 = tuple((lam, c * scale) for lam, c in reals)
+    buckets = tuple(
+        pr.PairBucket(cmath.rect(r * math.cos(math.pi / m), th), cmath.rect(eta * scale, vt), m)
+        for m, r, th, eta, vt in pairs
+    )
+    assume(len({b.pole for b in buckets}) == len(buckets))  # each pair is its own bucket
+    return pr.PoleClassification((), n2, buckets)
 
 
 class TestRealization:
@@ -130,11 +159,11 @@ class TestComplexPairBlock:
         assert blk.realization.b.min() >= 0.0
         pr.assemble([blk])  # its first 20 Markov parameters match to relative 1e-9
 
-    @pytest.mark.parametrize("m", [3, 4, 7, 12, 30])
-    def test_floor_is_tight_along_each_edge_normal(self, m):
+    @given(st.integers(3, 40), st.floats(1e-12, 1e12))
+    def test_floor_is_tight_along_each_edge_normal(self, m, eta):
         # vt = (2k+1) pi/m - pi/4 points (g_x, g_y) along edge k's normal, where the
         # disc of radius cos(pi/m) touches the edge: 0.99 x the floor leaves the m-gon
-        verts, eta = polygon(m), 0.3
+        verts = polygon(m)
         for k in range(m):
             vt = (2 * k + 1) * math.pi / m - math.pi / 4
             g = eta * complex(math.cos(vt) - math.sin(vt), math.cos(vt) + math.sin(vt))
@@ -142,6 +171,14 @@ class TestComplexPairBlock:
             assert _fan_weights(g / (R * PAIR_ALPHA), verts).min() >= 0.0
             with pytest.raises(DegenerateBarycentric):
                 _fan_weights(g / (0.99 * R * PAIR_ALPHA), verts)
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_output_row_is_nonnegative_with_one_zero_iff_8_divides_m(self, m):
+        # c_k = 1 + sqrt(2) alpha sin(phi_k + pi/4) at alpha = 1/sqrt(2) vanishes only at
+        # phi_k = 5 pi/4, a vertex angle iff 8 | m (k = 5m/8); elsewhere it stays clear of 0
+        c = pr.complex_pair_block(0.1j, 0.01 + 0j, m, 1.0).realization.c
+        assert c.min() >= 0.0
+        assert np.flatnonzero(c == 0.0).tolist() == ([5 * m // 8] if m % 8 == 0 else [])
 
     @given(st.integers(3, 40), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
     def test_circulant_columns_are_the_rotated_pole(self, m, rho, th):
@@ -217,7 +254,8 @@ class TestBudget:
         # a pair in the triangle at |c| = 1/4 sums to the limit 1/2 exactly and passes;
         # one ulp more is past it
         def pair(c):
-            return pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5j, (complex(c),)), pr.PoleTerm(-0.5j, (complex(c),))))
+            terms = (pr.PoleTerm(0.5j, (complex(c),)), pr.PoleTerm(-0.5j, (complex(c),)))
+            return pr.PartialFraction(1.0, 1.0, terms)
 
         cls = pr.classify(pair(0.25))
         assert cls.pair_assignments[0].polygon_index == 3
@@ -226,6 +264,18 @@ class TestBudget:
         with pytest.raises(InsufficientBudget) as exc:
             pr.budget(pr.classify(pair(math.nextafter(0.25, 1.0))), "conservative_sum")
         assert exc.value.limit == 0.5
+
+    @given(floored_classifications())
+    @example(pr.PoleClassification((), (), (pr.PairBucket(0.5j, complex(CONSERVATIVE_LIMIT / 2), 3),)))
+    def test_sum_rule_stop_is_a_per_pole_stop(self, cls):
+        # a real floor is |c| and a pair's at most 4 |c| (m = 3), twice its part of the
+        # sum, so a sum at most 1/2 puts the floors at most at the unit
+        sums = share_floors(cls)[2]
+        needed, limit = _stop_rule("conservative_sum", *sums)
+        assume(needed <= limit)
+        per_pole, bound = _stop_rule("per_pole", *sums)
+        assert per_pole <= bound
+        assert pr.budget(cls, "conservative_sum").total <= 1.0 + 1e-12
 
     def test_conservative_spends_full_unit(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.4 + 0j, (-0.1 + 0j,)),))

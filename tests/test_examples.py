@@ -15,6 +15,11 @@ def test_run_examples_script():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
 
+    # the degree-3 low-pass filter: its pair fits the unit at once under either rule
+    start = lines.index("== degree-3 low-pass filter ==") + 1
+    for line, mode in zip(lines[start : start + 2], ("per_pole", "conservative_sum"), strict=True):
+        assert re.match(rf"\s*mode={mode}\s+dim=5 shifts=0 ", line), line
+
     # two-pole family H^N: N + 3 states plain, N with the four-state base
     start = lines.index("== two-pole family ==") + 2
     rows = [line.split() for line in lines[start : start + 9]]

@@ -10,16 +10,19 @@ formula, only ``shift_once`` builds objects past their constructors'
 checks (``tf._unvalidated``), from values of a partial fraction that passed
 them, only ``blocks._fan_weights`` reads ``atan2``, so no caller puts a
 pair in polar form, the sum rule's stop and the shift cap read one
-``CONSERVATIVE_LIMIT``, and one zero band (``tf._zero_band``) decides an
-impulse value's sign: no 1e-9 or 1e-10 tolerance is multiplied out in
-``realizer`` or ``bounds``.
+``CONSERVATIVE_LIMIT``, the three constants of the pair floor and the sum
+rule do not move apart (the cone's half-width fixes the floor's
+coefficient, and the limit must keep a sum-rule stop a per-pole stop), and
+one zero band (``tf._zero_band``) decides an impulse value's sign: no 1e-9
+or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``.
 
 ``__init__.py`` is skipped by the import check because it imports names only
-to re-export them.  Only the standard library is used, so the checks run
-wherever the tests do.
+to re-export them.  The source checks use only the standard library; the
+constant checks import posreal.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -263,6 +266,22 @@ def test_one_sum_rule_constant():
         "blocks.py": ["_stop_rule"],
         "tf.py": ["iteration_estimate"],
     }
+
+
+def test_the_pair_coefficient_follows_the_cone():
+    # |(g_x, g_y)| = sqrt(2) |c| must fit in the disc of radius alpha R cos(pi/m)
+    from posreal.blocks import PAIR_ALPHA, PAIR_BUDGET_COEFF
+
+    assert PAIR_BUDGET_COEFF == pytest.approx(math.sqrt(2.0) / PAIR_ALPHA, rel=1e-15)
+
+
+def test_a_sum_rule_stop_is_a_per_pole_stop():
+    # a real floor is |c| per unit of the sum and a pair's pair_share_floor(|c|, m) <=
+    # pair_share_floor(|c|, 3) per 2|c|, so the floors total at most the limit times the larger
+    from posreal.blocks import pair_share_floor
+    from posreal.tf import CONSERVATIVE_LIMIT
+
+    assert CONSERVATIVE_LIMIT * max(1.0, pair_share_floor(1.0, 3) / 2.0) <= 1.0
 
 
 def tolerance_literals(source: str) -> list[int]:

@@ -379,6 +379,29 @@ class TestShiftLoopMatchesReference:
             assert out.witness_index == 3
 
 
+def test_triangle_pair_at_the_sum_limit_realizes():
+    """|c| = 1/4 at m = 3: the plain sum 2|c| is the limit 1/2 and the pair's floor 4|c| the whole unit.
+
+    With c along an edge normal the block's input touches the cone's edge, so
+    the proof's bound has no slack left; the stop needs no shift.
+    """
+    pf = _pf((0.5j, cmath.rect(0.25, math.pi / 3 - math.pi / 4)))
+    core, prefix, plan, _, summaries = realizermod._shift_and_build(pf, "conservative_sum", None)
+    assert prefix == []
+    assert [p.polygon_index for p in plan.classification.pair_assignments] == [3]
+    assert plan.total <= 1.0 + 1e-12
+    (block,) = summaries
+    assert (block.kind, block.dim) == ("complex_pair", 3)
+    assert block.share_floor == pytest.approx(1.0, rel=1e-15)
+    assert core.b.min() <= 1e-15
+    tf = pr.recombine(pf)
+    assert pr.markov_check(core, tf, 100, 1e-6).passed
+    out = pr.realize(tf, "conservative_sum")
+    assert isinstance(out, pr.Realized)
+    assert out.trace.final_dimension == 3
+    assert out.trace.verification.passed
+
+
 def test_each_pole_is_paid_for_once(monkeypatch):
     """One realize call: one polygon search per pair, one budget, one build per block, one t~_m per shift.
 
