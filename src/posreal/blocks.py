@@ -196,7 +196,6 @@ def dominant_remainder_block(R: float) -> Block:
 class BudgetPlan:
     """Dominant-residue shares allocated to the classified pole buckets."""
 
-    mode: str
     classification: PoleClassification
     n2_shares: tuple[float, ...]
     pair_shares: tuple[float, ...]
@@ -276,8 +275,7 @@ def share_floors(cls: PoleClassification) -> tuple[list[float], list[float], tup
 
 def per_pole_total(cls: PoleClassification) -> float:
     """Sum of the per-pole share floors (the tight stopping quantity)."""
-    n2_sum, _, pair_sum = share_floors(cls)[2]
-    return n2_sum + pair_sum
+    return _stop_rule("per_pole", *share_floors(cls)[2])[0]
 
 
 def _stop_rule(mode: str, n2_sum: float, eta_sum: float, pair_sum: float) -> tuple[float, float]:
@@ -286,28 +284,19 @@ def _stop_rule(mode: str, n2_sum: float, eta_sum: float, pair_sum: float) -> tup
         return n2_sum + pair_sum, 1.0 + 1e-12
     if mode == "conservative_sum":
         return n2_sum + 2.0 * eta_sum, CONSERVATIVE_LIMIT
-    raise ValueError(f"unknown budget mode {mode!r}")
+    raise ValueError(f"unknown stopping rule {mode!r}")
 
 
-def budget(cls: PoleClassification, mode: str = "per_pole") -> BudgetPlan:
-    """Allocate the unit dominant residue, or raise ``InsufficientBudget``.
+def budget(cls: PoleClassification) -> BudgetPlan:
+    """Give each two-state real pole and pair its share floor; ``InsufficientBudget`` if they exceed the unit.
 
-    per_pole: each bucket gets its feasibility floor; succeeds when the
-    floors total at most 1.  conservative_sum: succeeds when the plain sum
-    of non-gain coefficients (pairs counted twice) is at most 1/2, in
-    which case the floors provably fit and are scaled up to spend the unit.
+    A stop by either rule passes, since a sum-rule stop is a per-pole stop.
     """
     n2_shares, pair_shares, sums = share_floors(cls)
-    total = float(sums[0] + sums[2])
-    needed, limit = _stop_rule(mode, *sums)
+    needed, limit = _stop_rule("per_pole", *sums)
     if needed > limit:
         raise InsufficientBudget(needed, limit)
-    if mode == "conservative_sum" and total > 0:
-        scale = 1.0 / total
-        n2_shares = [max(s * scale, s) for s in n2_shares]
-        pair_shares = [max(s * scale, s) for s in pair_shares]
-        total = float(sum(n2_shares) + sum(pair_shares))
-    return BudgetPlan(mode, cls, tuple(n2_shares), tuple(pair_shares), total, max(0.0, 1.0 - total))
+    return BudgetPlan(cls, tuple(n2_shares), tuple(pair_shares), float(needed), max(0.0, 1.0 - needed))
 
 
 def assemble(blocks) -> Realization:

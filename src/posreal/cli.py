@@ -65,6 +65,13 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _finite(v, what: str) -> float:
+    """A JSON number as a float; one past the float range (json reads 1e400 as inf) is refused."""
+    if not abs(v) <= sys.float_info.max:
+        raise SchemaError(f"non-finite number in {what}")
+    return float(v)
+
+
 def _as_real_list(obj, what: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{what} must be a nonempty list of numbers")
@@ -72,13 +79,13 @@ def _as_real_list(obj, what: str) -> list[float]:
     for v in obj:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{what} must contain numbers only")
-        out.append(float(v))
+        out.append(_finite(v, what))
     return out
 
 
 def _as_complex(obj, what: str) -> complex:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
+        return complex(_finite(obj, what), 0.0)
     if isinstance(obj, dict):
         extra = set(obj) - {"re", "im"}
         if extra:
@@ -87,7 +94,7 @@ def _as_complex(obj, what: str) -> complex:
         im = obj.get("im", 0.0)
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
             raise SchemaError(f"{what}: re/im must be numbers")
-        return complex(float(re), float(im))
+        return complex(_finite(re, what), _finite(im, what))
     raise SchemaError(f"{what} must be a number or an object with re/im")
 
 
@@ -95,7 +102,7 @@ _INT = (int, "an integer")
 _OPTION_TYPES = {"mode": (str, "a string"), "tol": ((int, float), "a number"), "max_shifts": _INT,
                  "horizon": _INT, "base": ((str, dict), "a file name or an object"), "base_shift": _INT}
 # every command takes these from low to the largest float (nan and a bigger integer fail)
-_OPTION_LOW = {"tol": 0, "horizon": 1, "max_shifts": 0}
+_OPTION_LOW = {"tol": 0, "horizon": 1, "max_shifts": 0, "base_shift": 1}
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -216,7 +223,7 @@ def _trace_doc(trace) -> dict:
     }
     if trace.budget is not None:
         doc["budget"] = {
-            "mode": trace.budget.mode,
+            "mode": trace.mode,
             "total": float(trace.budget.total),
             "leftover": float(trace.budget.leftover),
             "allocations": [
@@ -408,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="synthesize and verify a realization")
     common(p, tol=True, horizon="verification horizon")
-    p.add_argument("--mode", choices=["per-pole", "sum"], default=None)
-    p.add_argument("--max-shifts", type=int, default=None, dest="max_shifts")
+    p.add_argument("--mode", choices=["per-pole", "sum"], default=None, help="stopping rule, default per-pole")
+    p.add_argument("--max-shifts", type=int, default=None, dest="max_shifts", help="iteration cap override")
     p.add_argument("--base", default=None, help="realization file for the shifted tail")
-    p.add_argument("--base-shift", type=int, default=None, dest="base_shift")
+    p.add_argument("--base-shift", type=int, default=None, dest="base_shift", help="shift index m of the base, at least 1")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("bounds", help="impulse zero pattern and order lower bounds")

@@ -4,13 +4,13 @@ The poles are bucketed once, since no shift changes a bucket: a real pole at
 lam > 0 keeps its residue's sign, one at lam < 0 is two-state either way, a
 pair keeps its polygon, and a term at lam = 0 drops out.  Each pass tests the
 stopping rule or strips one impulse value and checks its sign (a negative one
-rules out any nonnegative realization).  The unit dominant residue is then
-allocated once.  Its leftover joins the carrier's share, or, if no block
-carries a share, gets a one-state remainder block; each block is built once
-and the blocks are stacked.  The stack is lifted by the prefix, rescaled back
-to the input's gain and pole location, and verified by an independent Markov
-comparison.  A supplied base realization of the shifted tail replaces the
-shift loop and the blocks.
+rules out any nonnegative realization).  Each block then gets its share
+floor of the unit dominant residue, whichever rule stopped; the leftover
+joins the carrier's share, or, if no block carries a share, gets a one-state
+remainder block.  Each block is built once and the blocks are stacked.  The
+stack is lifted by the prefix, rescaled back to the input's gain and pole
+location, and verified by an independent Markov comparison.  A supplied base
+realization of the shifted tail replaces the shift loop and the blocks.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         prefix.append(t if t > 0 else 0.0)
 
     cls = _reread(cls, pf)
-    plan = budget(cls, mode)
+    plan = budget(cls)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state
     shares = list(plan.n2_shares + plan.pair_shares)
@@ -225,12 +225,13 @@ def realize(
 ) -> Outcome:
     """Synthesize a verified nonnegative realization of ``tf``.
 
-    ``mode`` selects the stopping rule: "per_pole" compares the exact share
-    floors against the unit residue (tighter, smaller dimensions), while
-    "conservative_sum" stops once the plain coefficient sum drops below
-    1/2.  The number of shifts is capped at twice the closed-form
-    estimate unless ``cap_override`` is given.
+    ``mode`` decides only when the shift loop stops: "per_pole" once the
+    share floors fit in the unit residue (smaller dimensions), and
+    "conservative_sum" once the plain coefficient sum is at most 1/2; an
+    unknown mode raises ``ValueError``.  The number of shifts is capped at
+    twice the closed-form estimate unless ``cap_override`` is given.
     """
+    _stop_rule(mode, 0.0, 0.0, 0.0)  # raises on an unknown mode
     stage = lambda pf: _shift_and_build(pf, mode, cap_override)
     return _synthesize(tf, mode, stage, verify_tol, verify_horizon)
 
@@ -241,15 +242,16 @@ def _base_check(tf: TransferFunction, pf: PartialFraction, base: Realization, m:
     tnorm = _normalized_impulse(tf, pf, need)
     prefix = tnorm[: m - 1].clip(min=0.0)
 
-    got = base.markov(_BASE_HORIZON)
     want = tnorm[m - 1 :]
     # The recurrence reference carries absolute noise on the order of
     # eps * steps * peak; allow that floor so exact zeros after large
     # intermediate values do not spuriously reject a correct base.
     peak = max(1.0, float(np.max(np.abs(tnorm))))
     floor = 16.0 * np.finfo(float).eps * need * peak
-    err = np.max((np.abs(got - want) - floor).clip(min=0.0) / (1.0 + np.abs(want)))
-    if err > 1e-8:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error fails below
+        got = base.markov(_BASE_HORIZON)
+        err = np.max((np.abs(got - want) - floor).clip(min=0.0) / (1.0 + np.abs(want)))
+    if not err <= 1e-8:
         raise BaseMismatch(
             f"base Markov sequence deviates from the shifted tail (error {err:.3g})"
         )

@@ -233,7 +233,7 @@ class TestShareFloor:
 
 class TestBudget:
     def test_family_tail_allocation(self):
-        plan = pr.budget(pr.classify(hn_pf(0)), "per_pole")
+        plan = pr.budget(pr.classify(hn_pf(0)))
         alloc = dict(plan.allocations())
         assert alloc[0.4 + 0j] == pytest.approx(0.64)
         assert alloc[0.2 + 0j] == 0.0
@@ -242,28 +242,27 @@ class TestBudget:
 
     def test_family_one_step_earlier_fails(self):
         with pytest.raises(InsufficientBudget) as exc:
-            pr.budget(pr.classify(hn_pf(1)), "per_pole")
+            pr.budget(pr.classify(hn_pf(1)))
         assert exc.value.total == pytest.approx(1.6)
 
     def test_empty_classification(self):
-        plan = pr.budget(pr.classify(pr.PartialFraction(1.0, 1.0, ())), "per_pole")
+        plan = pr.budget(pr.classify(pr.PartialFraction(1.0, 1.0, ())))
         assert plan.total == 0.0
         assert plan.leftover == 1.0
 
     def test_conservative_counts_pairs_twice(self):
-        # a pair in the triangle at |c| = 1/4 sums to the limit 1/2 exactly and passes;
-        # one ulp more is past it
+        # a pair in the triangle at |c| = 1/4 sums to the limit 1/2 exactly and stops the
+        # sum rule; one ulp more is past it.  Its floor 4|c| is the whole unit either way.
         def pair(c):
             terms = (pr.PoleTerm(0.5j, (complex(c),)), pr.PoleTerm(-0.5j, (complex(c),)))
-            return pr.PartialFraction(1.0, 1.0, terms)
+            return pr.classify(pr.PartialFraction(1.0, 1.0, terms))
 
-        cls = pr.classify(pair(0.25))
+        cls = pair(0.25)
         assert cls.pair_assignments[0].polygon_index == 3
-        plan = pr.budget(cls, "conservative_sum")
-        assert plan.total == pytest.approx(1.0)
-        with pytest.raises(InsufficientBudget) as exc:
-            pr.budget(pr.classify(pair(math.nextafter(0.25, 1.0))), "conservative_sum")
-        assert exc.value.limit == 0.5
+        assert _stop_rule("conservative_sum", *share_floors(cls)[2]) == (0.5, 0.5)
+        assert pr.budget(cls).total == pytest.approx(1.0)
+        needed, limit = _stop_rule("conservative_sum", *share_floors(pair(math.nextafter(0.25, 1.0)))[2])
+        assert needed > limit == 0.5
 
     @given(floored_classifications())
     @example(pr.PoleClassification((), (), (pr.PairBucket(0.5j, complex(CONSERVATIVE_LIMIT / 2), 3),)))
@@ -275,14 +274,17 @@ class TestBudget:
         assume(needed <= limit)
         per_pole, bound = _stop_rule("per_pole", *sums)
         assert per_pole <= bound
-        assert pr.budget(cls, "conservative_sum").total <= 1.0 + 1e-12
+        assert pr.budget(cls).total <= 1.0 + 1e-12
 
     def test_conservative_spends_full_unit(self):
+        # the budget gives the floor; the carrier's share takes the leftover in either mode
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.4 + 0j, (-0.1 + 0j,)),))
-        plan = pr.budget(pr.classify(pf), "conservative_sum")
-        assert plan.total == pytest.approx(1.0)
-        assert plan.leftover == pytest.approx(0.0)
-        assert plan.n2_shares[0] >= 0.1
+        plan = pr.budget(pr.classify(pf))
+        assert plan.n2_shares == (0.1,)
+        assert (plan.total, plan.leftover) == (0.1, 0.9)
+        for mode in ("per_pole", "conservative_sum"):
+            (block,) = pr.realize(pr.recombine(pf), mode).trace.blocks
+            assert (block.share, block.share_floor) == pytest.approx((1.0, 0.1), rel=1e-12)
 
 
 class TestAssemble:
@@ -491,7 +493,7 @@ def test_dimension_accounting_matches_prediction():
         pf = random_stable_pf(rng, ensure_positive_impulse=True)
         cls = pr.classify(pf)
         try:
-            plan = pr.budget(cls, "per_pole")
+            plan = pr.budget(cls)
         except InsufficientBudget:
             continue
         built += 1

@@ -119,6 +119,34 @@ class TestRealizeCommand:
         assert code == 0
         assert doc["dimension"] == 10
 
+    def test_base_shift_below_one_is_named_before_the_base_is_read(self, problems_dir, capsys):
+        argv = ["realize", str(problems_dir / "h10.json"), "--base", "missing.json", "--base-shift", "0"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: option base_shift must be finite and >= 1\n"
+
+    def test_help_describes_the_realize_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["realize", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in ("stopping rule, default per-pole", "iteration cap override", "shift index m of the base, at least 1"):
+            assert phrase in text
+
+    @pytest.mark.parametrize("command", ["realize", "verify"])
+    def test_non_finite_base_entry_is_an_input_error(self, problems_dir, tmp_path, capsys, command):
+        # json reads 1e400 as inf; the schema refuses it before numpy sees it
+        text = (problems_dir / "base_h4.json").read_text()
+        assert text.count("0.9811303300514252") == 1
+        (tmp_path / "base.json").write_text(text.replace("0.9811303300514252", "1e400"))
+        argv = ["realize", str(problems_dir / "h10.json"), "--base", str(tmp_path / "base.json"), "--base-shift", "7"]
+        if command == "verify":
+            argv = ["verify", str(problems_dir / "h10.json"), "--realization", str(tmp_path / "base.json")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite number in A row\n"
+
     def test_base_shift_without_base_flag(self, problems_dir, capsys):
         assert main(["realize", str(problems_dir / "example1.json"), "--base-shift", "7"]) == 3
         captured = capsys.readouterr()
@@ -369,6 +397,17 @@ class TestFormats:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["realize", str(path)]) == 3
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["inf", "-inf", "int"])
+    def test_number_past_the_float_range_rejected(self, tmp_path, capsys, literal):
+        for name, doc in {
+            "tf.json": f'{{"transfer": {{"num": [{literal}], "den": [-1.0, 1.0]}}}}',
+            "pf.json": f'{{"partial_fractions": {{"dominant": {{"pole": 1.0, "residue": 1.0}}, '
+            f'"terms": [{{"pole": 0.5, "order": 1, "coeffs": [{{"re": {literal}}}]}}]}}}}',
+        }.items():
+            (tmp_path / name).write_text(doc)
+            assert main(["realize", str(tmp_path / name)]) == 3
+            assert "non-finite number in" in capsys.readouterr().err
 
     def test_nan_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

@@ -14,14 +14,17 @@ pair in polar form, the sum rule's stop and the shift cap read one
 rule do not move apart (the cone's half-width fixes the floor's
 coefficient, and the limit must keep a sum-rule stop a per-pole stop), and
 one zero band (``tf._zero_band``) decides an impulse value's sign: no 1e-9
-or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``.
+or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``, only
+``blocks._stop_rule`` reads a mode, and every function the benchmark's
+tracer wraps (``bench/tracer.py``'s ``WRAPPED``, read with ``ast``) exists.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  The source checks use only the standard library; the
-constant checks import posreal.
+constant and tracer checks import posreal.
 """
 
 import ast
+import importlib
 import math
 from collections import Counter
 from pathlib import Path
@@ -266,6 +269,29 @@ def test_one_sum_rule_constant():
         "blocks.py": ["_stop_rule"],
         "tf.py": ["iteration_estimate"],
     }
+
+
+def test_only_the_stopping_rule_reads_a_mode():
+    # the mode decides only when the shift loop stops; the allocation is the same in both
+    source = (SRC / "blocks.py").read_text(encoding="utf-8")
+    assert reader_scopes({"blocks.py": source}, "mode") == {"blocks.py": ["_stop_rule"]}
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """The (module, function) pairs of the ``WRAPPED`` tuple assigned in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]:
+            return [tuple(ast.literal_eval(elt)) for elt in node.value.elts]
+    raise AssertionError("no WRAPPED tuple")
+
+
+def test_every_traced_name_is_a_posreal_function():
+    # the benchmark times these spans by name; a deleted or renamed one drops out of its metrics
+    wrapped = traced_names((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    assert ("blocks", "budget") in wrapped
+    missing = [f"{mod}.{name}" for mod, name in wrapped
+               if not callable(getattr(importlib.import_module(f"posreal.{mod}"), name, None))]
+    assert missing == []
 
 
 def test_the_pair_coefficient_follows_the_cone():

@@ -14,7 +14,7 @@ import posreal.check as checkmod
 import posreal.geometry as geometrymod
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
-from posreal.errors import BaseMismatch, InsufficientBudget, NegativeEntry, NegativeImpulse
+from posreal.errors import BaseMismatch, NegativeEntry, NegativeImpulse
 
 from conftest import hn_pf, hn_tf, random_stable_pf, scaled_pf
 from strategies import simple_stable_pfs
@@ -31,6 +31,15 @@ class TestRealize:
         assert out.realization.b.tolist() == [1.0]
         assert out.realization.c.tolist() == [1.0]
         assert out.trace.shifts_performed == 0
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [([1.0], [-1.0, 1.0]), ([1.0], [1.0, 0.0, 1.0]), ([1.0, -1.2], [0.5, -1.5, 1.0])],
+        ids=["realizable", "not_primitive", "negative_dominant_residue"],
+    )
+    def test_unknown_mode_raises_for_every_input(self, num, den):
+        with pytest.raises(ValueError, match="unknown stopping rule 'bogus'"):
+            pr.realize(pr.from_coefficients(num, den), "bogus")
 
     def test_example1_per_pole(self, example1_tf):
         out = pr.realize(example1_tf, "per_pole")
@@ -146,6 +155,14 @@ class TestRealizeWithBase:
         with pytest.raises(BaseMismatch):
             pr.realize_with_base(h4_tf, bad, 1)
 
+    @pytest.mark.parametrize("entry", [math.inf, 1e300])
+    def test_non_finite_base_markov_is_a_mismatch(self, h4_tf, base_4dim, entry):
+        # an infinite entry, or one whose powers overflow, gives a NaN error, which fails the check
+        A = base_4dim.A.copy()
+        A[1, 1] = entry
+        with pytest.raises(BaseMismatch, match="error nan"):
+            pr.realize_with_base(h4_tf, pr.Realization(A, base_4dim.b, base_4dim.c), 1)
+
     def test_wrong_shift_rejected(self, h4_tf, base_4dim):
         with pytest.raises(BaseMismatch):
             pr.realize_with_base(h4_tf, base_4dim, 2)
@@ -258,7 +275,7 @@ def _pf(*terms):
 
 
 def _reference_stage(pf, mode, cap_override):
-    """The shift loop classifying and allocating on every shift; the leftover is placed with the public builders."""
+    """The shift loop classifying on every shift and stopping by ``_stop_rule``; then ``budget``'s floors, with the leftover placed by the public builders."""
     neg_tol = 1e-10 * (1.0 + abs(pr.leading_impulse(pf)))
     cap = cap_override if cap_override is not None else 2 * pr.iteration_estimate(pf)
     prefix, totals = [], []
@@ -269,15 +286,14 @@ def _reference_stage(pf, mode, cap_override):
             return pr.NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
         cls = pr.classify(pf)
         totals.append(pr.per_pole_total(cls))
-        try:
-            plan = pr.budget(cls, mode)
-        except InsufficientBudget:
-            if len(prefix) >= cap:
-                return pr.IterationCapExceeded(cap)
-            t, pf = pr.shift_once(pf)
-            prefix.append(t if t > 0 else 0.0)
-            continue
-        break
+        needed, limit = blocksmod._stop_rule(mode, *blocksmod.share_floors(cls)[2])
+        if needed <= limit:
+            break
+        if len(prefix) >= cap:
+            return pr.IterationCapExceeded(cap)
+        t, pf = pr.shift_once(pf)
+        prefix.append(t if t > 0 else 0.0)
+    plan = pr.budget(cls)
     floors = [abs(c) for _, c in cls.n2_poles]
     floors += [pr.pair_share_floor(abs(p.coeff), p.polygon_index) for p in cls.pair_assignments]
     shares = list(plan.n2_shares + plan.pair_shares)
@@ -348,6 +364,10 @@ class TestShiftLoopMatchesReference:
         core, prefix, plan, totals, summaries = got
         want_core, *want_rest = want
         assert repr((prefix, plan, totals, summaries)) == repr(tuple(want_rest))
+        # in either mode each block but the carrier (the largest floor, the first on ties) gets its floor
+        floored = [s for s in summaries if s.share_floor is not None]
+        carrier = max(range(len(floored)), key=lambda i: floored[i].share_floor, default=None)
+        assert all(s.share == s.share_floor for i, s in enumerate(floored) if i != carrier)
         for name in "Abc":
             assert getattr(core, name).tobytes() == getattr(want_core, name).tobytes()
 
