@@ -43,12 +43,14 @@ PAIR_ALPHA = 2.0**-0.5
 PAIR_BUDGET_COEFF = 2.0
 
 
-def _clamped(arr: np.ndarray, what: str) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _clamped(x, what: str, ndmin: int) -> np.ndarray:
+    """A read-only float copy of ``x`` with at least ``ndmin`` dimensions and noise in [-1e-12, 0) set to 0."""
+    out = np.array(x, dtype=float, ndmin=ndmin)
     if not out.min(initial=0.0) >= 0:  # NaN takes this path too
         if np.any(out < -CLAMP_WINDOW):
             raise NegativeEntry(f"{what} has entry {out.min():.6g} below the clamp window")
         out[(out < 0)] = 0.0
+    out.setflags(write=False)
     return out
 
 
@@ -61,15 +63,14 @@ class Realization:
     c: np.ndarray
 
     def __post_init__(self):
-        A = _clamped(np.atleast_2d(self.A), "A")
-        b = _clamped(np.atleast_1d(self.b), "b")
-        c = _clamped(np.atleast_1d(self.c), "c")
+        A = _clamped(self.A, "A", 2)
+        b = _clamped(self.b, "b", 1)
+        c = _clamped(self.c, "c", 1)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
             raise ValueError("b and c must match the dimension of A")
         for name, arr in (("A", A), ("b", b), ("c", c)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -128,7 +129,7 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
     return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), floor)
 
 
-def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
+def _fan_weights(w: complex, verts: list[complex]) -> np.ndarray:
     """Nonnegative weights on the polygon vertices summing to one at w.
 
     Triangle fan anchored at vertex 0: the chord to vertex k leaves it at
@@ -145,9 +146,9 @@ def _fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
     wa = 1.0 - wb - wc
     if not min(wa, wb, wc) >= -CLAMP_WINDOW:
         raise DegenerateBarycentric(f"point {w:.12g} is not inside the polygon fan")
-    weights = np.zeros(m)
-    weights[[0, k, k + 1]] = max(0.0, wa), max(0.0, wb), max(0.0, wc)  # -0.0 becomes 0.0
-    return weights
+    weights = [0.0] * m
+    weights[0], weights[k], weights[k + 1] = max(0.0, wa), max(0.0, wb), max(0.0, wc)  # -0.0 becomes 0.0
+    return np.array(weights)
 
 
 def complex_pair_block(pole: complex, coeff: complex, m: int, R: float) -> Block:
@@ -174,7 +175,7 @@ def complex_pair_block(pole: complex, coeff: complex, m: int, R: float) -> Block
 
     idx = np.arange(m)
     phis = 2.0 * np.pi * idx / m
-    verts = np.exp(1j * phis)
+    verts = np.exp(1j * phis).tolist()
     A = _fan_weights(pole, verts)[(idx[:, None] - idx) % m]
 
     g = complex(coeff.real - coeff.imag, coeff.real + coeff.imag)
@@ -359,8 +360,7 @@ def prefix_lift(base: Realization, prefix) -> Realization:
     chain = pre.size
     total = base.dim + chain
     A = np.zeros((total, total))
-    for i in range(chain - 1):
-        A[i + 1, i] = 1.0
+    np.fill_diagonal(A[1:chain], 1.0)
     A[chain:, chain - 1] = base.b
     A[chain:, chain:] = base.A
     b = np.zeros(total)

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .tf import TransferFunction, impulse_response
 
-_STRIDE = 16  # past 2 * _STRIDE terms, Krylov vectors come _STRIDE at a time
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -44,13 +42,15 @@ def markov(A, b, c, K: int) -> np.ndarray:
 
     A matrix ``c`` gives one column per row, shape (K, rows); with the rows
     of ``c`` on disjoint states of a block-diagonal ``A`` this reads off every
-    block's own sequence in one pass.  Past K = 2 * _STRIDE, each later group
-    of _STRIDE vectors A^k b is one product with A^_STRIDE: nothing cancels for
-    nonnegative A, b, c, so this is as accurate as a matvec per term.  A signed
-    triple rounds otherwise, and an overflowing A^_STRIDE makes terms non-finite.
+    block's own sequence in one pass.  Up to 16 terms it is one matvec per
+    term; past that the Krylov rows double, X[f:2f] = X[:f] (A^f)^T with A^f
+    squared each round, and one product with c gives every term.  Nothing
+    cancels for nonnegative A, b, c, so this is as accurate as a matvec per
+    term.  A signed triple rounds otherwise, and an overflowing A^f makes the
+    terms from c A^f b on non-finite.
     """
     x = np.asarray(b, dtype=float)
-    if K <= 2 * _STRIDE:
+    if K <= 16:
         out = np.empty((K,) + np.shape(c)[:-1])
         for k in range(K):
             out[k] = c @ x
@@ -58,12 +58,12 @@ def markov(A, b, c, K: int) -> np.ndarray:
         return out
     X = np.empty((K, x.size))
     X[0] = x
-    for k in range(1, _STRIDE):
-        X[k] = A @ X[k - 1]
-    P = np.linalg.matrix_power(np.asarray(A, dtype=float), _STRIDE).T  # float, like A @ x
-    for j in range(_STRIDE, K, _STRIDE):
-        X[j : j + _STRIDE] = X[j - _STRIDE : min(j, K - _STRIDE)] @ P
-    return X @ np.transpose(c)
+    P, f = np.asarray(A, dtype=float).T, 1  # P = (A^f)^T, float like A @ x
+    while True:
+        X[f : 2 * f] = X[: min(f, K - f)] @ P
+        if (f := 2 * f) >= K:
+            return X @ np.transpose(c)
+        P = P @ P
 
 
 def markov_check(
@@ -74,8 +74,8 @@ def markov_check(
     Errors are relative to 1 + |t_k|.  The default horizon max(100, 3*dim)
     comfortably exceeds twice the degree of anything at this scale, where
     agreement already pins down the rational function.  The worst index is
-    the first non-finite error (a sequence overflowed), else the first
-    maximal one.
+    the first non-finite error (a sequence overflowed; numpy does not warn),
+    else the first maximal one.
     """
     A, b, c = _triple(realization)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
@@ -83,8 +83,8 @@ def markov_check(
     if K is None:
         K = max(100, 3 * A.shape[0])
     ref = impulse_response(tf, K)
-    got = markov(A, b, c, K)
     with np.errstate(over="ignore", invalid="ignore"):
+        got = markov(A, b, c, K)
         err = np.abs(got - ref) / (1.0 + np.abs(ref))
     err[~np.isfinite(err)] = math.inf  # so argmax finds the first non-finite error, if any
     worst_k = int(np.argmax(err))

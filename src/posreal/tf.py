@@ -33,6 +33,7 @@ from .errors import (
 PAIR_RTOL = 1e-9
 DOMINANCE_RTOL = 1e-9
 RECONSTRUCT_RTOL = 1e-8
+_CIRCLE = np.exp(2j * np.pi * np.arange(32) / 32)  # the test circle's 32 directions
 
 # The sum rule stops once the plain sum of the non-gain |c| (pairs twice) is at most
 # this: a pair's floor is at most 4 |c| (m = 3), so the floors total at most twice it.
@@ -410,8 +411,7 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
         terms=tuple(sorted(terms, key=_term_sort_key)),
     )
 
-    r = 2.0 * max(1.0, maxmod)
-    sample = r * np.exp(2j * np.pi * np.arange(32) / 32)
+    sample = 2.0 * max(1.0, maxmod) * _CIRCLE
     href = tf(sample)
     resid = np.abs(pf.evaluate(sample) - href) / (1.0 + np.abs(href))
     if not np.max(resid) <= RECONSTRUCT_RTOL:  # a NaN residual fails too

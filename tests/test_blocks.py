@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import posreal as pr
-from posreal.blocks import PAIR_ALPHA, _fan_weights, _stop_rule, share_floors
+from posreal.blocks import CLAMP_WINDOW, PAIR_ALPHA, _fan_weights, _stop_rule, share_floors
 from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
@@ -67,8 +67,44 @@ class TestRealization:
 
     def test_arrays_readonly(self):
         real = pr.Realization(np.eye(2), np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            real.A[0, 0] = 2.0
+        for arr in (real.A, real.b, real.c):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "A, b, c",
+        [(2.0, 3.0, 1.0), ([0.5], [1.0], [1.0]), ([[0.5, 0.0], [0.25, 1.0]], [1.0, 2.0], [0.0, 3.0])],
+    )
+    def test_shapes_of_scalar_and_list_input(self, A, b, c):
+        real = pr.Realization(A, b, c)
+        assert (real.A.shape, real.b.shape, real.c.shape) == (
+            np.atleast_2d(A).shape, np.atleast_1d(b).shape, np.atleast_1d(c).shape
+        )
+
+    def test_int_input_becomes_float64(self):
+        real = pr.Realization(np.eye(2, dtype=int), np.array([1, 2]), [3, 4])
+        assert [arr.dtype for arr in (real.A, real.b, real.c)] == [np.float64] * 3
+        assert real.A.tolist() == [[1.0, 0.0], [0.0, 1.0]] and real.c.tolist() == [3.0, 4.0]
+
+    def test_sources_are_copied_and_stay_writable(self):
+        A, b, c = np.eye(2), np.ones(2), np.ones(2)
+        real = pr.Realization(A, b, c)
+        A[0, 0] = b[0] = c[0] = 7.0
+        assert (real.A[0, 0], real.b[0], real.c[0]) == (1.0, 1.0, 1.0)
+        assert all(arr.flags.writeable for arr in (A, b, c))
+        again = pr.Realization(real.A, real.b, real.c)  # read-only sources copy too
+        assert again.A is not real.A and again.A.flags.writeable is False
+
+    @pytest.mark.parametrize("at", ["A", "b", "c"])
+    def test_clamp_window_edge(self, at):
+        def with_entry(x):
+            parts = {"A": np.array([[0.5]]), "b": np.array([1.0]), "c": np.array([1.0])}
+            parts[at] = np.full_like(parts[at], x)
+            return pr.Realization(**parts)
+
+        assert getattr(with_entry(-1e-12), at).tolist() in ([0.0], [[0.0]])
+        with pytest.raises(NegativeEntry):
+            with_entry(-1.0000001e-12)
 
 
 class TestPositivePoleBlock:
@@ -392,6 +428,23 @@ def polygon(m: int) -> np.ndarray:
     return np.exp(1j * 2.0 * np.pi * np.arange(m) / m)
 
 
+def numpy_fan_weights(w: complex, verts: np.ndarray) -> np.ndarray:
+    """``_fan_weights``'s formula on numpy complex scalars and a numpy weight vector, its reference."""
+    m = len(verts)
+    d = w - verts[0]
+    k = min(max(math.floor(math.atan2(-d.real, d.imag) * m / math.pi), 1), m - 2)
+    u, v = verts[k] - verts[0], verts[k + 1] - verts[0]
+    det = u.real * v.imag - u.imag * v.real
+    wb = (d.real * v.imag - d.imag * v.real) / det
+    wc = (u.real * d.imag - u.imag * d.real) / det
+    wa = 1.0 - wb - wc
+    if not min(wa, wb, wc) >= -CLAMP_WINDOW:
+        raise DegenerateBarycentric(f"point {w:.12g} is not inside the polygon fan")
+    weights = np.zeros(m)
+    weights[[0, k, k + 1]] = max(0.0, wa), max(0.0, wb), max(0.0, wc)
+    return weights
+
+
 def assert_fan_weights_valid(w: complex, verts: np.ndarray) -> None:
     wts = _fan_weights(w, verts)
     assert wts.min() >= 0.0
@@ -427,6 +480,23 @@ class TestFanWeights:
             for scale in (1e-15, 1e-9, 1e-4):
                 w = verts[0] + scale * (rng.dirichlet(np.ones(m)) @ (verts - verts[0]))
                 assert_fan_weights_valid(complex(w), verts)
+
+    @settings(max_examples=300)
+    @given(st.integers(3, 40), st.data())
+    def test_python_floats_match_numpy_scalars_bit_for_bit(self, m, data):
+        # complex_pair_block's vertices; s times a point of edge j covers the polygon for s <= 1,
+        # and s within 1e-9 of 1 lands on both sides of the clamp window
+        verts = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        j, t = data.draw(st.integers(0, m - 1)), data.draw(st.floats(0.0, 1.0))
+        s = data.draw(st.floats(0.0, 1.0) | st.floats(1.0 - 1e-9, 1.0 + 1e-9))
+        w = complex(s * ((1.0 - t) * verts[j] + t * verts[(j + 1) % m]))
+        try:
+            want = numpy_fan_weights(w, verts)
+        except DegenerateBarycentric:
+            with pytest.raises(DegenerateBarycentric):
+                _fan_weights(w, verts.tolist())
+            return
+        assert _fan_weights(w, verts.tolist()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [3, 4, 7, 12, 40])
     def test_point_just_outside_an_edge_is_refused(self, m):

@@ -36,7 +36,6 @@ class TestMarkovCheck:
         assert not report.nonnegative
         assert not report.passed
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_fails_at_first_non_finite_index(self):
         # Both sequences are 2^(k-1); they overflow together at k = 1025,
         # where the error inf - inf is NaN.
@@ -48,7 +47,6 @@ class TestMarkovCheck:
         assert report.worst_index == 1025
         assert report.max_relative_error == np.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_large_dominant_pole_is_not_verified(self):
         # The H4 shape at dominant pole 1e4 overflows before the default
         # horizon of 100, so the synthesized realization cannot be verified.
@@ -140,7 +138,7 @@ class TestVectorizedMarkovCheck:
 
 
 def scalar_markov(A, b, c, K):
-    """c A^(k-1) b one matvec per term, the reference for the strided kernel."""
+    """c A^(k-1) b one matvec per term, the reference for the doubling kernel."""
     x, out = b.astype(float), []
     for _ in range(K):
         out.append(c @ x)
@@ -149,7 +147,8 @@ def scalar_markov(A, b, c, K):
 
 
 class TestMarkovPastTheStride:
-    """Past 32 terms ``markov`` strides by a power of A; these reach past the stride."""
+    """Past 16 terms ``markov`` fills its Krylov rows by doubling, X[f:2f] = X[:f] (A^f)^T with
+    A^f squared each round; these reach several rounds in and end both on and just past a round."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 120), st.integers(1, 4), st.floats(0.05, 2.0),
@@ -160,6 +159,15 @@ class TestMarkovPastTheStride:
         A, b, C = scale * entries((n, n)), entries(n), entries((rows, n))
         for c in (C[0], C):
             np.testing.assert_allclose(markov(A, b, c, K), scalar_markov(A, b, c, K), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("K", [16, 17, 20, 32, 33, 64, 65, 100, 128, 129])
+    def test_each_doubling_boundary_matches_the_loop(self, K):
+        # 16 is the loop's last K; K = 2^j fills its last round whole, 2^j + 1 adds a round of one row
+        rng = np.random.default_rng(K)
+        for n, rows in ((1, 1), (6, 3), (30, 4)):
+            A, b, C = rng.uniform(0, 2.0 / n, (n, n)), rng.uniform(0, 1, n), rng.uniform(0, 1, (rows, n))
+            for c in (C[0], C):
+                np.testing.assert_allclose(markov(A, b, c, K), scalar_markov(A, b, c, K), rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=500)

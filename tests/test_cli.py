@@ -224,7 +224,6 @@ class TestVerifyCommand:
             )
             capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_reported_as_null_error(self, tmp_path, capsys):
         problem = write_problem(
             tmp_path, "two.json", {"transfer": {"num": [1.0], "den": [-2.0, 1.0]}}
@@ -236,6 +235,18 @@ class TestVerifyCommand:
         assert doc["passed"] is False
         assert doc["worst_index"] == 1025
         assert doc["max_relative_error"] is None
+
+    def test_overflowing_powers_fail_without_warnings(self, problems_dir, tmp_path, capsys):
+        # finite entries whose powers overflow: the Markov values go non-finite
+        # inside the verifier, which reports them and prints nothing else
+        doc = json.loads((problems_dir / "base_h4.json").read_text())
+        doc["A"][1][1] = 1e300
+        real = write_problem(tmp_path, "big.json", doc)
+        code = main(["verify", str(problems_dir / "h10.json"), "--realization", real])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert json.loads(out)["max_relative_error"] is None
+        assert err == ""
 
     def test_failing_realization_exit_code(self, tmp_path, capsys):
         problem = write_problem(
