@@ -1,7 +1,7 @@
 """Lower bounds on the order of positive realizations, from impulse zeros.
 
 Both bounds need the largest index k0 with t_{k0} = 0 followed by strictly
-positive values.  ``zero_pattern`` certifies the scan horizon: beyond the
+positive values.  ``bounds_report`` certifies the scan horizon: beyond the
 point where the non-dominant terms are enveloped below the unit dominant
 contribution, every impulse value has the sign of the dominant residue.  The
 same scan finds the realizer's witness when that residue is negative.
@@ -91,16 +91,9 @@ def _certified_scan(tf: TransferFunction, pf: PartialFraction):
 
 
 def zero_pattern(tf: TransferFunction):
-    """Locate the impulse-response zeros below the certified horizon.
-
-    Returns (k0, zero_indices, horizon_used), the zeros being the t~_k within
-    the zero band (zeros and signs are scale-invariant); a negative value
-    raises ``NegativeImpulse`` as ``_certified_scan`` says.
-    """
-    tnorm, horizon = _certified_scan(tf, expand(tf))
-    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= _zero_band(tnorm[0]))[0])
-    k0 = max(zeros) if zeros else 0
-    return k0, zeros, horizon
+    """The impulse zeros (k0, zero_indices, horizon_used) of ``bounds_report``, which expands ``tf`` once."""
+    report = bounds_report(tf)
+    return report.k0, report.zero_indices, report.horizon_used
 
 
 def cone_order_bound(pf: PartialFraction, k0: int) -> int:
@@ -132,9 +125,15 @@ def quadratic_order_bound(N: int) -> int:
 
 
 def bounds_report(tf: TransferFunction) -> BoundsReport:
-    """Zero pattern plus whichever lower bounds apply."""
-    k0, zeros, horizon = zero_pattern(tf)
-    pf = expand(tf)  # as it is: cone_order_bound reads pole signs and the degree, which normalize keeps
+    """Zero pattern plus whichever lower bounds apply, from one expansion of ``tf``.
+
+    The certified scan and ``cone_order_bound`` both read it.  The zeros are the
+    t~_k within the zero band; a negative t~_k raises as ``_certified_scan`` says.
+    """
+    pf = expand(tf)
+    tnorm, horizon = _certified_scan(tf, pf)
+    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= _zero_band(tnorm[0]))[0])
+    k0 = max(zeros) if zeros else 0
     try:
         theo2 = cone_order_bound(pf, k0)
     except NotApplicable:

@@ -1,15 +1,24 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import posreal as pr
+import posreal.cli
 import posreal.realizer as realizermod
-from posreal.errors import NegativeImpulse, NotApplicable
+import posreal.tf as tfmod
+from posreal.bounds import _certified_scan
+from posreal.errors import NegativeImpulse, NotApplicable, PosrealError
+from posreal.tf import _zero_band
 
 from conftest import hn_pf, hn_tf, scaled_pf
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 class TestZeroPattern:
@@ -178,3 +187,137 @@ def test_realize_and_bounds_name_one_witness_at_any_scale(log_eps, log_gain, lam
     except NegativeImpulse as exc:
         witness = exc.index
     assert getattr(out, "witness_index", None) == witness
+
+
+# Problem files that hold a transfer function (base_h4.json is a realization).
+PROBLEM_NAMES = sorted(
+    p.stem for p in PROBLEMS.glob("*.json") if {"transfer", "partial_fractions"} & set(json.loads(p.read_text()))
+)
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """The inputs ``tf.expand`` is called with, once rebound under every name
+    that refers to it in every loaded posreal module (as bench/tracer.py wraps it)."""
+    orig, calls = tfmod.expand, []
+
+    def counted(tf):
+        calls.append(tf)
+        return orig(tf)
+
+    bound = []
+    for name, mod in list(sys.modules.items()):
+        if name == "posreal" or name.startswith("posreal."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+                    bound.append(name)
+    assert {"posreal.bounds", "posreal.realizer", "posreal.tf"} <= set(bound)
+    return calls
+
+
+def _base_h4() -> pr.Realization:
+    A, b, c = posreal.cli.load_realization("base_h4.json", PROBLEMS)
+    return pr.Realization(A, b, c)
+
+
+REQUESTS = {
+    "bounds_report": pr.bounds_report,
+    "zero_pattern": pr.zero_pattern,
+    "realize_per_pole": lambda tf: pr.realize(tf, "per_pole"),
+    "realize_sum": lambda tf: pr.realize(tf, "conservative_sum"),
+    "realize_with_base": lambda tf: pr.realize_with_base(tf, _base_h4(), 7),
+}
+
+
+def test_every_transfer_problem_is_counted():
+    assert set(PROBLEM_NAMES) >= {"example1", "h4", "h10", "no_positive"}
+
+
+@pytest.mark.parametrize("request_name", sorted(REQUESTS))
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+def test_each_request_expands_once(expand_calls, problem, request_name):
+    # the outcome does not matter (a witness or a base mismatch ends a request too),
+    # only that the request pays for one expansion of its own input
+    tf = posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json")).tf
+    try:
+        REQUESTS[request_name](tf)
+    except PosrealError:
+        pass
+    assert len(expand_calls) == 1 and expand_calls[0] is tf
+
+
+def two_expansion_report(tf: pr.TransferFunction) -> pr.BoundsReport:
+    """``bounds_report`` composed as it was with two expansions: the zero-pattern
+    scan on one, then ``cone_order_bound`` on a second and the ``mn2`` rule."""
+    tnorm, horizon = _certified_scan(tf, pr.expand(tf))
+    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= _zero_band(tnorm[0]))[0])
+    k0 = max(zeros) if zeros else 0
+    try:
+        theo2 = pr.cone_order_bound(pr.expand(tf), k0)
+    except NotApplicable:
+        theo2 = None
+    mn2 = pr.quadratic_order_bound(k0) if (k0 >= 2 and (k0 - 1) in zeros) else None
+    return pr.BoundsReport(k0, zeros, theo2, mn2, horizon)
+
+
+def _outcome(fn, tf):
+    try:
+        return fn(tf)
+    except PosrealError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None), getattr(exc, "value", None)
+
+
+def _assert_one_expansion_matches_two(tf):
+    want = _outcome(two_expansion_report, tf)
+    assert _outcome(pr.bounds_report, tf) == want
+    got = _outcome(pr.zero_pattern, tf)
+    assert got == (want if isinstance(want, tuple) else (want.k0, want.zero_indices, want.horizon_used))
+    return want
+
+
+@pytest.mark.parametrize("problem", ["h4", "h10", "example1", "no_positive"])
+def test_one_expansion_report_matches_two_on_problems(problem):
+    want = _assert_one_expansion_matches_two(posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json")).tf)
+    assert isinstance(want, pr.BoundsReport) == (problem != "no_positive")
+
+
+@pytest.mark.parametrize("N", range(4, 14))
+def test_one_expansion_report_matches_two_on_hn(N):
+    want = _assert_one_expansion_matches_two(hn_tf(N))
+    assert (want.k0, want.theo2) == (N, math.ceil(N / 2))
+
+
+def test_one_expansion_report_matches_two_at_a_rounding_level_residue():
+    # g/(z-1) + 1/(z-0.5) with g = -1e-12: no scanned value falls below the band
+    g = -1e-12
+    tf = pr.TransferFunction(pr.Polynomial((-0.5 * g - 1.0, g + 1.0)), pr.Polynomial((0.5, -1.5, 1.0)))
+    assert _assert_one_expansion_matches_two(tf)[0] == "NonpositiveDominantResidue"
+
+
+@given(
+    st.integers(4, 13),
+    st.floats(0.3, 0.7),
+    st.floats(0.0, 1.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_one_expansion_report_matches_two_on_random_two_pole_families(N, p, u_q, gamma, lam0, sign):
+    # a p^(N-2) - b q^(N-2) = 1 = a p^(N-1) - b q^(N-1) puts zeros at N-1 and N;
+    # sign -1 makes the dominant residue negative, which must raise the same error.
+    # recombine refuses some large-residue families as NotCoprime (about 7 % here,
+    # all at N >= 11); those never reach bounds_report.
+    q = 0.1 + (p - 0.2) * u_q
+    a = (1.0 - q) / ((p - q) * p ** (N - 2))
+    b = (1.0 - p) / ((p - q) * q ** (N - 2))
+    pf = pr.PartialFraction(1.0, sign, (pr.PoleTerm(complex(p), (complex(-a),)), pr.PoleTerm(complex(q), (complex(b),))))
+    try:
+        tf = pr.recombine(scaled_pf(pf, gamma, lam0))
+    except pr.NotCoprime:
+        assume(False)
+    want = _assert_one_expansion_matches_two(tf)
+    if sign < 0:
+        assert isinstance(want, tuple) and want[0] in ("NegativeImpulse", "NonpositiveDominantResidue")
+    else:
+        assert want.k0 == N and want.zero_indices[-2:] == (N - 1, N)

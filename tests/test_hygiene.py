@@ -15,6 +15,8 @@ rule do not move apart (the cone's half-width fixes the floor's
 coefficient, and the limit must keep a sum-rule stop a per-pole stop), and
 one zero band (``tf._zero_band``) decides an impulse value's sign: no 1e-9
 or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``, only
+``bounds_report`` and ``realizer._synthesize`` call ``expand``, so each
+request expands its input once, only
 ``blocks._stop_rule`` reads a mode, and every function the benchmark's
 tracer wraps (``bench/tracer.py``'s ``WRAPPED``, read with ``ast``) exists.
 
@@ -255,6 +257,16 @@ def test_only_the_shift_skips_the_constructors():
     assert reader_scopes(sources, "_unvalidated") == {"tf.py": ["shift_once"]}
 
 
+def test_one_expansion_per_request():
+    # bounds_report hands its expansion to the certified scan and cone_order_bound, and
+    # _synthesize to the stage; zero_pattern goes through bounds_report
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "expand") == {
+        "bounds.py": ["bounds_report"],
+        "realizer.py": ["_synthesize"],
+    }
+
+
 def test_only_the_fan_solve_reads_an_angle():
     # the pair builder takes the pole and coefficient as complex numbers, so no
     # caller converts a pair to polar form; only the fan picks its triangle by angle
@@ -323,10 +335,11 @@ def tolerance_literals(source: str) -> list[int]:
 
 def test_one_zero_band():
     # the shift loop, the normalized scan (bounds' and the base lift's) and the zero count
-    # read one band; neither realizer nor bounds keeps a tolerance of its own
+    # read one band; neither realizer nor bounds keeps a tolerance of its own, and
+    # bounds_report is the one function that counts zeros (zero_pattern returns its count)
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "_zero_band") == {
-        "bounds.py": ["zero_pattern"],
+        "bounds.py": ["bounds_report"],
         "realizer.py": ["_shift_and_build"],
         "tf.py": ["_normalized_impulse"],
     }
