@@ -12,6 +12,7 @@ tail t_2, t_3, ... back onto the same form with contracted coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -84,12 +85,14 @@ class TransferFunction:
     """Strictly proper rational function with a monic denominator.
 
     ``roots`` (read-only) holds the companion eigenvalues of ``den``, found
-    once here; the coprimality test and ``expand`` both read them.
+    once here; the coprimality test and ``expand`` both read them.  Only
+    ``recombine`` sets ``_expansion``: the partial fraction it was built from.
     """
 
     num: Polynomial
     den: Polynomial
     roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _expansion: PartialFraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.den.degree < 1:
@@ -335,6 +338,12 @@ def _simple_residues(tf, clusters) -> np.ndarray:
     return tf.num(lams) / denom
 
 
+def _separated(pole: complex, lam0: float) -> bool:
+    """Whether ``pole`` is farther than 1e-6 (1 + lam0) from the dominant pole: a closer one is
+    numerically indistinguishable from a multiple dominant root, which the construction cannot handle."""
+    return abs(pole - lam0) > 1e-6 * (1.0 + lam0)
+
+
 def _term_sort_key(term: PoleTerm):
     return (term.pole.real, abs(term.pole.imag), term.pole.imag < 0)
 
@@ -375,11 +384,8 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
     if mult0 != 1:
         raise NotPrimitive("dominant pole is not simple")
 
-    # A pole this close to the dominant one is numerically indistinguishable
-    # from a multiple dominant root, which the construction cannot handle.
-    for i, (mu, _) in enumerate(clusters):
-        if i != d and abs(mu - lam0) <= 1e-6 * (1.0 + abs(lam0)):
-            raise NotPrimitive("dominant pole is not separated (possibly multiple)")
+    if any(i != d and not _separated(mu, lam0.real) for i, (mu, _) in enumerate(clusters)):
+        raise NotPrimitive("dominant pole is not separated (possibly multiple)")
 
     if all(m == 1 for _, m in clusters):
         residues = _simple_residues(tf, clusters).tolist()
@@ -422,7 +428,8 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
 def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
-    Poles come from the companion-matrix eigenvalues ``tf.roots``, each
+    A recombined partial fraction is its own expansion (see ``recombine``).
+    Otherwise poles come from the companion-matrix eigenvalues ``tf.roots``, each
     polished by Newton until its step reaches rounding level or stops
     shrinking (``_refine_root``); the real companion matrix gives exact
     conjugate pairs, so each upper-half cluster is refined once and
@@ -432,6 +439,8 @@ def expand(tf: TransferFunction) -> PartialFraction:
     prod_{mu != lam} (lam - mu); multiple clusters use truncated Taylor
     division.  The dominant residue may be negative (``normalize`` refuses it).
     """
+    if tf._expansion is not None:
+        return tf._expansion
     roots = tf.roots
     scale = 1.0 + float(np.max(np.abs(roots)))
     failure: Exception | None = None
@@ -610,7 +619,13 @@ def iteration_estimate(pf: PartialFraction) -> int:
 
 
 def recombine(pf: PartialFraction) -> TransferFunction:
-    """Collect a partial fraction over the common denominator."""
+    """Collect a partial fraction over the common denominator.
+
+    The coefficients pass ``from_coefficients``' checks.  Where root-finding
+    would find ``pf``'s terms (``build_partial_fraction`` accepts them, all
+    simple and separated from the dominant pole), the result keeps their
+    canonical form as its expansion, which ``expand`` returns as given.
+    """
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
     factors += [(t.pole, t.order) for t in pf.terms]
 
@@ -644,18 +659,34 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     scale = 1.0 + np.max(np.abs(num)) + np.max(np.abs(den))
     if np.max(np.abs(num.imag)) > 1e-9 * scale or np.max(np.abs(den.imag)) > 1e-9 * scale:
         raise ExpansionFailed("recombination produced non-real coefficients")
-    return from_coefficients(num.real, den.real)
+    tf = from_coefficients(num.real, den.real)
+    try:
+        given = build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
+    except (ValueError, NotPrimitive):
+        return tf
+    if all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in given.terms):
+        object.__setattr__(tf, "_expansion", given)
+    return tf
 
 
 def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> PartialFraction:
     """Validate and canonicalize externally supplied pole terms.
 
-    Near-real poles are made exactly real, conjugate pairs are matched at
-    relative tolerance 1e-9 and symmetrized exactly, and terms are put in a
+    A non-finite pole, residue or coefficient is refused first.  Near-real
+    poles are made exactly real, conjugate pairs are matched at relative
+    tolerance 1e-9 and symmetrized exactly, and terms are put in a
     deterministic order.
     """
     lam0 = float(dominant_pole)
     gamma = float(dominant_residue)
+    for name, value in (("dominant pole", lam0), ("dominant residue", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name}: {value!r}")
+    raw_terms = tuple(raw_terms)
+    for i, term in enumerate(raw_terms):
+        for what, value in (("pole", term.pole), *(("coefficient", c) for c in term.coeffs)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite {what} of term {i}: {value!r}")
     if lam0 <= 0 or gamma == 0:
         raise NotPrimitive("dominant pole must be positive with a nonzero residue")
 

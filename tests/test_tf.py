@@ -78,7 +78,7 @@ class TestRootsOnce:
         assert len(solves) == 1
 
     def test_bounds_report_solves_once(self, solves):
-        # bounds_report expands twice; both expansions read the same roots
+        # the one solve is from_coefficients' coprimality test; the recombined input is its own expansion
         assert pr.bounds_report(pr.recombine(hn_pf(6))).k0 == 6
         assert len(solves) == 1
 
@@ -95,6 +95,11 @@ class TestRootsOnce:
         b = pr.TransferFunction(pr.Polynomial((0.3, 1.0)), pr.Polynomial((0.1, -0.2, -0.5, 1.0)))
         assert a == b and hash(a) == hash(b)
         assert "roots" not in repr(a)
+
+
+def coefficient_twin(tf: pr.TransferFunction) -> pr.TransferFunction:
+    """The same function built from its coefficients: it carries no given expansion."""
+    return pr.from_coefficients(tf.num.coeffs, tf.den.coeffs)
 
 
 class TestExpand:
@@ -117,7 +122,13 @@ class TestExpand:
         assert lower[0].coeffs[0] == pytest.approx(-0.01050864690 + 0.1411896961j, abs=1e-8)
 
     def test_two_pole_family(self, h4_tf):
-        pf = pr.expand(h4_tf)
+        self.check_two_pole_family(pr.expand(h4_tf))
+
+    def test_two_pole_family_by_root_finding(self, h4_tf):
+        self.check_two_pole_family(pr.expand(coefficient_twin(h4_tf)))
+
+    @staticmethod
+    def check_two_pole_family(pf):
         by_pole = {round(t.pole.real, 6): t.coeffs[0].real for t in pf.terms}
         assert by_pole[0.4] == pytest.approx(-25.0, rel=1e-9)
         assert by_pole[0.2] == pytest.approx(75.0, rel=1e-9)
@@ -219,7 +230,7 @@ class TestExpand:
     def test_nan_reconstruction_residual_is_refused(self, monkeypatch, h4_tf):
         monkeypatch.setattr(tfmod, "_simple_residues", lambda tf, clusters: np.full(len(clusters), complex("nan")))
         with pytest.raises(ExpansionFailed, match="residual nan"):
-            pr.expand(h4_tf)
+            pr.expand(coefficient_twin(h4_tf))
 
     def test_simple_residues_refuse_coinciding_roots(self):
         tf = pr.recombine(hn_pf(4))
@@ -248,6 +259,101 @@ class TestExpand:
         href = example1_tf(sample)
         resid = np.abs(back(sample) - href) / (1.0 + np.abs(href))
         assert np.max(resid) < 1e-8
+
+
+def _deep_pf(rng) -> pr.PartialFraction:
+    """A partial fraction in the ranges of the deep synthesis corpus: a pair and a
+    negative real pole at modulus 0.9 .. 0.985, up to two more real poles, residues
+    scaled to keep every normalized impulse value at least 0.05, random gain and pole."""
+    pair = 0.9 + 0.085 * rng.random()
+    pair = pair * np.exp(1j * (0.05 + 0.55 * rng.random()))
+    poles = [pair, pair.conjugate(), -(0.9 + 0.085 * rng.random())]
+    coeffs = [(0.5 + rng.random()) * np.exp(1j * np.pi * rng.uniform(-1.0, 1.0))]
+    coeffs += [coeffs[0].conjugate(), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)]
+    while len(poles) < 3 + rng.integers(0, 3):
+        x = rng.uniform(-0.8, 0.8)
+        if all(abs(x - p) >= 0.05 for p in poles):
+            poles.append(x)
+            coeffs.append(rng.uniform(-1.0, 1.0))
+    k = np.arange(2000)[:, None]
+    lowest = min(0.0, float(np.min((np.array(coeffs) * np.array(poles) ** k).sum(axis=1).real)))
+    scale = min(1.0 / sum(map(abs, coeffs)), 0.95 / -lowest if lowest else math.inf)
+    pf = pr.PartialFraction(1.0, 1.0, tuple(pr.PoleTerm(p, (c * scale,)) for p, c in zip(poles, coeffs)))
+    return scaled_pf(pf, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+
+
+class TestGivenExpansion:
+    """A recombined partial fraction is its own expansion, where root-finding would find it."""
+
+    @pytest.mark.parametrize("pf", [hn_pf(4), scaled_pf(hn_pf(6), 3.0, 0.5), pr.PartialFraction(1.0, 2.0, (), 4.0, 0.5)])
+    def test_expansion_is_the_canonical_form(self, pf):
+        assert pr.expand(pr.recombine(pf)) == pr.build_partial_fraction(
+            pf.dominant_pole, pf.dominant_residue, pf.terms
+        )
+
+    @given(simple_stable_pfs(), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+    def test_canonical_form_on_random_input(self, pf, gamma, lam0):
+        pf = scaled_pf(pf, gamma, lam0)
+        assert pr.expand(pr.recombine(pf)) == pr.build_partial_fraction(
+            pf.dominant_pole, pf.dominant_residue, pf.terms
+        )
+
+    def test_deep_corpus_matches_root_finding(self):
+        rng = np.random.default_rng(21)
+        for _ in range(24):
+            tf = pr.recombine(_deep_pf(rng))
+            twin = coefficient_twin(tf)
+            given, found = pr.expand(tf), pr.expand(twin)
+            assert found is not given and twin._expansion is None
+            assert len(given.terms) == len(found.terms)
+            for name in ("dominant_pole", "dominant_residue", "scale_gamma", "pole_scale"):
+                assert getattr(given, name) == pytest.approx(getattr(found, name), rel=1e-9)
+            for g, f in zip(given.terms, found.terms):
+                assert abs(g.pole - f.pole) <= 1e-9 * abs(g.pole)
+                assert abs(g.coeffs[0] - f.coeffs[0]) <= 1e-9 * abs(g.coeffs[0])
+            for mode in ("per_pole", "conservative_sum"):
+                a, b = pr.realize(tf, mode), pr.realize(twin, mode)
+                assert type(a) is type(b) is pr.Realized
+                assert a.realization.dim == b.realization.dim
+                assert a.trace.shifts_performed == b.trace.shifts_performed
+
+    def test_order_two_term_takes_root_finding(self):
+        tf = pr.recombine(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5, (0.3, 1.0)),)))
+        assert tf._expansion is None
+        assert [t.order for t in pr.expand(tf).terms] == [2]
+
+    def test_pole_near_the_dominant_one_takes_root_finding(self):
+        # 1e-7 from l0 = 1: build_partial_fraction accepts it, expand's separation rule does not
+        pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(1.0 - 1e-7, (0.1,)),))
+        assert pr.build_partial_fraction(1.0, 1.0, pf.terms).terms == pf.terms
+        tf = pr.recombine(pf)
+        assert tf._expansion is None
+        with pytest.raises(NotPrimitive):
+            pr.expand(tf)
+
+    def test_refused_terms_take_root_finding(self):
+        # a pair 5e-9 off conjugate: build_partial_fraction finds no partner, while
+        # the recombined coefficients are real to recombine's 1e-9 test
+        terms = (pr.PoleTerm(0.1 + 0.3j, (0.02 + 0.01j,)), pr.PoleTerm(0.1 + 5e-9 - 0.3j, (0.02 - 0.01j,)))
+        with pytest.raises(ValueError, match="no conjugate partner"):
+            pr.build_partial_fraction(1.0, 1.0, terms)
+        tf = pr.recombine(pr.PartialFraction(1.0, 1.0, terms))
+        assert tf._expansion is None
+        up = next(t for t in pr.expand(tf).terms if t.pole.imag > 0)
+        assert up.pole == pytest.approx(0.1 + 2.5e-9 + 0.3j, abs=1e-12)
+
+    def test_replace_carries_no_expansion(self, h4_tf):
+        assert h4_tf._expansion is not None
+        assert dataclasses.replace(h4_tf, num=pr.Polynomial((1.0, 2.0)))._expansion is None
+        same = dataclasses.replace(h4_tf, num=h4_tf.num)
+        assert same._expansion is None
+        assert same == h4_tf and hash(same) == hash(h4_tf)
+        assert "_expansion" not in repr(h4_tf)
+
+    def test_coprimality_is_still_tested(self):
+        # H^14's coefficients fail from_coefficients' common-root test as before
+        with pytest.raises(NotCoprime):
+            pr.recombine(hn_pf(14))
 
 
 class TestNormalize:
@@ -414,6 +520,24 @@ class TestBuildPartialFraction:
         with pytest.raises(NotPrimitive, match=message):
             pr.build_partial_fraction(lam0, gamma, terms)
 
+    @pytest.mark.parametrize(
+        "lam0, gamma, terms, message",
+        [
+            (math.nan, 1.0, [], "non-finite dominant pole: nan"),
+            (math.inf, 1.0, [], "non-finite dominant pole: inf"),
+            (1.0, math.nan, [], "non-finite dominant residue: nan"),
+            (1.0, -math.inf, [], "non-finite dominant residue: -inf"),
+            (1.0, 1.0, [pr.PoleTerm(complex(math.nan, 0.0), (0.2,))], "non-finite pole of term 0: \\(nan\\+0j\\)"),
+            (1.0, 1.0, [UPPER, LOWER, pr.PoleTerm(0.5, (0.2, math.inf))], "non-finite coefficient of term 2: \\(inf\\+0j\\)"),
+            # refused for the value, ahead of the pole test and the pairing
+            (-1.0, 1.0, [pr.PoleTerm(0.5, (math.nan,))], "non-finite coefficient of term 0"),
+            (1.0, 1.0, [UPPER, pr.PoleTerm(complex(0.1, -math.inf), (0.2,))], "non-finite pole of term 1"),
+        ],
+    )
+    def test_non_finite_values_raise_value_error(self, lam0, gamma, terms, message):
+        with pytest.raises(ValueError, match=message):
+            pr.build_partial_fraction(lam0, gamma, terms)
+
     def test_near_conjugates_come_back_exactly_symmetric(self):
         # the lower term is listed first and sits 1e-12 off the conjugate
         lower = pr.PoleTerm(0.1 + 1e-12 - 0.3j, (0.02 + 1e-12 - 0.01j, 0.05 - 1e-12 + 0.04j))
@@ -544,7 +668,7 @@ def test_round_trip_at_wide_degrees(n, seed):
         # terms and reads some degree-20+ numerators as vanishing at a pole
         # (about 1 draw in 600); that refusal is not expand's
         reject()
-    back = pr.expand(tf)
+    back = pr.expand(coefficient_twin(tf))  # root-finding, not the given terms
     # a pole moves by about eps * cond when recombine rounds the coefficients
     P, eps = np.polynomial.polynomial, np.finfo(float).eps
     den = np.array(tf.den.coeffs)
@@ -590,11 +714,11 @@ def test_companion_roots_come_in_exact_conjugate_pairs():
 @given(simple_stable_pfs())
 def test_expand_recombine_round_trip(pf):
     tf = pr.recombine(pf)
-    back = pr.expand(tf)
     sample = 2.0 * np.exp(2j * np.pi * np.arange(32) / 32)
     href = tf(sample)
-    resid = np.abs(back.evaluate(sample) - href) / (1.0 + np.abs(href))
-    assert np.max(resid) < 1e-8
+    for back in (pr.expand(tf), pr.expand(coefficient_twin(tf))):  # given, then root-finding
+        resid = np.abs(back.evaluate(sample) - href) / (1.0 + np.abs(href))
+        assert np.max(resid) < 1e-8
 
 
 @given(simple_stable_pfs(), st.integers(5, 40))
