@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -228,22 +227,20 @@ def floor_units(cls: PoleClassification) -> dict[complex, float]:
     return units
 
 
-def term_floors(terms, units: dict[complex, float], n2=None, pairs=None) -> tuple[float, float, float]:
+def term_floors(poles, coeffs, units: dict[complex, float], n2=None, pairs=None) -> tuple[float, float, float]:
     """The sums of the floored terms' real floors, pair |c| and pair floors, added left to right in one pass.
 
-    ``terms`` are shaped like ``PoleTerm``s and read at their first
-    coefficient c.  A floor is |c| times the pole's unit from ``floor_units``
-    (|Re c| for a real pole); poles without a unit carry no floor and are
-    skipped.  Each real or pair floor is also appended to ``n2`` or ``pairs``
-    when one is given.
+    A floor is |c| times the pole's unit from ``floor_units`` (|Re c| for a
+    real pole), with c the pole's order-1 coefficient in ``coeffs``.  Poles
+    without a unit, and coefficients that reached zero, carry no floor and are
+    skipped.  Each real or pair floor is also appended to ``n2`` or ``pairs`` when given.
     """
     n2_sum = eta_sum = pair_sum = 0
-    for term in terms:
-        unit = units.get(term.pole)
-        if unit is None:
+    for pole, c in zip(poles, coeffs):
+        unit = units.get(pole)
+        if unit is None or c == 0:
             continue
-        c = term.coeffs[0]
-        if term.pole.imag:
+        if pole.imag:
             eta = abs(c)
             floor = eta * unit
             eta_sum += eta
@@ -258,19 +255,12 @@ def term_floors(terms, units: dict[complex, float], n2=None, pairs=None) -> tupl
     return n2_sum, eta_sum, pair_sum
 
 
-class _BucketTerm(NamedTuple):
-    """A bucket's pole and coefficient, in the shape ``term_floors`` reads."""
-
-    pole: complex
-    coeffs: tuple[complex]
-
-
 def share_floors(cls: PoleClassification) -> tuple[list[float], list[float], tuple[float, float, float]]:
     """Feasibility floors of the dominant shares, |c| per two-state real pole and one per pair, and their sums."""
-    terms = [_BucketTerm(complex(lam), (c,)) for lam, c in cls.n2_poles]
-    terms += [_BucketTerm(p.pole, (p.coeff,)) for p in cls.pair_assignments]
+    poles = [lam for lam, _ in cls.n2_poles] + [p.pole for p in cls.pair_assignments]
+    coeffs = [c for _, c in cls.n2_poles] + [p.coeff for p in cls.pair_assignments]
     n2, pairs = [], []
-    sums = term_floors(terms, floor_units(cls), n2, pairs)
+    sums = term_floors(poles, coeffs, floor_units(cls), n2, pairs)
     return n2, pairs, sums
 
 

@@ -47,12 +47,12 @@ from .tf import (
     PartialFraction,
     TransferFunction,
     expand,
+    _first_impulse,
     _normalized_impulse,
     _zero_band,
     iteration_estimate,
     leading_impulse,
     normalize,
-    shift_once,
 )
 
 
@@ -157,10 +157,10 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
     return Realized(final, trace)
 
 
-def _reread(cls: PoleClassification, pf: PartialFraction) -> PoleClassification:
-    """``cls`` with the coefficients of its shifted function ``pf`` (distinct simple poles)."""
-    c = {t.pole: t.coeffs[0] for t in pf.terms}
-    reals = lambda poles: tuple((lam, c[lam].real) for lam, _ in poles if lam in c)
+def _reread(cls: PoleClassification, poles, coeffs) -> PoleClassification:
+    """``cls`` with the shifted order-1 coefficients ``coeffs`` of ``poles``; a zero one drops out, as in ``shift_once``."""
+    c = {lam: c for lam, c in zip(poles, coeffs) if c != 0}
+    reals = lambda bucket: tuple((lam, c[lam].real) for lam, _ in bucket if lam in c)
     pairs = (PairBucket(p.pole, c[p.pole], p.polygon_index) for p in cls.pair_assignments if p.pole in c)
     return PoleClassification(reals(cls.n1_poles), reals(cls.n2_poles), tuple(pairs))
 
@@ -174,10 +174,12 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
 
     cls = classify(pf)
     units = floor_units(cls)  # fixed for the request, as no shift changes a bucket
+    poles = [t.pole for t in pf.terms]  # fixed; a shift maps each coefficient c to lam c, as shift_once does
+    coeffs = [t.coeffs[0] for t in pf.terms]
     prefix: list[float] = []
     totals: list[float] = []
     while True:
-        n2_sum, eta_sum, pair_sum = term_floors(pf.terms, units)
+        n2_sum, eta_sum, pair_sum = term_floors(poles, coeffs, units)
         total = n2_sum + pair_sum
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
@@ -187,15 +189,16 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         # each term's part of t~_m, and the sum rule's at most 1/2: t~_m >= 1 - needed > -band.
         if needed <= limit:
             break
-        t, pf = shift_once(pf)
+        t = _first_impulse(coeffs)
         if t < -band:  # a witness wins over the cap
             m = len(prefix) + 1
             return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
         if len(prefix) >= cap:
             return IterationCapExceeded(cap)
         prefix.append(t if t > 0 else 0.0)
+        coeffs = [lam * c for lam, c in zip(poles, coeffs)]
 
-    cls = _reread(cls, pf)
+    cls = _reread(cls, poles, coeffs)
     plan = budget(cls)
     # the leftover joins the carrier's share (the largest, the first on ties)
     # up front, so each block is built once; with no carrier it gets its own state

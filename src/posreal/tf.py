@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -530,26 +530,20 @@ def _require_normalized(pf: PartialFraction) -> None:
         raise ValueError("operation requires a normalized partial fraction")
 
 
-def leading_impulse(pf: PartialFraction) -> float:
-    """t_1 of a normalized partial fraction: one plus the order-1 coefficients."""
-    _require_normalized(pf)
+def _first_impulse(coeffs) -> float:
+    """One plus the order-1 coefficients ``coeffs`` of a normalized function: its t~_1."""
     total = 1.0 + 0j
-    for t in pf.terms:
-        total += t.coeffs[0]
+    for c in coeffs:
+        total += c
     if abs(total.imag) >= 1e-10:
         raise ExpansionFailed("impulse value has a nontrivial imaginary part")
     return float(total.real)
 
 
-def _unvalidated(cls, **values):
-    """``cls(**values)`` without its constructor's checks and conversions.
-
-    Only for values that would pass them unchanged: ``complex`` poles and
-    coefficients with a nonzero top one, a tuple of terms.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
+def leading_impulse(pf: PartialFraction) -> float:
+    """t_1 of a normalized partial fraction: one plus the order-1 coefficients (``_first_impulse``)."""
+    _require_normalized(pf)
+    return _first_impulse(t.coeffs[0] for t in pf.terms)
 
 
 def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
@@ -558,33 +552,20 @@ def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
     Termwise, z/(z - lam)^i = 1/(z - lam)^(i-1) + lam/(z - lam)^i, so the new
     coefficients are c'_i = lam*c_i + c_{i+1}; simple poles contract by lam.
     The dominant residue stays exactly 1.  Trailing zero coefficients are
-    dropped, and a term left with none (order 1 at lam = 0) drops out.  The
-    tail is built from ``pf``'s validated values, so no constructor re-checks
-    them.
+    dropped, and a term left with none (order 1 at lam = 0, or a coefficient
+    that underflowed) drops out.  The tail goes through the validating
+    constructors.
     """
     t = leading_impulse(pf)
-    new_terms = []
+    terms = []
     for term in pf.terms:
         pole, cs = term.pole, term.coeffs
-        if len(cs) == 1:  # the realize loop's only order; the general path gives the same bits, slower
-            c = pole * cs[0]
-            if c != 0:
-                new_terms.append(_unvalidated(PoleTerm, pole=pole, coeffs=(c,)))
-            continue
         shifted = [pole * a + b for a, b in zip(cs, cs[1:])] + [pole * cs[-1]]
         while shifted and shifted[-1] == 0:
             shifted.pop()
         if shifted:
-            new_terms.append(_unvalidated(PoleTerm, pole=pole, coeffs=tuple(shifted)))
-    tail = _unvalidated(
-        PartialFraction,
-        dominant_pole=pf.dominant_pole,
-        dominant_residue=pf.dominant_residue,
-        terms=tuple(new_terms),
-        scale_gamma=pf.scale_gamma,
-        pole_scale=pf.pole_scale,
-    )
-    return t, tail
+            terms.append(PoleTerm(pole, tuple(shifted)))
+    return t, replace(pf, terms=terms)
 
 
 def iteration_estimate(pf: PartialFraction) -> int:

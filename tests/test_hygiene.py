@@ -6,13 +6,13 @@ request to the next, so a timed request would not redo its work), only
 ``TransferFunction.__post_init__`` solves for the poles (``companion_roots``),
 so each transfer function pays for one eigen-solve, only
 ``pair_share_floor`` reads ``PAIR_BUDGET_COEFF``, so the pair floor has one
-formula, only ``shift_once`` builds objects past their constructors'
-checks (``tf._unvalidated``), from values of a partial fraction that passed
-them, only ``blocks._fan_weights`` reads ``atan2``, so no caller puts a
-pair in polar form, the sum rule's stop and the shift cap read one
-``CONSERVATIVE_LIMIT``, the three constants of the pair floor and the sum
-rule do not move apart (the cone's half-width fixes the floor's
-coefficient, and the limit must keep a sum-rule stop a per-pole stop), and
+formula, no module builds objects past their constructors' checks (no
+``_unvalidated`` helper, no ``__new__``), only ``blocks._fan_weights``
+reads ``atan2``, so no caller puts a pair in polar form, the sum rule's
+stop and the shift cap read one ``CONSERVATIVE_LIMIT``, the three
+constants of the pair floor and the sum rule do not move apart (the
+cone's half-width fixes the floor's coefficient, and the limit must keep a
+sum-rule stop a per-pole stop), and
 one zero band (``tf._zero_band``) decides an impulse value's sign: no 1e-9
 or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``, only
 ``bounds_report`` and ``realizer._synthesize`` call ``expand``, so each
@@ -250,11 +250,15 @@ def reader_scopes(sources: dict[str, str], target: str) -> dict[str, list[str]]:
     return {m: r for m, r in reads.items() if r}
 
 
-def test_only_the_shift_skips_the_constructors():
-    # shift_once's tail reuses the validated pole and coefficients of its input;
-    # any other caller of _unvalidated would bypass the checks on fresh values
+def test_no_module_skips_the_constructors():
+    # every PoleTerm and PartialFraction, shift_once's tail included, goes through its
+    # validating constructor: no bypass helper, and no allocation past __init__
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
-    assert reader_scopes(sources, "_unvalidated") == {"tf.py": ["shift_once"]}
+    assert reader_scopes(sources, "_unvalidated") == {}
+    assert reader_scopes(sources, "__new__") == {}
+    # the checker sees such an allocation
+    bypass = {"tf.py": "def make(cls):\n    return object.__new__(cls)\n"}
+    assert reader_scopes(bypass, "__new__") == {"tf.py": ["make"]}
 
 
 def test_one_expansion_per_request():

@@ -344,6 +344,8 @@ LAMBDA_ZERO_POSITIVE = _pf((0.0, 0.4), (-0.8, 0.9), (0.6, -0.3))
 NEGATIVE_MID_LOOP = _pf((0.95j, 0.6))  # t~_3 = 1 - 1.2 * 0.9025 < 0
 DEEP = _pf((cmath.rect(0.98, 0.05), cmath.rect(0.6, 1.0)), (-0.96, 0.5), (0.4, -0.3))  # 24 shifts per pole, 51 by sum
 ONE_STATE_POLES = _pf((0.5, 0.3))  # nothing carries a share: a one-state remainder is appended
+FLOORS_VANISH = _pf((0.0, -1.2), (0.5, 0.5))  # the only floored term drops out at shift 1: the total reads 0
+UNDERFLOW_MID_LOOP = _pf((1e-200, -0.3), (cmath.rect(0.95, 0.4), 0.6))  # c lam^2 underflows to zero at shift 2
 
 
 class TestShiftLoopMatchesReference:
@@ -354,6 +356,8 @@ class TestShiftLoopMatchesReference:
     @example(DEEP, "conservative_sum", 1)
     @example(DEEP, "per_pole", None)
     @example(ONE_STATE_POLES, "per_pole", None)
+    @example(UNDERFLOW_MID_LOOP, "per_pole", None)
+    @example(FLOORS_VANISH, "per_pole", None)
     def test_same_outcome_bit_for_bit(self, pf, mode, cap):
         got = realizermod._shift_and_build(pf, mode, cap)
         want = _reference_stage(pf, mode, cap)
@@ -449,6 +453,8 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     count("term_floors", blocksmod, realizermod)
     count("budget", realizermod)
     count("leading_impulse", tfmod, realizermod)
+    count("_first_impulse", tfmod, realizermod)
+    count("shift_once", tfmod)
     builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
     for name in builders:
         count(name, blocksmod, realizermod)
@@ -466,8 +472,11 @@ def test_each_pole_is_paid_for_once(monkeypatch):
         assert calls["budget"] == 1
         # one floor pass per loop pass (the stopping one included), one in budget
         assert calls["term_floors"] == shifts[mode] + 2
-        # once for the sign tolerance, then inside each shift_once
-        assert calls["leading_impulse"] == shifts[mode] + 1
+        # t~_1 once for the sign tolerance, then one t~_m per shift on the loop's own
+        # coefficient list: no partial fraction is rebuilt per shift
+        assert calls["leading_impulse"] == 1
+        assert calls["_first_impulse"] == shifts[mode] + 1
+        assert calls["shift_once"] == 0 and not hasattr(realizermod, "shift_once")
         built = Counter(f"{b.kind}_block" for b in out.trace.blocks)
         assert built == {"real_pole_block": 2, "complex_pair_block": 1}
         assert {name: calls[name] for name in built} == built

@@ -800,7 +800,7 @@ DROPS_OUT = pr.PartialFraction(
 @example(MULTIPLE_POLE, 3)
 @example(DROPS_OUT, 2)
 def test_shift_once_equals_the_validated_tail(pf, shifts):
-    """Bit for bit: the unchecked tail is the one the public constructors build, shift after shift."""
+    """Bit for bit: shift_once's tail is the one the public constructors build from its arithmetic, shift after shift."""
     cur = pf
     for _ in range(shifts):
         t, got = pr.shift_once(cur)
