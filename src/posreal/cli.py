@@ -269,10 +269,13 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(output)
+    umask = os.umask(0)  # read and restored: mkstemp's file is 0600, not what open(target, "w") leaves
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, target.stat().st_mode & 0o7777 if target.exists() else 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="synthesize and verify a realization")
     common(p, tol=True, horizon="verification horizon")
     p.add_argument("--mode", choices=["per-pole", "sum"], default=None, help="stopping rule, default per-pole")
-    p.add_argument("--max-shifts", type=int, default=None, dest="max_shifts", help="iteration cap override")
+    p.add_argument("--max-shifts", type=int, default=None, dest="max_shifts", help="cap on the number of shifts, none by default")
     p.add_argument("--base", default=None, help="realization file for the shifted tail")
     p.add_argument("--base-shift", type=int, default=None, dest="base_shift", help="shift index m of the base, at least 1")
     p.set_defaults(func=_cmd_realize)

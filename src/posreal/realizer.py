@@ -50,8 +50,6 @@ from .tf import (
     _first_impulse,
     _normalized_impulse,
     _zero_band,
-    iteration_estimate,
-    leading_impulse,
     normalize,
 )
 
@@ -169,13 +167,11 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     """``realize``'s stage: shift until the budget fits, then build and assemble the blocks."""
     if any(t.order > 1 for t in pf.terms):
         return Unsupported("multiple non-dominant poles are not constructed here")
-    band = _zero_band(leading_impulse(pf))
-    cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
-
-    cls = classify(pf)
-    units = floor_units(cls)  # fixed for the request, as no shift changes a bucket
     poles = [t.pole for t in pf.terms]  # fixed; a shift maps each coefficient c to lam c, as shift_once does
     coeffs = [t.coeffs[0] for t in pf.terms]
+    band = _zero_band(_first_impulse(coeffs))
+    cls = classify(pf)
+    units = floor_units(cls)  # fixed for the request, as no shift changes a bucket
     prefix: list[float] = []
     totals: list[float] = []
     while True:
@@ -193,8 +189,8 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
         if t < -band:  # a witness wins over the cap
             m = len(prefix) + 1
             return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
-        if len(prefix) >= cap:
-            return IterationCapExceeded(cap)
+        if cap_override is not None and len(prefix) >= cap_override:
+            return IterationCapExceeded(cap_override)
         prefix.append(t if t > 0 else 0.0)
         coeffs = [lam * c for lam, c in zip(poles, coeffs)]
 
@@ -231,8 +227,8 @@ def realize(
     ``mode`` decides only when the shift loop stops: "per_pole" once the
     share floors fit in the unit residue (smaller dimensions), and
     "conservative_sum" once the plain coefficient sum is at most 1/2; an
-    unknown mode raises ``ValueError``.  The number of shifts is capped at
-    twice the closed-form estimate unless ``cap_override`` is given.
+    unknown mode raises ``ValueError``.  There is no default cap: either rule
+    stops within ``iteration_estimate + 1`` shifts.  ``cap_override`` caps them.
     """
     _stop_rule(mode, 0.0, 0.0, 0.0)  # raises on an unknown mode
     stage = lambda pf: _shift_and_build(pf, mode, cap_override)

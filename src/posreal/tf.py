@@ -569,11 +569,11 @@ def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
 
 
 def iteration_estimate(pf: PartialFraction) -> int:
-    """Safety cap on the number of shifts before the sum test must pass.
+    """An upper bound on either rule's stopping shift; only the tests and the tracer read it.
 
-    Only poles that are not nonnegative real with nonnegative residue count;
-    their coefficients contract by max|lam| each shift, so
-    ceil(|log(n max|c| / CONSERVATIVE_LIMIT) / log max|lam||) shifts suffice.
+    Only poles that are not nonnegative real with nonnegative residue count.  Their coefficients
+    contract by max|lam| per shift, so ceil(|log(n max|c| / CONSERVATIVE_LIMIT) / log max|lam||)
+    shifts stop the sum rule, and so the per-pole rule, up to one more for rounding.
     """
     _require_normalized(pf)
     if any(t.order > 1 for t in pf.terms):
@@ -583,10 +583,8 @@ def iteration_estimate(pf: PartialFraction) -> int:
         for t in pf.terms
         if not (t.pole.imag == 0 and t.pole.real >= 0 and t.coeffs[0].real >= 0)
     ]
-    if not counted:
-        return 1
-    maxc = max(abs(t.coeffs[0]) for t in counted)
-    maxl = max(abs(t.pole) for t in counted)
+    maxc = max((abs(t.coeffs[0]) for t in counted), default=0.0)
+    maxl = max((abs(t.pole) for t in counted), default=0.0)
     arg = len(counted) * maxc / CONSERVATIVE_LIMIT
     if arg <= 1.0 or maxl == 0.0:
         return 1
@@ -602,13 +600,18 @@ def iteration_estimate(pf: PartialFraction) -> int:
 def recombine(pf: PartialFraction) -> TransferFunction:
     """Collect a partial fraction over the common denominator.
 
-    The coefficients pass ``from_coefficients``' checks.  Where root-finding
-    would find ``pf``'s terms (``build_partial_fraction`` accepts them, all
-    simple and separated from the dominant pole), the result keeps their
-    canonical form as its expansion, which ``expand`` returns as given.
+    ``build_partial_fraction``'s canonical terms, where it accepts ``pf``, are collected by
+    increasing modulus (whatever their given order; by real part rounds worse), else ``pf``'s
+    terms as given, through ``from_coefficients``' checks.  Canonical terms that root-finding
+    would find (simple, separated from l0) stay on the result as the expansion ``expand`` returns.
     """
+    try:
+        given = build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
+    except (ValueError, NotPrimitive):
+        given = None
+    terms = pf.terms if given is None else sorted(given.terms, key=lambda t: abs(t.pole))
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
-    factors += [(t.pole, t.order) for t in pf.terms]
+    factors += [(t.pole, t.order) for t in terms]
 
     # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j
     powers = []
@@ -632,7 +635,7 @@ def recombine(pf: PartialFraction) -> TransferFunction:
 
     contrib = pf.dominant_residue * rest_product(0, 1)
     num[: len(contrib)] += contrib
-    for j, term in enumerate(pf.terms, start=1):
+    for j, term in enumerate(terms, start=1):
         for i, c in enumerate(term.coeffs, start=1):
             contrib = c * rest_product(j, i)
             num[: len(contrib)] += contrib
@@ -641,11 +644,7 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     if np.max(np.abs(num.imag)) > 1e-9 * scale or np.max(np.abs(den.imag)) > 1e-9 * scale:
         raise ExpansionFailed("recombination produced non-real coefficients")
     tf = from_coefficients(num.real, den.real)
-    try:
-        given = build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
-    except (ValueError, NotPrimitive):
-        return tf
-    if all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in given.terms):
+    if given is not None and all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
         object.__setattr__(tf, "_expansion", given)
     return tf
 

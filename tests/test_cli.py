@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -130,7 +132,7 @@ class TestRealizeCommand:
         with pytest.raises(SystemExit):
             main(["realize", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for phrase in ("stopping rule, default per-pole", "iteration cap override", "shift index m of the base, at least 1"):
+        for phrase in ("stopping rule, default per-pole", "cap on the number of shifts, none by default", "shift index m of the base, at least 1"):
             assert phrase in text
 
     @pytest.mark.parametrize("command", ["realize", "verify"])
@@ -202,6 +204,29 @@ class TestRealizeCommand:
         assert code == 0
         assert json.loads(target.read_text())["status"] == "realized"
         assert capsys.readouterr().out == ""
+
+    def test_output_file_gets_the_mode_open_would_leave(self, problems_dir, tmp_path, capsys):
+        # a new file: 0o666 less the umask; an existing one keeps its own mode
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            for target in (fresh, kept):
+                assert main(["realize", str(problems_dir / "example1.json"), "--output", str(target)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert json.loads(kept.read_text())["status"] == "realized"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json"]
+
+    def test_failed_output_leaves_no_temp_file(self, problems_dir, tmp_path, capsys):
+        # a directory cannot be replaced by a file: the write fails and its temp file goes
+        (tmp_path / "out").mkdir()
+        assert main(["realize", str(problems_dir / "example1.json"), "--output", str(tmp_path / "out")]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ so each transfer function pays for one eigen-solve, only
 formula, no module builds objects past their constructors' checks (no
 ``_unvalidated`` helper, no ``__new__``), only ``blocks._fan_weights``
 reads ``atan2``, so no caller puts a pair in polar form, the sum rule's
-stop and the shift cap read one ``CONSERVATIVE_LIMIT``, the three
+stop and ``iteration_estimate``'s bound on it read one ``CONSERVATIVE_LIMIT``, the three
 constants of the pair floor and the sum rule do not move apart (the
 cone's half-width fixes the floor's coefficient, and the limit must keep a
 sum-rule stop a per-pole stop), and
@@ -279,7 +279,7 @@ def test_only_the_fan_solve_reads_an_angle():
 
 
 def test_one_sum_rule_constant():
-    # the shift cap follows the limit the sum rule stops at
+    # iteration_estimate's bound follows the limit the sum rule stops at
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "CONSERVATIVE_LIMIT") == {
         "blocks.py": ["_stop_rule"],

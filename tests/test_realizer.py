@@ -375,6 +375,19 @@ class TestShiftLoopMatchesReference:
         for name in "Abc":
             assert getattr(core, name).tobytes() == getattr(want_core, name).tobytes()
 
+    @given(shift_loop_inputs(), st.sampled_from(["per_pole", "conservative_sum"]))
+    @example(DEEP, "conservative_sum")
+    @example(DEEP, "per_pole")
+    @example(UNDERFLOW_MID_LOOP, "per_pole")
+    @example(FLOORS_VANISH, "per_pole")
+    def test_the_stop_comes_within_the_estimate(self, pf, mode):
+        # with no cap the stopping rule bounds the loop: the sum rule's quantity reaches 1/2
+        # by iteration_estimate shifts, rounding may add one, and a per-pole stop is no later
+        out = realizermod._shift_and_build(pf, mode, None)
+        assert not isinstance(out, pr.IterationCapExceeded)
+        if isinstance(out, tuple):
+            assert len(out[1]) <= pr.iteration_estimate(pf) + 1
+
     @pytest.mark.parametrize(
         "pf, mode, cap, outcome",
         [
@@ -452,7 +465,8 @@ def test_each_pole_is_paid_for_once(monkeypatch):
     count("share_floors", blocksmod)
     count("term_floors", blocksmod, realizermod)
     count("budget", realizermod)
-    count("leading_impulse", tfmod, realizermod)
+    count("leading_impulse", tfmod)
+    count("iteration_estimate", tfmod)
     count("_first_impulse", tfmod, realizermod)
     count("shift_once", tfmod)
     builders = ("positive_pole_block", "real_pole_block", "complex_pair_block")
@@ -472,9 +486,11 @@ def test_each_pole_is_paid_for_once(monkeypatch):
         assert calls["budget"] == 1
         # one floor pass per loop pass (the stopping one included), one in budget
         assert calls["term_floors"] == shifts[mode] + 2
-        # t~_1 once for the sign tolerance, then one t~_m per shift on the loop's own
-        # coefficient list: no partial fraction is rebuilt per shift
-        assert calls["leading_impulse"] == 1
+        # t~_1 once for the zero band, then one t~_m per shift, all on the loop's own
+        # coefficient list: no partial fraction is rebuilt per shift, and the stopping
+        # rule is the loop's only bound, so no cap is estimated
+        assert calls["leading_impulse"] == calls["iteration_estimate"] == 0
+        assert not hasattr(realizermod, "leading_impulse") and not hasattr(realizermod, "iteration_estimate")
         assert calls["_first_impulse"] == shifts[mode] + 1
         assert calls["shift_once"] == 0 and not hasattr(realizermod, "shift_once")
         built = Counter(f"{b.kind}_block" for b in out.trace.blocks)

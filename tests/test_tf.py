@@ -317,6 +317,20 @@ class TestGivenExpansion:
                 assert a.realization.dim == b.realization.dim
                 assert a.trace.shifts_performed == b.trace.shifts_performed
 
+    @given(simple_stable_pfs(max_real=3, max_pairs=2), st.data())
+    def test_term_order_does_not_change_the_coefficients(self, pf, data):
+        # the canonical terms are collected, in an order of their own, so any order gives the same function
+        terms = data.draw(st.permutations(pf.terms))
+        assert pr.recombine(dataclasses.replace(pf, terms=terms)) == pr.recombine(pf)
+
+    def test_reversed_h10_is_the_problem_file(self, problems_dir):
+        # hn_pf lists the poles 0.4, 0.2 and the problem file 0.2, 0.4: one function, one verification
+        tf = pr.recombine(hn_pf(10))
+        spec = load_problem(str(problems_dir / "h10.json"))
+        assert tf == spec.tf
+        got, want = pr.realize(tf), pr.realize(spec.tf)
+        assert got.trace.verification == want.trace.verification
+
     def test_order_two_term_takes_root_finding(self):
         tf = pr.recombine(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5, (0.3, 1.0)),)))
         assert tf._expansion is None
