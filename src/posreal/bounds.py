@@ -33,9 +33,8 @@ def _envelope(pf: PartialFraction, k: int) -> float:
     total = 0.0
     for term in pf.terms:
         mod = abs(term.pole)
-        for i, c in enumerate(term.coeffs, start=1):
-            if k < i:
-                continue
+        total += abs(term.coeffs[0]) * mod ** (k - 1)  # binom(k-1, 0) = 1
+        for i, c in enumerate(term.coeffs[1:k], start=2):
             total += abs(c) * math.comb(k - 1, i - 1) * mod ** (k - i)
     return total
 
@@ -79,7 +78,7 @@ def _certified_scan(tf: TransferFunction, pf: PartialFraction):
     rounding hides it, and then ``NonpositiveDominantResidue`` says so.
     """
     gamma = pf.dominant_residue
-    npf = normalize(replace(pf, dominant_residue=gamma if gamma > 0 else -gamma / 2))
+    npf = normalize(pf if gamma > 0 else replace(pf, dominant_residue=-gamma / 2))
     horizon = positivity_horizon(npf)
     tnorm = _normalized_impulse(tf, npf, horizon)
     if gamma < 0:

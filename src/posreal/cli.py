@@ -144,6 +144,8 @@ def load_problem(path: str) -> ProblemSpec:
                 raise SchemaError(f"terms[{i}].coeffs must be a nonempty list")
             cs = tuple(_as_complex(c, f"terms[{i}].coeffs") for c in coeffs)
             order = item.get("order", len(cs))
+            if isinstance(order, bool) or not isinstance(order, int):  # as _as_real_list
+                raise SchemaError(f"terms[{i}].order must be an integer")
             if order != len(cs):
                 raise SchemaError(f"terms[{i}]: order must equal the coefficient count")
             terms.append(PoleTerm(pole, cs))
@@ -175,19 +177,15 @@ def load_realization(obj, base_dir: Path) -> tuple[np.ndarray, np.ndarray, np.nd
     b = _as_real_list(obj["b"], "b")
     c = _as_real_list(obj["c"], "c")
     dim = obj.get("dimension", len(rows))
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SchemaError("'dimension' must be an integer")
     if dim != len(rows) or any(len(r) != dim for r in rows) or len(b) != dim or len(c) != dim:
         raise SchemaError("realization dimensions are inconsistent")
     return np.array(rows), np.array(b), np.array(c)
 
 
-def _realization_doc(A, b, c) -> dict:
-    A = np.asarray(A)
-    return {
-        "dimension": int(A.shape[0]),
-        "A": [[float(v) for v in row] for row in A],
-        "b": [float(v) for v in np.asarray(b)],
-        "c": [float(v) for v in np.asarray(c)],
-    }
+def _realization_doc(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> dict:
+    return {"dimension": len(A), "A": A.tolist(), "b": b.tolist(), "c": c.tolist()}
 
 
 def _verification_doc(report) -> dict:

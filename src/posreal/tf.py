@@ -184,8 +184,7 @@ def companion_roots(monic_coeffs) -> np.ndarray:
     n = len(coeffs) - 1
     if n == 0:
         return np.zeros(0, dtype=complex)
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
+    comp = np.eye(n, k=-1)
     comp[:, -1] = -coeffs[:-1]
     return np.linalg.eigvals(comp)
 
@@ -604,6 +603,8 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     increasing modulus (whatever their given order; by real part rounds worse), else ``pf``'s
     terms as given, through ``from_coefficients``' checks.  Canonical terms that root-finding
     would find (simple, separated from l0) stay on the result as the expansion ``expand`` returns.
+    The ``np.convolve`` products are load-bearing to the last bit: the multiple-pole ``expand``
+    tests cluster the roots of these coefficients, and one ulp elsewhere splits a double pair.
     """
     try:
         given = build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
@@ -640,10 +641,15 @@ def recombine(pf: PartialFraction) -> TransferFunction:
             contrib = c * rest_product(j, i)
             num[: len(contrib)] += contrib
 
-    scale = 1.0 + np.max(np.abs(num)) + np.max(np.abs(den))
-    if np.max(np.abs(num.imag)) > 1e-9 * scale or np.max(np.abs(den.imag)) > 1e-9 * scale:
+    num, den = num.tolist(), den.tolist()
+    try:
+        scale = 1.0 + max(map(abs, num)) + max(map(abs, den))
+    except OverflowError:  # abs() raises where a magnitude passes the float range
+        scale = math.inf
+    # no check when a value is not finite or too large: its scale is inf or NaN then
+    if max(abs(v.imag) for v in num + den) > 1e-9 * scale and all(map(cmath.isfinite, num + den)):
         raise ExpansionFailed("recombination produced non-real coefficients")
-    tf = from_coefficients(num.real, den.real)
+    tf = from_coefficients([v.real for v in num], [v.real for v in den])
     if given is not None and all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
         object.__setattr__(tf, "_expansion", given)
     return tf
@@ -663,16 +669,17 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name}: {value!r}")
     raw_terms = tuple(raw_terms)
-    for i, term in enumerate(raw_terms):
-        for what, value in (("pole", term.pole), *(("coefficient", c) for c in term.coeffs)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"non-finite {what} of term {i}: {value!r}")
+    if not cmath.isfinite(sum(sum(t.coeffs, t.pole) for t in raw_terms)):  # a value is not finite, or the sum overflowed
+        for i, term in enumerate(raw_terms):
+            for what, value in (("pole", term.pole), *(("coefficient", c) for c in term.coeffs)):
+                if not cmath.isfinite(value):
+                    raise ValueError(f"non-finite {what} of term {i}: {value!r}")
     if lam0 <= 0 or gamma == 0:
         raise NotPrimitive("dominant pole must be positive with a nonzero residue")
 
     reals: list[PoleTerm] = []
-    upper: list[PoleTerm] = []
-    lower: list[PoleTerm] = []
+    upper: list[tuple[complex, tuple[complex, ...]]] = []  # (pole, coeffs) of the non-real terms
+    lower: list[tuple[complex, tuple[complex, ...]]] = []
     for term in raw_terms:
         pole = complex(term.pole)
         coeffs = tuple(complex(c) for c in term.coeffs)
@@ -684,25 +691,25 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
                 rcs.append(complex(c.real, 0.0))
             reals.append(PoleTerm(complex(pole.real, 0.0), tuple(rcs)))
         else:
-            (upper if pole.imag > 0 else lower).append(PoleTerm(pole, coeffs))
+            (upper if pole.imag > 0 else lower).append((pole, coeffs))
 
     # each upper term takes the first lower term, in input order, that is its conjugate
     close = lambda a, b: abs(a.conjugate() - b) <= PAIR_RTOL * (1.0 + abs(b))
     paired: list[PoleTerm] = []
-    for term in upper:
+    for up_pole, up_coeffs in upper:
         partners = (
             j
-            for j, other in enumerate(lower)
-            if other.order == term.order
-            and close(other.pole, term.pole)
-            and all(map(close, other.coeffs, term.coeffs))
+            for j, (low_pole, low_coeffs) in enumerate(lower)
+            if len(low_coeffs) == len(up_coeffs)
+            and close(low_pole, up_pole)
+            and all(map(close, low_coeffs, up_coeffs))
         )
         partner = next(partners, None)
         if partner is None:
-            raise ValueError(f"complex pole {term.pole:.12g} has no conjugate partner")
-        other = lower.pop(partner)
-        pole = 0.5 * (term.pole + other.pole.conjugate())
-        coeffs = tuple(0.5 * (tc + oc.conjugate()) for tc, oc in zip(term.coeffs, other.coeffs))
+            raise ValueError(f"complex pole {up_pole:.12g} has no conjugate partner")
+        low_pole, low_coeffs = lower.pop(partner)
+        pole = 0.5 * (up_pole + low_pole.conjugate())
+        coeffs = tuple(0.5 * (tc + oc.conjugate()) for tc, oc in zip(up_coeffs, low_coeffs))
         paired.append(PoleTerm(pole, coeffs))
         paired.append(PoleTerm(pole.conjugate(), tuple(c.conjugate() for c in coeffs)))
     if lower:

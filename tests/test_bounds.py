@@ -1,22 +1,24 @@
 import json
 import math
 import sys
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import posreal as pr
 import posreal.cli
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
-from posreal.bounds import _certified_scan
+from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing
 from posreal.errors import NegativeImpulse, NotApplicable, PosrealError
 from posreal.tf import _zero_band
 
 from conftest import hn_pf, hn_tf, scaled_pf
+from strategies import simple_stable_pfs, supplied_pole_terms
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -321,3 +323,30 @@ def test_one_expansion_report_matches_two_on_random_two_pole_families(N, p, u_q,
         assert isinstance(want, tuple) and want[0] in ("NegativeImpulse", "NonpositiveDominantResidue")
     else:
         assert want.k0 == N and want.zero_indices[-2:] == (N - 1, N)
+
+
+def reference_envelope(pf: pr.PartialFraction, k: int) -> float:
+    """sum |c| binom(k-1, i-1) |lam|^(k-i) over every coefficient with i <= k, each term by the general formula."""
+    total = 0.0
+    for term in pf.terms:
+        mod = abs(term.pole)
+        for i, c in enumerate(term.coeffs, start=1):
+            if k >= i:
+                total += abs(c) * math.comb(k - 1, i - 1) * mod ** (k - i)
+    return total
+
+
+def _normalized_mixed_orders(supplied):
+    lam0, gamma, terms = supplied
+    return pr.normalize(pr.build_partial_fraction(lam0, abs(gamma), terms))
+
+
+@given(st.one_of(simple_stable_pfs(), supplied_pole_terms().map(_normalized_mixed_orders)))
+@example(hn_pf(10))
+def test_envelope_and_horizon_match_the_general_formula(pf):
+    """``_envelope`` at every k up to the horizon, and the horizon, equal the general formula's bit for bit."""
+    horizon = pr.positivity_horizon(pf)
+    for k in range(1, horizon + 1):
+        assert _envelope(pf, k).hex() == reference_envelope(pf, k).hex(), k
+    reference = next(k for k in count(1) if reference_envelope(pf, k) < 1.0 and _envelope_decreasing(pf, k))
+    assert horizon == reference

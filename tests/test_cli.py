@@ -653,3 +653,34 @@ class TestOptionRanges:
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc.get("verification", doc)["horizon"] == 1
+
+
+class TestIntegerFields:
+    """A term's ``order`` and a realization's ``dimension`` are integers: a bool or a float is refused."""
+
+    @pytest.mark.parametrize("order", [True, 1.0])
+    @pytest.mark.parametrize("command", ["realize", "bounds", "impulse"])
+    def test_term_order_must_be_an_integer(self, problems_dir, tmp_path, capsys, command, order):
+        doc = json.loads((problems_dir / "h4.json").read_text())
+        doc["partial_fractions"]["terms"][1]["order"] = order
+        assert main([command, write_problem(tmp_path, "h4.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "terms[1].order must be an integer" in captured.err
+
+    def test_integer_order_is_accepted(self, problems_dir, tmp_path, capsys):
+        doc = json.loads((problems_dir / "h4.json").read_text())
+        assert doc["partial_fractions"]["terms"][1]["order"] == 1
+        assert main(["bounds", write_problem(tmp_path, "h4.json", doc)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("dimension", [True, 1.0])
+    def test_realization_dimension_must_be_an_integer(self, tmp_path, capsys, dimension):
+        real = write_problem(tmp_path, "real.json", {"dimension": dimension, "A": [[1.0]], "b": [1.0], "c": [1.0]})
+        path = write_problem(tmp_path, "p.json", ONE_POLE)
+        assert main(["verify", path, "--realization", real]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'dimension' must be an integer" in captured.err
+        assert main(["realize", path, "--base", real, "--base-shift", "1"]) == 3
+        assert "'dimension' must be an integer" in capsys.readouterr().err

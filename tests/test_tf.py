@@ -16,7 +16,7 @@ from posreal.cli import load_problem
 from posreal.errors import ExpansionFailed, NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
 from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
-from strategies import simple_stable_pfs
+from strategies import simple_stable_pfs, supplied_pole_terms
 
 
 class TestFromCoefficients:
@@ -259,6 +259,21 @@ class TestExpand:
         href = example1_tf(sample)
         resid = np.abs(back(sample) - href) / (1.0 + np.abs(href))
         assert np.max(resid) < 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # some products are NaN, others finite with large imaginary parts
+            (pr.PoleTerm(0.5j, (-1e308 - 1e308j,)), pr.PoleTerm(0.5 + 0.5j, (1e308 + 1.5e308j,))),
+            # a product's magnitude passes the float range, where abs() raises OverflowError
+            (pr.PoleTerm(0.25, (0.25 + 0.5j,)), pr.PoleTerm(0.0, (1e308 + 1.5e308j,))),
+        ],
+    )
+    def test_recombine_skips_the_non_real_check_past_the_float_range(self, terms):
+        # no ExpansionFailed and no OverflowError: from_coefficients gets the real parts
+        with pytest.raises(NotCoprime, match="numerator vanishes at denominator root 1$"):
+            pr.recombine(pr.PartialFraction(1.0, 1.0, terms))
 
 
 def _deep_pf(rng) -> pr.PartialFraction:
@@ -562,6 +577,22 @@ class TestBuildPartialFraction:
         assert up.pole.imag > 0 and up.pole == pytest.approx(0.1 + 0.5e-12 + 0.3j, abs=1e-15)
         assert down.pole == up.pole.conjugate()
         assert down.coeffs == tuple(c.conjugate() for c in up.coeffs)
+
+
+@given(supplied_pole_terms())
+def test_build_partial_fraction_is_idempotent(supplied):
+    """Its own output's terms, cleaned and symmetrized already, come back as the same result."""
+    pf = pr.build_partial_fraction(*supplied)
+    again = pr.build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
+    assert repr(again) == repr(pf)  # repr: every float bit for bit, -0.0 apart from 0.0
+
+
+@given(supplied_pole_terms(), st.data())
+def test_build_partial_fraction_ignores_the_term_order(supplied, data):
+    """Any order of the same terms, each pair's lower term listed first or last, gives the same result."""
+    lam0, gamma, terms = supplied
+    shuffled = data.draw(st.permutations(terms))
+    assert repr(pr.build_partial_fraction(lam0, gamma, shuffled)) == repr(pr.build_partial_fraction(*supplied))
 
 
 class TestIterationEstimate:
