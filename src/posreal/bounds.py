@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from itertools import islice
 
 from .errors import NonpositiveDominantResidue, NotApplicable, PosrealError
-from .tf import PartialFraction, TransferFunction, _normalized_impulse, _zero_band, expand, normalize
+from .tf import PartialFraction, TransferFunction, _require_normalized, _walk, _zero_band, expand, normalize
 
 _HORIZON_GUARD = 1_000_000
 
@@ -57,30 +56,27 @@ def positivity_horizon(pf: PartialFraction) -> int:
     |lam|^(k-i); once that drops below one and keeps shrinking, the tail is
     positive.
     """
-    if not pf.is_normalized:
-        raise ValueError("positivity horizon requires a normalized partial fraction")
-    k = 1
-    while True:
+    _require_normalized(pf)
+    for k in range(1, _HORIZON_GUARD + 1):
         if _envelope(pf, k) < 1.0 and _envelope_decreasing(pf, k):
             return k
-        k += 1
-        if k > _HORIZON_GUARD:
-            raise PosrealError("positivity horizon search exhausted")
+    raise PosrealError("positivity horizon search exhausted")
 
 
-def _certified_scan(tf: TransferFunction, pf: PartialFraction):
+def _certified_scan(pf: PartialFraction):
     """Normalized impulse values t~ up to the certified horizon, and the horizon.
 
-    ``pf`` is the expansion of ``tf``, with dominant term g/(z - l0); t~_k =
-    t_k / (s l0^(k-1)) below the positivity horizon of the s-scaled terms,
-    s = g for g > 0.  For g < 0, s = |g|/2 gives t~_k <= -2 + envelope(k) <
-    -1 at the horizon, so a witness (``NegativeImpulse``) is found unless
+    ``pf`` is an expansion with dominant term g/(z - l0); t~_k = t_k / (s l0^(k-1))
+    come from ``_walk`` below the positivity horizon of the s-scaled terms, s = g
+    for g > 0.  For g < 0, s = |g|/2 makes the dominant part -2, so t~_k <= -2 +
+    envelope(k) < -1 at the horizon: a witness (``NegativeImpulse``) is found unless
     rounding hides it, and then ``NonpositiveDominantResidue`` says so.
     """
     gamma = pf.dominant_residue
     npf = normalize(pf if gamma > 0 else replace(pf, dominant_residue=-gamma / 2))
     horizon = positivity_horizon(npf)
-    tnorm = _normalized_impulse(tf, npf, horizon)
+    walk = _walk(npf if gamma > 0 else replace(npf, dominant_residue=-2.0))
+    tnorm = [t for t, _, _ in islice(walk, horizon)]
     if gamma < 0:
         raise NonpositiveDominantResidue(
             f"dominant residue {gamma:.6g} is not positive; no impulse value up to "
@@ -130,8 +126,9 @@ def bounds_report(tf: TransferFunction) -> BoundsReport:
     t~_k within the zero band; a negative t~_k raises as ``_certified_scan`` says.
     """
     pf = expand(tf)
-    tnorm, horizon = _certified_scan(tf, pf)
-    zeros = tuple(int(i) + 1 for i in np.nonzero(np.abs(tnorm) <= _zero_band(tnorm[0]))[0])
+    tnorm, horizon = _certified_scan(pf)
+    band = _zero_band(tnorm[0])
+    zeros = tuple(k for k, t in enumerate(tnorm, start=1) if abs(t) <= band)
     k0 = max(zeros) if zeros else 0
     try:
         theo2 = cone_order_bound(pf, k0)

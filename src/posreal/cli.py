@@ -361,8 +361,9 @@ def _cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
     try:
         report = bounds_report(problem.tf)
-    except NegativeImpulse as exc:
-        _emit({"status": "negative_impulse", "index": exc.index, "value": float(exc.value)}, args)
+    except NegativeImpulse as exc:  # its value as `impulse` prints it, from the recurrence
+        value = impulse_response(problem.tf, exc.index)[-1]
+        _emit({"status": "negative_impulse", "index": exc.index, "value": float(value)}, args)
         return EXIT_NO_REALIZATION
     except (NotPrimitive, NonpositiveDominantResidue) as exc:
         _emit({"status": "unsupported", "reason": str(exc)}, args)

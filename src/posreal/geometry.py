@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MultiplePoleUnsupported, NoPolygonIndex
-from .tf import PartialFraction
+from .tf import PartialFraction, _require_normalized
 
 # Equality in the polar inequalities within this margin counts as outside,
 # forcing the next larger polygon; the constructions need the open interior.
@@ -101,8 +101,7 @@ def classify(pf: PartialFraction) -> PoleClassification:
     index.  Real negative poles always go to the two-state bucket even when
     some polygon contains them, which never increases the dimension.
     """
-    if not pf.is_normalized:
-        raise ValueError("classification requires a normalized partial fraction")
+    _require_normalized(pf)
     if any(t.order > 1 for t in pf.terms):
         raise MultiplePoleUnsupported("classification requires simple poles")
     n1: list[tuple[float, float]] = []

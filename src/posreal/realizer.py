@@ -2,20 +2,22 @@
 
 The poles are bucketed once, since no shift changes a bucket: a real pole at
 lam > 0 keeps its residue's sign, one at lam < 0 is two-state either way, a
-pair keeps its polygon, and a term at lam = 0 drops out.  Each pass tests the
-stopping rule or strips one impulse value and checks its sign (a negative one
-rules out any nonnegative realization).  Each block then gets its share
-floor of the unit dominant residue, whichever rule stopped; the leftover
-joins the carrier's share, or, if no block carries a share, gets a one-state
-remainder block.  Each block is built once and the blocks are stacked.  The
-stack is lifted by the prefix, rescaled back to the input's gain and pole
-location, and verified by an independent Markov comparison.  A supplied base
-realization of the shifted tail replaces the shift loop and the blocks.
+pair keeps its polygon, and a term at lam = 0 drops out.  Each pass reads an
+impulse value and the shifted coefficients off ``tf._walk``, which raises at a
+negative value (no nonnegative realization exists), then tests the stopping
+rule or strips the value.  Each block then gets its share floor of the unit
+dominant residue, whichever rule stopped; the leftover joins the carrier's
+share, or, if no block carries a share, gets a one-state remainder block.
+Each block is built once and the blocks are stacked.  The stack is lifted by
+the prefix, rescaled back to the input's gain and pole location, and verified
+by an independent Markov comparison.  A supplied base realization of the
+shifted tail replaces the shift loop and the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,15 +45,7 @@ from .errors import (
     NotPrimitive,
 )
 from .geometry import PairBucket, PoleClassification, classify
-from .tf import (
-    PartialFraction,
-    TransferFunction,
-    expand,
-    _first_impulse,
-    _normalized_impulse,
-    _zero_band,
-    normalize,
-)
+from .tf import PartialFraction, TransferFunction, _walk, expand, normalize
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
     try:
         pf = expand(tf)
         if pf.dominant_residue < 0:
-            _certified_scan(tf, pf)  # always raises: NegativeImpulse, or the residue at rounding level
+            _certified_scan(pf)  # always raises: NegativeImpulse, or the residue at rounding level
         pf = normalize(pf)
         staged = stage(pf)
     except (NotPrimitive, NonpositiveDominantResidue) as exc:
@@ -167,32 +161,25 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     """``realize``'s stage: shift until the budget fits, then build and assemble the blocks."""
     if any(t.order > 1 for t in pf.terms):
         return Unsupported("multiple non-dominant poles are not constructed here")
-    poles = [t.pole for t in pf.terms]  # fixed; a shift maps each coefficient c to lam c, as shift_once does
-    coeffs = [t.coeffs[0] for t in pf.terms]
-    band = _zero_band(_first_impulse(coeffs))
+    poles = [t.pole for t in pf.terms]  # fixed; each shift maps a coefficient c to lam c (_walk)
     cls = classify(pf)
     units = floor_units(cls)  # fixed for the request, as no shift changes a bucket
     prefix: list[float] = []
     totals: list[float] = []
-    while True:
+    for t, coeffs, _ in _walk(pf):  # a witness raises NegativeImpulse, and wins over the cap
         n2_sum, eta_sum, pair_sum = term_floors(poles, coeffs, units)
         total = n2_sum + pair_sum
         if totals and total > totals[-1] * (1.0 + 1e-12) + 1e-15:
             raise InternalCheckError("per-pole budget total increased along a shift")
         totals.append(total)
         needed, limit = _stop_rule(mode, n2_sum, eta_sum, pair_sum)
-        # No sign check on stopping: the floors |c| and 2 eta / cos(pi/m) >= 2 eta >= |2 Re c| bound
-        # each term's part of t~_m, and the sum rule's at most 1/2: t~_m >= 1 - needed > -band.
+        # The walk's sign check never fires at a stop: the floors |c| and 2 eta / cos(pi/m) >= 2 eta
+        # >= |2 Re c| bound each term's part of t~_m, and the sum rule's at most 1/2: t~_m >= 1 - needed.
         if needed <= limit:
             break
-        t = _first_impulse(coeffs)
-        if t < -band:  # a witness wins over the cap
-            m = len(prefix) + 1
-            return NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t)
         if cap_override is not None and len(prefix) >= cap_override:
             return IterationCapExceeded(cap_override)
         prefix.append(t if t > 0 else 0.0)
-        coeffs = [lam * c for lam, c in zip(poles, coeffs)]
 
     cls = _reread(cls, poles, coeffs)
     plan = budget(cls)
@@ -235,16 +222,16 @@ def realize(
     return _synthesize(tf, mode, stage, verify_tol, verify_horizon)
 
 
-def _base_check(tf: TransferFunction, pf: PartialFraction, base: Realization, m: int):
+def _base_check(pf: PartialFraction, base: Realization, m: int):
     """``realize_with_base``'s stage: the prefix t~_1 .. t~_{m-1} and a check of the base, or a witness."""
     need = m - 1 + _BASE_HORIZON
-    tnorm = _normalized_impulse(tf, pf, need)
+    tnorm = np.array([t for t, _, _ in islice(_walk(pf), need)])
     prefix = tnorm[: m - 1].clip(min=0.0)
 
     want = tnorm[m - 1 :]
-    # The recurrence reference carries absolute noise on the order of
-    # eps * steps * peak; allow that floor so exact zeros after large
-    # intermediate values do not spuriously reject a correct base.
+    # The walk's values and the base's Markov terms carry absolute noise
+    # growing with eps * steps * peak; allow that floor so exact zeros after
+    # large intermediate values do not spuriously reject a correct base.
     peak = max(1.0, float(np.max(np.abs(tnorm))))
     floor = 16.0 * np.finfo(float).eps * need * peak
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error fails below
@@ -274,5 +261,5 @@ def realize_with_base(
     """
     if m < 1:
         raise ValueError("shift index m must be at least 1")
-    stage = lambda pf: _base_check(tf, pf, base, m)
+    stage = lambda pf: _base_check(pf, base, m)
     return _synthesize(tf, "base", stage, verify_tol, verify_horizon)

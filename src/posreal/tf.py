@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count
 
 import numpy as np
 
@@ -171,9 +172,9 @@ class PartialFraction:
         return acc
 
 
-def _trimmed(coeffs) -> tuple[float, ...]:
-    cs = [float(c) for c in coeffs]
-    while cs and cs[-1] == 0.0:
+def _trimmed(values) -> tuple:
+    cs = list(values)
+    while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
@@ -196,10 +197,10 @@ def from_coefficients(num, den) -> TransferFunction:
     the same factor, so the function is unchanged) and near-common factors
     are rejected.
     """
-    den_c = _trimmed(den)
+    den_c = _trimmed(map(float, den))
     if not den_c:
         raise ZeroDenominator("denominator is identically zero")
-    num_c = _trimmed(num) or (0.0,)
+    num_c = _trimmed(map(float, num)) or (0.0,)
     if len(num_c) >= len(den_c):
         raise NotStrictlyProper(
             f"numerator degree {len(num_c) - 1} not below denominator degree {len(den_c) - 1}"
@@ -514,24 +515,14 @@ def _zero_band(t1: float) -> float:
     return 1e-10 * (1.0 + abs(t1))
 
 
-def _normalized_impulse(tf: TransferFunction, pf: PartialFraction, K: int) -> np.ndarray:
-    """t~_k = t_k / (g l0^(k-1)), k = 1 .. K, at ``pf``'s scaling; ``NegativeImpulse(k, t_k)`` at a witness."""
-    t = impulse_response(tf, K)
-    tnorm = t / (pf.scale_gamma * pf.pole_scale ** np.arange(K))
-    neg = np.nonzero(tnorm < -_zero_band(tnorm[0]))[0]
-    if neg.size:
-        raise NegativeImpulse(int(neg[0]) + 1, float(t[neg[0]]))
-    return tnorm
-
-
 def _require_normalized(pf: PartialFraction) -> None:
     if not pf.is_normalized:
         raise ValueError("operation requires a normalized partial fraction")
 
 
-def _first_impulse(coeffs) -> float:
-    """One plus the order-1 coefficients ``coeffs`` of a normalized function: its t~_1."""
-    total = 1.0 + 0j
+def _first_impulse(dominant: float, coeffs) -> float:
+    """t~_1 of a function with dominant term ``dominant``/(z - 1) and order-1 coefficients ``coeffs``: their sum."""
+    total = dominant + 0j
     for c in coeffs:
         total += c
     if abs(total.imag) >= 1e-10:
@@ -542,29 +533,49 @@ def _first_impulse(coeffs) -> float:
 def leading_impulse(pf: PartialFraction) -> float:
     """t_1 of a normalized partial fraction: one plus the order-1 coefficients (``_first_impulse``)."""
     _require_normalized(pf)
-    return _first_impulse(t.coeffs[0] for t in pf.terms)
+    return _first_impulse(1.0, (t.coeffs[0] for t in pf.terms))
+
+
+def _shifted(pole: complex, coeffs) -> tuple:
+    """A coefficient chain after one shift, c'_i = pole c_i + c_{i+1}, with its trailing zeros dropped."""
+    return _trimmed([pole * a + b for a, b in zip(coeffs, coeffs[1:])] + [pole * coeffs[-1]])
 
 
 def shift_once(pf: PartialFraction) -> tuple[float, PartialFraction]:
     """Remove the leading impulse value and return (t_1, tail function).
 
     Termwise, z/(z - lam)^i = 1/(z - lam)^(i-1) + lam/(z - lam)^i, so the new
-    coefficients are c'_i = lam*c_i + c_{i+1}; simple poles contract by lam.
+    coefficients are c'_i = lam*c_i + c_{i+1} (``_shifted``); simple poles contract by lam.
     The dominant residue stays exactly 1.  Trailing zero coefficients are
     dropped, and a term left with none (order 1 at lam = 0, or a coefficient
     that underflowed) drops out.  The tail goes through the validating
     constructors.
     """
-    t = leading_impulse(pf)
-    terms = []
-    for term in pf.terms:
-        pole, cs = term.pole, term.coeffs
-        shifted = [pole * a + b for a, b in zip(cs, cs[1:])] + [pole * cs[-1]]
-        while shifted and shifted[-1] == 0:
-            shifted.pop()
-        if shifted:
-            terms.append(PoleTerm(pole, tuple(shifted)))
-    return t, replace(pf, terms=terms)
+    tail = [PoleTerm(term.pole, cs) for term in pf.terms if (cs := _shifted(term.pole, term.coeffs))]
+    return leading_impulse(pf), replace(pf, terms=tail)
+
+
+def _walk(pf: PartialFraction):
+    """Yield (t~_k, coeffs, higher), k = 1, 2, ..., for ``pf`` with dominant pole 1: ``coeffs`` holds the order-1
+    coefficients after k - 1 shifts as ``shift_once`` makes them (zero once a term drops out), ``higher`` each longer
+    term's c^(2), c^(3), ... by term index, and t~_k = dominant residue + sum(coeffs).  The first t~_k below the zero
+    band of t~_1 raises ``NegativeImpulse(k, t_k)``, t_k = s l0^(k-1) t~_k at ``pf``'s scaling s, l0.  The shift
+    loop, the certified scan and the base check read t~ only here."""
+    poles = [t.pole for t in pf.terms]
+    coeffs = [t.coeffs[0] for t in pf.terms]
+    higher = {j: t.coeffs[1:] for j, t in enumerate(pf.terms) if t.order > 1}
+    t = _first_impulse(pf.dominant_residue, coeffs)
+    band = _zero_band(t)
+    for k in count(1):
+        if t < -band:
+            raise NegativeImpulse(k, pf.scale_gamma * pf.pole_scale ** (k - 1) * t)
+        yield t, coeffs, higher
+        coeffs = [lam * c for lam, c in zip(poles, coeffs)]
+        if higher:  # c'_1 = lam c_1 + c_2, and the rest of a longer chain shifts on its own
+            for j, cs in higher.items():
+                coeffs[j] += cs[0]
+            higher = {j: shifted for j, cs in higher.items() if (shifted := _shifted(poles[j], cs))}
+        t = _first_impulse(pf.dominant_residue, coeffs)
 
 
 def iteration_estimate(pf: PartialFraction) -> int:
@@ -658,10 +669,11 @@ def recombine(pf: PartialFraction) -> TransferFunction:
 def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> PartialFraction:
     """Validate and canonicalize externally supplied pole terms.
 
-    A non-finite pole, residue or coefficient is refused first.  Near-real
-    poles are made exactly real, conjugate pairs are matched at relative
-    tolerance 1e-9 and symmetrized exactly, and terms are put in a
-    deterministic order.
+    A non-finite pole, residue or coefficient is refused first, then terms
+    whose |re| + |im| pass the float range, so no sum or abs() below
+    overflows.  Near-real poles are made exactly real, conjugate pairs are
+    matched at relative tolerance 1e-9 and symmetrized exactly, and terms are
+    put in a deterministic order.
     """
     lam0 = float(dominant_pole)
     gamma = float(dominant_residue)
@@ -669,11 +681,15 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name}: {value!r}")
     raw_terms = tuple(raw_terms)
-    if not cmath.isfinite(sum(sum(t.coeffs, t.pole) for t in raw_terms)):  # a value is not finite, or the sum overflowed
+    # a value is not finite or too large, or the values add up past the float range
+    if not math.isfinite(sum(abs(z.real) + abs(z.imag) for t in raw_terms for z in (t.pole, *t.coeffs))):
         for i, term in enumerate(raw_terms):
             for what, value in (("pole", term.pole), *(("coefficient", c) for c in term.coeffs)):
                 if not cmath.isfinite(value):
                     raise ValueError(f"non-finite {what} of term {i}: {value!r}")
+                if not math.isfinite(abs(value.real) + abs(value.imag)):
+                    raise ValueError(f"{what} of term {i} is too large (|re| + |im| passes the float range): {value!r}")
+        raise ValueError("pole terms too large: their |re| + |im| add up past the float range")
     if lam0 <= 0 or gamma == 0:
         raise NotPrimitive("dominant pole must be positive with a nonzero residue")
 

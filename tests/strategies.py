@@ -75,3 +75,20 @@ def supplied_pole_terms(st_draw, max_real=2, max_pairs=2, max_order=3):
         off = lambda z: z.conjugate() * (1.0 + st_draw(tiny))
         terms.append(pr.PoleTerm(off(lam), tuple(map(off, cs))))
     return lam0, gamma, terms
+
+
+@st.composite
+def two_pole_zero_families(st_draw, min_N=4, max_N=13):
+    """(N, pf): 1/(z - 1) - a/(z - p) + b/(z - q) at a random gain and dominant pole, with impulse zeros at N - 1 and N.
+
+    a p^(N-2) - b q^(N-2) = 1 = a p^(N-1) - b q^(N-1), with p in [0.3, 0.7] and q in [0.1, p - 0.1],
+    the ranges of the benchmark's zero families; gain and pole scale in [0.5, 2].
+    """
+    N = st_draw(st.integers(min_N, max_N))
+    p = st_draw(st.floats(0.3, 0.7))
+    q = 0.1 + (p - 0.2) * st_draw(st.floats(0.0, 1.0))
+    a = (1.0 - q) / ((p - q) * p ** (N - 2))
+    b = (1.0 - p) / ((p - q) * q ** (N - 2))
+    gamma, lam0 = st_draw(st.floats(0.5, 2.0)), st_draw(st.floats(0.5, 2.0))
+    terms = (pr.PoleTerm(p * lam0, (-a * gamma,)), pr.PoleTerm(q * lam0, (b * gamma,)))
+    return N, pr.PartialFraction(lam0, gamma, terms)

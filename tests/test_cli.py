@@ -495,6 +495,20 @@ class TestPartialFractionInput:
         assert main(["realize", path]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["realize", "bounds"])
+    def test_coefficient_past_the_float_range_named(self, tmp_path, capsys, command):
+        # finite parts, but |re| + |im| (and abs()) pass the float range: refused naming the term
+        doc = {
+            "partial_fractions": {
+                "dominant": {"pole": 1.0, "residue": 1.0},
+                "terms": [{"pole": 0.5, "order": 1, "coeffs": [{"re": 1.5e308, "im": 1.5e308}]}],
+            }
+        }
+        assert main([command, write_problem(tmp_path, "huge.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coefficient of term 0 is too large")
+
     def test_both_forms_rejected(self, tmp_path, capsys):
         doc = {
             "transfer": {"num": [1.0], "den": [-1.0, 1.0]},

@@ -13,7 +13,10 @@ stop and ``iteration_estimate``'s bound on it read one ``CONSERVATIVE_LIMIT``, t
 constants of the pair floor and the sum rule do not move apart (the
 cone's half-width fixes the floor's coefficient, and the limit must keep a
 sum-rule stop a per-pole stop), and
-one zero band (``tf._zero_band``) decides an impulse value's sign: no 1e-9
+one walk along the normalized impulse values (``tf._walk``) decides an
+impulse value's sign: it and ``bounds_report`` are the only readers of the
+zero band (``tf._zero_band``), it alone raises a witness and shifts for the
+shift loop, the certified scan and the base lift, and no 1e-9
 or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``, only
 ``bounds_report`` and ``realizer._synthesize`` call ``expand``, so each
 request expands its input once, only
@@ -338,19 +341,27 @@ def tolerance_literals(source: str) -> list[int]:
 
 
 def test_one_zero_band():
-    # the shift loop, the normalized scan (bounds' and the base lift's) and the zero count
-    # read one band; neither realizer nor bounds keeps a tolerance of its own, and
-    # bounds_report is the one function that counts zeros (zero_pattern returns its count)
+    # one walk along t~ decides every sign: the shift loop, the certified scan and the base
+    # lift read t~ from tf._walk, the only place that raises a witness; the walk and the zero
+    # count read one band; neither realizer nor bounds keeps a tolerance or a shift of its own,
+    # and bounds_report is the one function that counts zeros (zero_pattern returns its count)
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "_zero_band") == {
         "bounds.py": ["bounds_report"],
-        "realizer.py": ["_shift_and_build"],
-        "tf.py": ["_normalized_impulse"],
+        "tf.py": ["_walk"],
     }
-    assert reader_scopes(sources, "_normalized_impulse") == {
+    assert reader_scopes(sources, "_walk") == {
         "bounds.py": ["_certified_scan"],
-        "realizer.py": ["_base_check"],
+        "realizer.py": ["_base_check", "_shift_and_build"],
     }
+    # only the walk raises a witness; realize and the CLI catch it
+    assert reader_scopes(sources, "NegativeImpulse") == {
+        "cli.py": ["_cmd_bounds"],
+        "realizer.py": ["_synthesize"],
+        "tf.py": ["_walk"],
+    }
+    assert reader_scopes(sources, "_first_impulse") == {"tf.py": ["_walk", "leading_impulse"]}
+    assert reader_scopes(sources, "_shifted") == {"tf.py": ["_walk", "shift_once"]}
     assert {m: tolerance_literals(sources[m]) for m in ("realizer.py", "bounds.py")} == {
         "realizer.py": [],
         "bounds.py": [],

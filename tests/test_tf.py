@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import posreal as pr
 import posreal.tf as tfmod
 from posreal.cli import load_problem
-from posreal.errors import ExpansionFailed, NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
+from posreal.bounds import _certified_scan
+from posreal.errors import ExpansionFailed, NegativeImpulse, NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
 
 from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
 from strategies import simple_stable_pfs, supplied_pole_terms
@@ -567,6 +568,20 @@ class TestBuildPartialFraction:
         with pytest.raises(ValueError, match=message):
             pr.build_partial_fraction(lam0, gamma, terms)
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # abs() of this finite value overflows
+            ([pr.PoleTerm(0.5, (1.5e308 + 1.5e308j,))], "coefficient of term 0 is too large"),
+            ([UPPER, LOWER, pr.PoleTerm(complex(1e308, 1e308), (0.2,))], "pole of term 2 is too large"),
+            # no one value is too large, but their sum would overflow
+            ([pr.PoleTerm(0.5, (1e308,)), pr.PoleTerm(0.2, (1e308,))], "pole terms too large"),
+        ],
+    )
+    def test_values_past_the_float_range_raise_value_error(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            pr.build_partial_fraction(1.0, 1.0, terms)
+
     def test_near_conjugates_come_back_exactly_symmetric(self):
         # the lower term is listed first and sits 1e-12 off the conjugate
         lower = pr.PoleTerm(0.1 + 1e-12 - 0.3j, (0.02 + 1e-12 - 0.01j, 0.05 - 1e-12 + 0.04j))
@@ -857,6 +872,51 @@ def test_shift_once_equals_the_validated_tail(pf, shifts):
         cur = got
     if pf is DROPS_OUT:
         assert [(t.pole, t.order) for t in cur.terms] == [(-0.6 + 0j, 1)]
+
+
+def _walk_terms(pf, coeffs, higher):
+    """The walk's chains as (pole, coefficients) of the terms that have not dropped out, as shift_once keeps them."""
+    chains = ((j, t.pole, c) for j, (t, c) in enumerate(zip(pf.terms, coeffs)))
+    return tuple((pole, (c, *higher.get(j, ()))) for j, pole, c in chains if c != 0 or j in higher)
+
+
+@given(st.one_of(shiftable_pfs(), simple_stable_pfs()), st.integers(1, 12))
+@example(MULTIPLE_POLE, 6)
+@example(DROPS_OUT, 4)
+@example(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.95j, (0.6,)), pr.PoleTerm(-0.95j, (0.6,)))), 4)  # t~_3 < 0
+def test_walk_follows_shift_once_bit_for_bit(pf, shifts):
+    """t~_k and every chain of tf._walk are iterated shift_once's, bit for bit, up to the walk's witness."""
+    walk, cur = tfmod._walk(pf), pf
+    band = tfmod._zero_band(pr.leading_impulse(pf))
+    for k in range(1, shifts + 1):
+        t = pr.leading_impulse(cur)
+        if t < -band:
+            with pytest.raises(NegativeImpulse) as exc:
+                next(walk)
+            assert (exc.value.index, _bits(exc.value.value)) == (k, _bits(pf.scale_gamma * pf.pole_scale ** (k - 1) * t))
+            return
+        got, coeffs, higher = next(walk)
+        assert _bits(got) == _bits(t)
+        assert _bits(_walk_terms(pf, coeffs, higher)) == _bits(tuple((term.pole, term.coeffs) for term in cur.terms))
+        _, cur = pr.shift_once(cur)
+
+
+@given(simple_stable_pfs(), st.floats(0.5, 2.0))
+def test_walk_witness_is_the_recurrences_first_negative_value(pfn, lam0):
+    """A negative dominant residue: the certified scan's witness is the first t_k < 0 of impulse_response."""
+    raw = scaled_pf(pr.PartialFraction(1.0, -1.0, pfn.terms), 1.0, lam0)
+    try:
+        tf = pr.recombine(raw)
+    except NotCoprime:
+        reject()
+    with pytest.raises(NegativeImpulse) as exc:
+        _certified_scan(pr.expand(tf))
+    t = pr.impulse_response(tf, exc.value.index)
+    k = np.arange(len(t))
+    # rounding decides no sign: every value up to the witness is clear of zero
+    assume(np.all(np.abs(t) > 1e-8 * lam0**k * (1.0 + sum(abs(c.coeffs[0]) for c in pfn.terms))))
+    assert t[-1] < 0 and np.all(t[:-1] > 0)
+    assert exc.value.value == pytest.approx(t[-1], rel=1e-9, abs=1e-12)
 
 
 @given(simple_stable_pfs(), st.integers(1, 8))
