@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from itertools import count
 
 import numpy as np
@@ -85,24 +85,30 @@ class Polynomial:
 class TransferFunction:
     """Strictly proper rational function with a monic denominator.
 
-    ``roots`` (read-only) holds the companion eigenvalues of ``den``, found
-    once here; the coprimality test and ``expand`` both read them.  Only
-    ``recombine`` sets ``_expansion``: the partial fraction it was built from.
+    ``roots`` (read-only) holds the poles, found once here; the coprimality test and ``expand`` read
+    them: the companion eigenvalues of ``den``, or, for the partial fraction ``recombine`` passes as
+    ``_given`` (kept as ``_expansion``), its poles by increasing modulus (real when all are), with no solve.
     """
 
     num: Polynomial
     den: Polynomial
+    _given: InitVar[PartialFraction | None] = field(default=None, kw_only=True)
     roots: np.ndarray = field(init=False, repr=False, compare=False)
     _expansion: PartialFraction | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _given):
         if self.den.degree < 1:
             raise NotStrictlyProper("denominator must have degree at least 1")
         if self.den.coeffs[-1] != 1.0:
             raise ValueError("denominator must be monic")
         if self.num.degree >= self.den.degree:
             raise NotStrictlyProper("numerator degree must be below denominator degree")
-        roots = companion_roots(self.den.coeffs)
+        if _given is None:
+            roots = companion_roots(self.den.coeffs)
+        else:
+            poles = sorted([complex(_given.dominant_pole), *(t.pole for t in _given.terms)], key=abs)
+            roots = np.array(poles if any(z.imag for z in poles) else [z.real for z in poles])
+            object.__setattr__(self, "_expansion", _given)
         roots.setflags(write=False)
         object.__setattr__(self, "roots", roots)
 
@@ -190,12 +196,12 @@ def companion_roots(monic_coeffs) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def from_coefficients(num, den) -> TransferFunction:
+def from_coefficients(num, den, *, _given: PartialFraction | None = None) -> TransferFunction:
     """Build a validated transfer function from ascending coefficient lists.
 
     The denominator is rescaled to monic form (the numerator is divided by
     the same factor, so the function is unchanged) and near-common factors
-    are rejected.
+    are rejected at its ``roots`` (only ``recombine`` passes ``_given``).
     """
     den_c = _trimmed(map(float, den))
     if not den_c:
@@ -210,20 +216,22 @@ def from_coefficients(num, den) -> TransferFunction:
     lead = den_c[-1]
     num_c = tuple(c / lead for c in num_c)
     den_c = tuple(c / lead for c in den_c[:-1]) + (1.0,)
-    tf = TransferFunction(Polynomial(num_c), Polynomial(den_c))
+    tf = TransferFunction(Polynomial(num_c), Polynomial(den_c), _given=_given)
     _reject_common_roots(tf)
     return tf
 
 
 def _reject_common_roots(tf: TransferFunction) -> None:
-    # Resultant-style test: the resultant of num and den is the product of
-    # num over den's roots; a vanishing factor flags a common root.
-    roots = tf.roots
-    nc = np.abs(tf.num.coeffs)
-    scale = np.sum(nc * np.abs(roots)[:, None] ** np.arange(len(nc)), axis=1)
-    common = roots[np.abs(tf.num(roots)) <= 1e-9 * (scale + 1e-300)]
-    if common.size:
-        raise NotCoprime(f"numerator vanishes at denominator root {common[0]:.12g}")
+    # Resultant-style test: the resultant of num and den is the product of num over den's roots; a
+    # vanishing factor flags a common root.  |num(r)| / sum |num_i| |r|^i, both by Horner on plain
+    # floats; the ratio keeps abs() in range where the scale passes it (inf flags a common root).
+    cs = tf.num.coeffs[::-1]
+    for r in tf.roots.tolist():
+        value, scale, size = 0.0, 0.0, abs(r)
+        for c in cs:
+            value, scale = value * r + c, scale * size + abs(c)
+        if abs(value / (scale + 1e-300)) <= 1e-9:
+            raise NotCoprime(f"numerator vanishes at denominator root {r:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,7 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
 def expand(tf: TransferFunction) -> PartialFraction:
     """Partial-fraction expansion with a unique dominant pole.
 
-    A recombined partial fraction is its own expansion (see ``recombine``).
+    A recombined partial fraction is its own expansion (see ``recombine``), found by no eigen-solve.
     Otherwise poles come from the companion-matrix eigenvalues ``tf.roots``, each
     polished by Newton until its step reaches rounding level or stops
     shrinking (``_refine_root``); the real companion matrix gives exact
@@ -613,7 +621,8 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     ``build_partial_fraction``'s canonical terms, where it accepts ``pf``, are collected by
     increasing modulus (whatever their given order; by real part rounds worse), else ``pf``'s
     terms as given, through ``from_coefficients``' checks.  Canonical terms that root-finding
-    would find (simple, separated from l0) stay on the result as the expansion ``expand`` returns.
+    would find (simple, separated from l0) stay on the result as the expansion ``expand`` returns,
+    and their poles as its ``roots``: the common-root test runs there, and no eigen-solve does.
     The ``np.convolve`` products are load-bearing to the last bit: the multiple-pole ``expand``
     tests cluster the roots of these coefficients, and one ulp elsewhere splits a double pair.
     """
@@ -653,17 +662,17 @@ def recombine(pf: PartialFraction) -> TransferFunction:
             num[: len(contrib)] += contrib
 
     num, den = num.tolist(), den.tolist()
-    try:
-        scale = 1.0 + max(map(abs, num)) + max(map(abs, den))
-    except OverflowError:  # abs() raises where a magnitude passes the float range
-        scale = math.inf
-    # no check when a value is not finite or too large: its scale is inf or NaN then
-    if max(abs(v.imag) for v in num + den) > 1e-9 * scale and all(map(cmath.isfinite, num + den)):
-        raise ExpansionFailed("recombination produced non-real coefficients")
-    tf = from_coefficients([v.real for v in num], [v.real for v in den])
-    if given is not None and all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
-        object.__setattr__(tf, "_expansion", given)
-    return tf
+    # num and den each against its own scale; no check once a value is not finite, or too large (scale inf)
+    for vs in (num, den) if all(map(cmath.isfinite, num + den)) else ():
+        try:
+            scale = 1.0 + max(map(abs, vs))
+        except OverflowError:  # abs() raises where a magnitude passes the float range
+            scale = math.inf
+        if max(abs(v.imag) for v in vs) > 1e-9 * scale:
+            raise ExpansionFailed("recombination produced non-real coefficients")
+    if given is not None and not all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
+        given = None
+    return from_coefficients([v.real for v in num], [v.real for v in den], _given=given)
 
 
 def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> PartialFraction:

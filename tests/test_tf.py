@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -74,14 +75,37 @@ class TestRootsOnce:
         assert isinstance(pr.realize(pr.from_coefficients(num, den)), pr.Realized)
         assert len(solves) == 1
 
-    def test_realize_recombined_input_solves_once(self, solves):
+    def test_realize_recombined_input_solves_none(self, solves):
         assert isinstance(pr.realize(pr.recombine(hn_pf(4))), pr.Realized)
+        assert len(solves) == 0
+
+    def test_bounds_report_solves_none(self, solves):
+        # the recombined input is its own expansion, and its coprimality test runs at the given poles
+        assert pr.bounds_report(pr.recombine(hn_pf(6))).k0 == 6
+        assert len(solves) == 0
+
+    def test_recombined_order_two_term_solves_once(self, solves):
+        tf = pr.recombine(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5, (0.3, 1.0)),)))
+        assert [t.order for t in pr.expand(tf).terms] == [2]
         assert len(solves) == 1
 
-    def test_bounds_report_solves_once(self, solves):
-        # the one solve is from_coefficients' coprimality test; the recombined input is its own expansion
-        assert pr.bounds_report(pr.recombine(hn_pf(6))).k0 == 6
-        assert len(solves) == 1
+    def test_recombined_roots_are_the_given_poles_and_read_only(self):
+        pair = pr.PoleTerm(0.1 + 0.3j, (0.02 + 0.01j,))
+        pf = pr.PartialFraction(2.0, 1.0, (pr.PoleTerm(-0.5, (0.4,)), pair, pr.PoleTerm(0.1 - 0.3j, (0.02 - 0.01j,))))
+        tf = pr.recombine(pf)
+        given = pr.expand(tf)
+        # by increasing modulus, the order of the eigenvalues of a real two-pole family: a refusal names the same root
+        assert tf.roots.tolist() == sorted([2.0, *(t.pole for t in given.terms)], key=abs)
+        with pytest.raises(ValueError):
+            tf.roots[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tf.roots = np.zeros(4)
+
+    def test_real_given_poles_keep_a_real_dtype(self):
+        # so a refusal names "root 1", as at the companion eigenvalues, not "(1+0j)"
+        assert pr.recombine(hn_pf(4)).roots.dtype == np.float64
+        with pytest.raises(NotCoprime, match="numerator vanishes at denominator root 1$"):
+            pr.recombine(hn_pf(14))
 
     def test_roots_are_the_companion_eigenvalues_and_read_only(self):
         tf = pr.TransferFunction(pr.Polynomial((0.3, 1.0)), pr.Polynomial((0.1, -0.2, -0.5, 1.0)))
@@ -276,6 +300,12 @@ class TestExpand:
         with pytest.raises(NotCoprime, match="numerator vanishes at denominator root 1$"):
             pr.recombine(pr.PartialFraction(1.0, 1.0, terms))
 
+    @pytest.mark.parametrize("c", [1e6, 1e10, 1e300])
+    def test_recombine_checks_num_and_den_each_for_non_real_values(self, c):
+        # an unpaired complex pole: a large numerator must not hide the denominator's imaginary parts
+        with pytest.raises(ExpansionFailed, match="non-real coefficients"):
+            pr.recombine(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0.5j, (c,)),)))
+
 
 def _deep_pf(rng) -> pr.PartialFraction:
     """A partial fraction in the ranges of the deep synthesis corpus: a pair and a
@@ -296,6 +326,15 @@ def _deep_pf(rng) -> pr.PartialFraction:
     scale = min(1.0 / sum(map(abs, coeffs)), 0.95 / -lowest if lowest else math.inf)
     pf = pr.PartialFraction(1.0, 1.0, tuple(pr.PoleTerm(p, (c * scale,)) for p, c in zip(poles, coeffs)))
     return scaled_pf(pf, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+
+
+def _refuses(build, *args) -> bool:
+    """Whether ``build(*args)`` refuses its input as ``NotCoprime``."""
+    try:
+        build(*args)
+    except NotCoprime:
+        return True
+    return False
 
 
 class TestGivenExpansion:
@@ -379,6 +418,34 @@ class TestGivenExpansion:
         assert same._expansion is None
         assert same == h4_tf and hash(same) == hash(h4_tf)
         assert "_expansion" not in repr(h4_tf)
+
+    def test_given_poles_refuse_as_the_eigenvalues_do(self, monkeypatch):
+        # seeded draws, not a search: the two tests may differ in principle at the 1e-9 edge, and a
+        # search would find such edge cases where real inputs never go; the reference applies
+        # the common-root test at the companion eigenvalues of the same coefficients, with numpy,
+        # and from_coefficients, which solves for them, must agree with it too
+        rnd, rng, draws = random.Random(27), np.random.default_rng(27), []
+        for _ in range(2000):  # two-pole zero families, as bounds_zeros draws them
+            N, p = rnd.randint(4, 16), 0.3 + 0.4 * rnd.random()
+            q = 0.1 + (p - 0.2) * rnd.random()
+            a, b = (1.0 - q) / ((p - q) * p ** (N - 2)), (1.0 - p) / ((p - q) * q ** (N - 2))
+            pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(p, (-a,)), pr.PoleTerm(q, (b,))))
+            draws.append(scaled_pf(pf, rnd.uniform(0.5, 2.0), rnd.uniform(0.5, 2.0)))
+        draws += [_deep_pf(rng) for _ in range(100)]
+        refused = 0
+        for pf in draws:
+            with monkeypatch.context() as m:
+                m.setattr(tfmod, "_reject_common_roots", lambda tf: None)
+                tf = pr.recombine(pf)
+            assert tf._expansion is not None
+            roots = pr.companion_roots(tf.den.coeffs)
+            nc = np.abs(tf.num.coeffs)
+            scale = np.sum(nc * np.abs(roots)[:, None] ** np.arange(len(nc)), axis=1)
+            want = bool(np.any(np.abs(tf.num(roots)) <= 1e-9 * (scale + 1e-300)))
+            got = (_refuses(pr.recombine, pf), _refuses(pr.from_coefficients, tf.num.coeffs, tf.den.coeffs))
+            assert got == (want, want), pf
+            refused += want
+        assert 0 < refused < len(draws) // 2
 
     def test_coprimality_is_still_tested(self):
         # H^14's coefficients fail from_coefficients' common-root test as before
