@@ -3,10 +3,10 @@
 Each block realizes its pole terms plus a share R of the dominant residue
 1/(z - 1); its pole terms and share determine the cone model (F, P, g, h) it
 comes from, which the tests rebuild to check F P = P A, P b = g and
-c = P^T h.  The caller places the unspent residue before building;
-``assemble`` stacks the blocks and self-checks them all in one pass: each
-block's first 20 Markov parameters must match its target terms to relative
-1e-9.  A block built alone is unchecked until it is assembled.
+c = P^T h.  A block holds the plain arrays its builder filled, unchecked
+until ``assemble`` stacks them (the caller places the unspent residue before
+building) and self-checks every block in one pass: each block's first 20
+Markov parameters must match its target terms to relative 1e-9.
 """
 
 from __future__ import annotations
@@ -43,11 +43,14 @@ PAIR_BUDGET_COEFF = 2.0
 
 
 def _clamped(x, what: str, ndmin: int) -> np.ndarray:
-    """A read-only float copy of ``x`` with at least ``ndmin`` dimensions and noise in [-1e-12, 0) set to 0."""
+    """A read-only float copy of ``x``, at least ``ndmin``-D, noise in [-1e-12, 0) set to 0; NaN or +inf is refused."""
     out = np.array(x, dtype=float, ndmin=ndmin)
-    if not out.min(initial=0.0) >= 0:  # NaN takes this path too
-        if np.any(out < -CLAMP_WINDOW):
-            raise NegativeEntry(f"{what} has entry {out.min():.6g} below the clamp window")
+    low = out.min(initial=0.0)
+    if math.isnan(low) or out.max(initial=0.0) == math.inf:
+        raise ValueError(f"{what} has a non-finite entry")
+    if low < 0:
+        if low < -CLAMP_WINDOW:
+            raise NegativeEntry(f"{what} has entry {low:.6g} below the clamp window")
         out[(out < 0)] = 0.0
     out.setflags(write=False)
     return out
@@ -62,9 +65,7 @@ class Realization:
     c: np.ndarray
 
     def __post_init__(self):
-        A = _clamped(self.A, "A", 2)
-        b = _clamped(self.b, "b", 1)
-        c = _clamped(self.c, "c", 1)
+        A, b, c = _clamped(self.A, "A", 2), _clamped(self.b, "b", 1), _clamped(self.c, "c", 1)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
@@ -83,9 +84,11 @@ class Realization:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One assembled unit: its realization, target terms, dominant share, and share floor."""
+    """One assembled unit: read-only A, b and c (checked once assembled), target terms, dominant share, share floor."""
 
-    realization: Realization
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     kind: str  # positive_pole | real_pole | complex_pair | dominant_remainder
     dominant_share: float
     pole_terms: tuple[tuple[complex, complex], ...]
@@ -93,7 +96,19 @@ class Block:
 
     @property
     def dim(self) -> int:
-        return self.realization.dim
+        return self.b.shape[0]
+
+    @property
+    def realization(self) -> Realization:
+        return Realization(self.A, self.b, self.c)
+
+
+def _frozen(*arrays) -> list[np.ndarray]:
+    """``arrays`` as read-only float arrays; a builder's own float array is frozen in place, not copied."""
+    out = [np.asarray(x, dtype=float) for x in arrays]
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def positive_pole_block(lam: float, c: float) -> Block:
@@ -102,8 +117,7 @@ def positive_pole_block(lam: float, c: float) -> Block:
         raise BadPoleBlock(f"pole {lam:.6g} outside [0, 1)")
     if not c > 0:
         raise BadPoleBlock(f"residue {c:.6g} must be positive")
-    real = Realization(np.array([[lam]]), np.array([c]), np.array([1.0]))
-    return Block(real, "positive_pole", 0.0, ((complex(lam), complex(c)),))
+    return Block(*_frozen([[lam]], [c], [1.0]), "positive_pole", 0.0, ((complex(lam), complex(c)),))
 
 
 def real_pole_block(lam: float, c: float, R: float) -> Block:
@@ -118,14 +132,9 @@ def real_pole_block(lam: float, c: float, R: float) -> Block:
     floor = float(abs(c))
     if R < floor:
         raise BudgetTooSmall(f"share {R:.6g} below |c| = {floor:.6g}")
-    hi = (1.0 + lam) / 2.0
-    lo = (1.0 - lam) / 2.0
-    real = Realization(
-        np.array([[hi, lo], [lo, hi]]),
-        np.array([R + c, R - c]),
-        np.array([1.0, 0.0]),
-    )
-    return Block(real, "real_pole", float(R), ((complex(lam), complex(c)),), floor)
+    hi, lo = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
+    terms = ((complex(lam), complex(c)),)
+    return Block(*_frozen([[hi, lo], [lo, hi]], [R + c, R - c], [1.0, 0.0]), "real_pole", float(R), terms, floor)
 
 
 def _fan_weights(w: complex, verts: list[complex]) -> np.ndarray:
@@ -181,15 +190,14 @@ def complex_pair_block(pole: complex, coeff: complex, m: int, R: float) -> Block
     b = R * _fan_weights(g / (R * PAIR_ALPHA), verts)
     c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
     pole_terms = ((pole, coeff), (pole.conjugate(), coeff.conjugate()))
-    return Block(Realization(A, b, c), "complex_pair", float(R), pole_terms, floor)
+    return Block(*_frozen(A, b, c), "complex_pair", float(R), pole_terms, floor)
 
 
 def dominant_remainder_block(R: float) -> Block:
     """One state carrying an unconsumed dominant share R/(z - 1)."""
     if R < 0:
         raise LeftoverNegative(f"remainder share {R:.6g} is negative")
-    real = Realization(np.array([[1.0]]), np.array([R]), np.array([1.0]))
-    return Block(real, "dominant_remainder", float(R), ())
+    return Block(*_frozen([[1.0]], [R], [1.0]), "dominant_remainder", float(R), ())
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,7 @@ def budget(cls: PoleClassification) -> BudgetPlan:
 
 
 def assemble(blocks) -> Realization:
-    """Block-diagonal sum of the blocks, stacked in the order given and self-checked.
+    """Block-diagonal sum of the blocks' arrays, stacked in the order given and self-checked.
 
     Row j of ``C`` holds block j's c on its own states, so one Markov pass
     over the stack gives every block's first 20 parameters c A^k b.  Each
@@ -303,15 +311,14 @@ def assemble(blocks) -> Realization:
         raise ValueError("nothing to assemble")
     total = sum(blk.dim for blk in blocks)
     A = np.zeros((total, total))
-    b = np.zeros(total)
-    c = np.zeros(total)
+    b, c = np.zeros(total), np.zeros(total)
     C = np.zeros((len(blocks), total))
     at = 0
     for j, blk in enumerate(blocks):
         d = blk.dim
-        A[at : at + d, at : at + d] = blk.realization.A
-        b[at : at + d] = blk.realization.b
-        c[at : at + d] = C[j, at : at + d] = blk.realization.c
+        A[at : at + d, at : at + d] = blk.A
+        b[at : at + d] = blk.b
+        c[at : at + d] = C[j, at : at + d] = blk.c
         at += d
 
     K = 20
@@ -327,7 +334,7 @@ def assemble(blocks) -> Realization:
     if failed.size:
         # a non-finite entry of a block's A or b reaches every block through
         # the stack's zeros (0 * nan), so that block is the one named
-        nonfinite = lambda blk: not np.isfinite(np.append(blk.realization.A, blk.realization.b)).all()
+        nonfinite = lambda blk: not np.isfinite(np.append(blk.A, blk.b)).all()
         j = next((j for j in failed if nonfinite(blocks[j])), failed[0])
         raise InternalCheckError(
             f"{blocks[j].kind} block self-check failed (relative error {np.max(err[:, j]):.3g})"
@@ -335,25 +342,23 @@ def assemble(blocks) -> Realization:
     return Realization(A, b, c)
 
 
-def prefix_lift(base: Realization, prefix) -> Realization:
-    """Prepend impulse values t_1 ... t_{m-1} with a delay chain.
+def prefix_lift(base: Realization, prefix, gamma: float = 1.0, lam0: float = 1.0) -> Realization:
+    """Prepend impulse values t_1 ... t_{m-1} with a delay chain, at gain ``gamma`` and pole scale ``lam0``.
 
-    States 1 .. m-1 shift the input along; the last chain state feeds the
-    base input vector, and the chain outputs are the prefix values, so the
-    lifted Markov sequence is exactly prefix ++ base sequence.
+    States 1 .. m-1 shift the input along, the last one feeding the base input vector, and
+    output the prefix; A is scaled by lam0 and b by gamma, so the Markov sequence is exactly
+    gamma lam0^(k-1) times prefix ++ base sequence.  No prefix and gamma = lam0 = 1 give ``base``.
     """
     pre = np.asarray(prefix, dtype=float).reshape(-1)
-    if pre.size == 0:
-        return base
-    if pre.min() < 0:
-        raise NegativePrefix(f"prefix entry {pre.min():.6g} is negative")
     chain = pre.size
-    total = base.dim + chain
-    A = np.zeros((total, total))
-    np.fill_diagonal(A[1:chain], 1.0)
-    A[chain:, chain - 1] = base.b
-    A[chain:, chain:] = base.A
-    b = np.zeros(total)
-    b[0] = 1.0
-    c = np.concatenate([pre, base.c])
-    return Realization(A, b, c)
+    if pre.min(initial=0.0) < 0:
+        raise NegativePrefix(f"prefix entry {pre.min():.6g} is negative")
+    if not chain and gamma == lam0 == 1.0:
+        return base
+    A = np.zeros((base.dim + chain,) * 2)
+    A[chain:, chain:] = base.A * lam0
+    if chain:
+        np.fill_diagonal(A[1:chain], lam0)
+        A[chain:, chain - 1] = base.b * lam0
+    b = (np.eye(1, len(A))[0] if chain else base.b) * gamma
+    return Realization(A, b, np.concatenate([pre, base.c]))

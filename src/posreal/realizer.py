@@ -8,10 +8,10 @@ negative value (no nonnegative realization exists), then tests the stopping
 rule or strips the value.  Each block then gets its share floor of the unit
 dominant residue, whichever rule stopped; the leftover joins the carrier's
 share, or, if no block carries a share, gets a one-state remainder block.
-Each block is built once and the blocks are stacked.  The stack is lifted by
-the prefix, rescaled back to the input's gain and pole location, and verified
-by an independent Markov comparison.  A supplied base realization of the
-shifted tail replaces the shift loop and the blocks.
+Each block is built once, as plain arrays; the stack is the first validated
+triple.  One copy lifts it by the prefix and rescales it to the input's gain
+and pole location, and an independent Markov comparison verifies that.  A
+supplied base realization of the shifted tail replaces the loop and blocks.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ Outcome = Realized | NoPositiveRealization | Unsupported | IterationCapExceeded
 _BASE_HORIZON = 50
 
 
-def _denormalized(real: Realization, gamma: float, lam0: float) -> Realization:
-    # c (lam0 A)^(k-1) (gamma b) = gamma lam0^(k-1) t~_k recovers the input scale
-    return Realization(real.A * lam0, real.b * gamma, real.c)
-
-
 def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horizon) -> Outcome:
     """Expand and normalize ``tf``, run ``stage``, then lift, rescale and verify.
 
@@ -126,7 +121,7 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
         return staged
     core, prefix, plan, totals, summaries = staged
 
-    final = _denormalized(prefix_lift(core, prefix), pf.scale_gamma, pf.pole_scale)
+    final = prefix_lift(core, prefix, pf.scale_gamma, pf.pole_scale)  # lifted and rescaled in one copy
     report = markov_check(final, tf, verify_horizon, verify_tol)
     if not report.passed:
         raise InternalCheckError(

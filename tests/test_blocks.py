@@ -106,6 +106,63 @@ class TestRealization:
         with pytest.raises(NegativeEntry):
             with_entry(-1.0000001e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("at", ["A", "b", "c"])
+    def test_non_finite_entry_is_refused(self, at, x):
+        parts = {"A": np.array([[0.5, 0.0], [0.25, 1.0]]), "b": np.array([1.0, 2.0]), "c": np.array([0.0, 3.0])}
+        parts[at].flat[-1] = x
+        with pytest.raises(ValueError, match=f"^{at} has a non-finite entry$"):
+            pr.Realization(**parts)
+
+    def test_minus_infinity_is_a_negative_entry(self):
+        with pytest.raises(NegativeEntry, match="^b has entry -inf below the clamp window$"):
+            pr.Realization([[0.5]], [-math.inf], [1.0])
+
+
+def assert_only_c_is_clamped(blk):
+    """``blk``'s A and b are finite and exactly nonnegative and its c within the clamp window,
+    so its realization is its arrays with only c clamped: validating the stack, not each block, moves no byte."""
+    for arr in (blk.A, blk.b):
+        assert np.isfinite(arr).all() and arr.min() >= 0.0
+    assert blk.c.min() >= -CLAMP_WINDOW
+    real = blk.realization
+    assert (real.A.shape, real.b.shape, real.c.shape) == (blk.A.shape, blk.b.shape, blk.c.shape)
+    assert real.A.tobytes() == blk.A.tobytes()
+    assert real.b.tobytes() == blk.b.tobytes()
+    assert real.c.tobytes() == np.where(blk.c < 0, 0.0, blk.c).tobytes()
+
+
+class TestBlockArrays:
+    """A block holds plain read-only float arrays; only its c can need the clamp."""
+
+    def test_builders_fill_read_only_float_arrays(self):
+        for blk in one_block_of_each_kind():
+            for arr in (blk.A, blk.b, blk.c):
+                assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert blk.dim == blk.A.shape[0] == blk.b.shape[0] == blk.c.shape[0]
+
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e300, exclude_min=True))
+    def test_positive_pole_block(self, lam, c):
+        assert_only_c_is_clamped(pr.positive_pole_block(lam, c))
+
+    @given(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-1e6, 1e6), st.floats(1.0, 1e3))
+    def test_real_pole_block(self, lam, c, ratio):
+        assert_only_c_is_clamped(pr.real_pole_block(lam, c, abs(c) * ratio))  # R >= |c|
+
+    @given(
+        st.integers(3, 40), st.floats(0.0, 0.999), st.floats(-math.pi, math.pi),
+        st.floats(1e-6, 10.0), st.floats(-math.pi, math.pi), st.floats(1.0, 4.0),
+    )
+    def test_complex_pair_block(self, m, r, theta, eta, phi, ratio):
+        pole, coeff = cmath.rect(r, theta), cmath.rect(eta, phi)
+        assume(pr.in_polygon(pole, m))
+        R = pr.pair_share_floor(abs(coeff), m) * ratio  # at or above the builder's floor
+        assert_only_c_is_clamped(pr.complex_pair_block(pole, coeff, m, R))
+
+    @given(st.floats(0.0, 1e300))
+    def test_dominant_remainder_block(self, R):
+        assert_only_c_is_clamped(pr.dominant_remainder_block(R))
+
 
 class TestPositivePoleBlock:
     def test_plain(self):
@@ -390,8 +447,7 @@ def one_block_of_each_kind():
 
 
 def corrupted(blk, b_scale=1.0, c_scale=1.0):
-    real = blk.realization
-    return dataclasses.replace(blk, realization=pr.Realization(real.A, real.b * b_scale, real.c * c_scale))
+    return dataclasses.replace(blk, b=blk.b * b_scale, c=blk.c * c_scale)
 
 
 class TestAssembleSelfCheck:
@@ -413,9 +469,9 @@ class TestAssembleSelfCheck:
 
     def test_non_finite_error_fails(self):
         blk = pr.real_pole_block(0.4, -0.64, 1.0)
-        A = np.array(blk.realization.A)
+        A = np.array(blk.A)
         A[1, 0] = math.nan
-        bad = dataclasses.replace(blk, realization=pr.Realization(A, blk.realization.b, blk.realization.c))
+        bad = dataclasses.replace(blk, A=A)
         with pytest.raises(InternalCheckError, match="real_pole block self-check failed"):
             pr.assemble([pr.positive_pole_block(0.3, 0.2), bad])
 
@@ -529,6 +585,47 @@ class TestPrefixLift:
         base = pr.Realization([[1.0]], [1.0], [1.0])
         with pytest.raises(NegativePrefix):
             pr.prefix_lift(base, [-0.1])
+
+    def test_nan_prefix_is_refused(self):
+        base = pr.Realization([[1.0]], [1.0], [1.0])
+        with pytest.raises(ValueError, match="^c has a non-finite entry$"):
+            pr.prefix_lift(base, [math.nan])
+
+    @staticmethod
+    def chain_lift(base, prefix):
+        """The unscaled delay-chain lift, entry by entry: its input enters state 1, or the base with no prefix."""
+        m, n = len(prefix), base.dim
+        A, b = np.zeros((m + n, m + n)), np.zeros(m + n)
+        for i in range(1, m):
+            A[i, i - 1] = 1.0
+        A[m:, m:] = base.A
+        if m:
+            A[m:, m - 1] = base.b
+            b[0] = 1.0
+        else:
+            b[:] = base.b
+        return A, b, np.concatenate([prefix, base.c])
+
+    @pytest.mark.parametrize("gamma, lam0", [(2.5, 1.0), (1.0, 0.3), (1e-6, 1e3), (7.0, 1.7)])
+    @pytest.mark.parametrize("n_prefix", [0, 1, 4])
+    def test_gain_and_pole_scale(self, base_4dim, gamma, lam0, n_prefix):
+        prefix = hn_impulse(8, 4)[:n_prefix]
+        plain = pr.prefix_lift(base_4dim, prefix)
+        scaled = pr.prefix_lift(base_4dim, prefix, gamma, lam0)
+        K = 16
+        want = gamma * lam0 ** np.arange(K) * plain.markov(K)
+        assert scaled.markov(K) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the same products as lifting, then scaling A by lam0 and the input by gamma
+        A, b, c = self.chain_lift(base_4dim, prefix)
+        for got, ref in zip((plain.A, plain.b, plain.c), (A, b, c)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for got, ref in zip((scaled.A, scaled.b, scaled.c), (A * lam0, b * gamma, c)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_scale_without_prefix_is_a_new_triple(self, base_4dim):
+        scaled = pr.prefix_lift(base_4dim, [], 2.0, 1.0)
+        assert scaled is not base_4dim and scaled.b.tolist() == (2.0 * base_4dim.b).tolist()
+        assert scaled.A.tobytes() == base_4dim.A.tobytes()
 
 
 def test_trivial_block_cone_models():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import posreal as pr
 import posreal.blocks as blocksmod
 import posreal.check as checkmod
+import posreal.cli as climod
 import posreal.geometry as geometrymod
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
@@ -137,6 +138,46 @@ class TestFamilyDimensions:
         assert out.trace.final_dimension == N
 
 
+class TestTwoTriplesPerRequest:
+    """A realize request validates two triples: the stacked blocks and the lifted, rescaled result."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The ``Realization``s constructed while the test runs."""
+        made = []
+        validate = pr.Realization.__post_init__
+
+        def counting(self):
+            made.append(self)
+            validate(self)
+
+        monkeypatch.setattr(pr.Realization, "__post_init__", counting)
+        return made
+
+    @staticmethod
+    def pair_input():
+        pair = (0.5 + 0.6j, 0.8 + 0.2j)
+        terms = (pr.PoleTerm(pair[0], (pair[1],)), pr.PoleTerm(pair[0].conjugate(), (pair[1].conjugate(),)))
+        return pr.recombine(pr.PartialFraction(1.0, 1.0, terms + (pr.PoleTerm(-0.3, (0.4,)),)))
+
+    @pytest.mark.parametrize("name", ["h4", "h10", "example1", "pair"])
+    def test_realize_validates_two(self, validations, example1_tf, name):
+        tf = {"h4": hn_tf(4), "h10": hn_tf(10), "example1": example1_tf, "pair": self.pair_input()}[name]
+        del validations[:]
+        out = pr.realize(tf)
+        assert isinstance(out, pr.Realized)
+        if name == "pair":
+            assert "complex_pair" in [b.kind for b in out.trace.blocks] and out.trace.shifts_performed > 0
+        assert len(validations) == 2 and validations[-1] is out.realization
+
+    def test_base_lift_validates_one(self, validations, problems_dir):
+        base = pr.Realization(*climod.load_realization("base_h4.json", problems_dir))
+        del validations[:]
+        out = pr.realize_with_base(hn_tf(10), base, 7)
+        assert isinstance(out, pr.Realized)
+        assert validations == [out.realization]
+
+
 class TestRealizeWithBase:
     def test_m_equal_one_returns_base(self, h4_tf, base_4dim):
         out = pr.realize_with_base(h4_tf, base_4dim, 1)
@@ -155,9 +196,9 @@ class TestRealizeWithBase:
         with pytest.raises(BaseMismatch):
             pr.realize_with_base(h4_tf, bad, 1)
 
-    @pytest.mark.parametrize("entry", [math.inf, 1e300])
+    @pytest.mark.parametrize("entry", [1e300])  # an infinite entry is refused by Realization itself
     def test_non_finite_base_markov_is_a_mismatch(self, h4_tf, base_4dim, entry):
-        # an infinite entry, or one whose powers overflow, gives a NaN error, which fails the check
+        # a finite entry whose powers overflow gives a NaN error, which fails the check
         A = base_4dim.A.copy()
         A[1, 1] = entry
         with pytest.raises(BaseMismatch, match="error nan"):
