@@ -17,7 +17,6 @@ from .blocks import (
     complex_pair_block,
     dominant_remainder_block,
     pair_share_floor,
-    per_pole_total,
     positive_pole_block,
     prefix_lift,
     real_pole_block,
@@ -26,9 +25,7 @@ from .bounds import (
     BoundsReport,
     bounds_report,
     cone_order_bound,
-    positivity_horizon,
     quadratic_order_bound,
-    zero_pattern,
 )
 from .check import VerificationReport, markov_check
 from .errors import *  # noqa: F401,F403
@@ -36,8 +33,6 @@ from .geometry import (
     PairBucket,
     PoleClassification,
     classify,
-    in_polygon,
-    minimal_polygon_index,
 )
 from .realizer import (
     AlgorithmTrace,
@@ -56,15 +51,11 @@ from .tf import (
     Polynomial,
     TransferFunction,
     build_partial_fraction,
-    companion_roots,
     expand,
     from_coefficients,
     impulse_response,
-    iteration_estimate,
-    leading_impulse,
     normalize,
     recombine,
-    shift_once,
 )
 
 __version__ = "0.1.0"

@@ -347,7 +347,8 @@ def prefix_lift(base: Realization, prefix, gamma: float = 1.0, lam0: float = 1.0
 
     States 1 .. m-1 shift the input along, the last one feeding the base input vector, and
     output the prefix; A is scaled by lam0 and b by gamma, so the Markov sequence is exactly
-    gamma lam0^(k-1) times prefix ++ base sequence.  No prefix and gamma = lam0 = 1 give ``base``.
+    gamma lam0^(k-1) times prefix ++ base sequence.  No prefix and gamma = lam0 = 1 give ``base``;
+    a base that overflows at these scales is refused with ``ValueError``.
     """
     pre = np.asarray(prefix, dtype=float).reshape(-1)
     chain = pre.size
@@ -356,9 +357,15 @@ def prefix_lift(base: Realization, prefix, gamma: float = 1.0, lam0: float = 1.0
     if not chain and gamma == lam0 == 1.0:
         return base
     A = np.zeros((base.dim + chain,) * 2)
-    A[chain:, chain:] = base.A * lam0
-    if chain:
-        np.fill_diagonal(A[1:chain], lam0)
-        A[chain:, chain - 1] = base.b * lam0
-    b = (np.eye(1, len(A))[0] if chain else base.b) * gamma
-    return Realization(A, b, np.concatenate([pre, base.c]))
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming the base
+        A[chain:, chain:] = base.A * lam0
+        if chain:
+            np.fill_diagonal(A[1:chain], lam0)
+            A[chain:, chain - 1] = base.b * lam0
+        b = (np.eye(1, len(A))[0] if chain else base.b) * gamma
+    try:
+        return Realization(A, b, np.concatenate([pre, base.c]))
+    except ValueError:  # a non-finite entry: the prefix's, or the rescale's overflow
+        if np.isfinite(A).all() and np.isfinite(b).all():
+            raise
+        raise ValueError("base overflows when rescaled to the input's scale") from None

@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +42,6 @@ EXIT_VERIFY = 4
 
 class SchemaError(PosrealError):
     """Problem or realization document does not match the expected schema."""
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    tf: TransferFunction
-    options: dict
 
 
 def _reject_constant(token):
@@ -105,7 +98,7 @@ _OPTION_TYPES = {"mode": (str, "a string"), "tol": ((int, float), "a number"), "
 _OPTION_LOW = {"tol": 0, "horizon": 1, "max_shifts": 0, "base_shift": 1}
 
 
-def load_problem(path: str) -> ProblemSpec:
+def load_problem(path: str) -> tuple[TransferFunction, dict]:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
@@ -159,7 +152,7 @@ def load_problem(path: str) -> ProblemSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict) or set(options) - _OPTION_TYPES.keys():
         raise SchemaError(f"options keys must be within {sorted(_OPTION_TYPES)}")
-    return ProblemSpec(tf, options)
+    return tf, options
 
 
 def load_realization(obj, base_dir: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,8 +298,7 @@ _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_s
 
 
 def _cmd_realize(args) -> int:
-    problem = load_problem(args.problem)
-    opts = problem.options
+    tf, opts = load_problem(args.problem)
     mode = _MODES.get(_resolve(args.mode, opts, "mode", "per-pole"))
     if mode is None:
         raise SchemaError("mode must be 'per-pole' or 'sum'")
@@ -325,13 +317,9 @@ def _cmd_realize(args) -> int:
             raise SchemaError("a base realization needs its shift index (--base-shift)")
         A, b, c = load_realization(base_ref, Path(args.problem).parent)
         base = Realization(A, b, c)
-        outcome = realize_with_base(
-            problem.tf, base, base_shift, verify_tol=tol, verify_horizon=horizon
-        )
+        outcome = realize_with_base(tf, base, base_shift, verify_tol=tol, verify_horizon=horizon)
     else:
-        outcome = realize(
-            problem.tf, mode, verify_tol=tol, verify_horizon=horizon, cap_override=cap
-        )
+        outcome = realize(tf, mode, verify_tol=tol, verify_horizon=horizon, cap_override=cap)
 
     if isinstance(outcome, Realized):
         doc = {"status": "realized"}
@@ -358,11 +346,11 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    problem = load_problem(args.problem)
+    tf, _ = load_problem(args.problem)
     try:
-        report = bounds_report(problem.tf)
+        report = bounds_report(tf)
     except NegativeImpulse as exc:  # its value as `impulse` prints it, from the recurrence
-        value = impulse_response(problem.tf, exc.index)[-1]
+        value = impulse_response(tf, exc.index)[-1]
         _emit({"status": "negative_impulse", "index": exc.index, "value": float(value)}, args)
         return EXIT_NO_REALIZATION
     except (NotPrimitive, NonpositiveDominantResidue) as exc:
@@ -382,19 +370,19 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem = load_problem(args.problem)
+    tf, opts = load_problem(args.problem)
     A, b, c = load_realization(args.realization, Path(args.problem).parent)
-    tol = _resolve(args.tol, problem.options, "tol", 1e-6)
-    K = _resolve(args.horizon, problem.options, "horizon", None)
-    report = markov_check((A, b, c), problem.tf, K, tol)
+    tol = _resolve(args.tol, opts, "tol", 1e-6)
+    K = _resolve(args.horizon, opts, "horizon", None)
+    report = markov_check((A, b, c), tf, K, tol)
     _emit(_verification_doc(report), args)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def _cmd_impulse(args) -> int:
-    problem = load_problem(args.problem)
-    K = _resolve(args.horizon, problem.options, "horizon", 20)
-    _emit({"count": K, "values": impulse_response(problem.tf, K).tolist()}, args)
+    tf, opts = load_problem(args.problem)
+    K = _resolve(args.horizon, opts, "horizon", 20)
+    _emit({"count": K, "values": impulse_response(tf, K).tolist()}, args)
     return EXIT_OK
 
 

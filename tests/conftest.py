@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import posreal as pr
+from posreal.bounds import positivity_horizon
 
 settings.register_profile(
     "suite",
@@ -182,7 +183,7 @@ def random_stable_pf(rng: np.random.Generator, *, ensure_positive_impulse: bool 
 
     pf = pr.PartialFraction(1.0, 1.0, tuple(terms))
     if ensure_positive_impulse:
-        horizon = pr.positivity_horizon(pf)
+        horizon = positivity_horizon(pf)
         k = np.arange(horizon)
         tail = np.zeros(horizon)
         for t in pf.terms:

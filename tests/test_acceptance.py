@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import posreal as pr
+from posreal.bounds import zero_pattern
 from posreal.check import markov_check
 from posreal.cli import main as cli_main
+from posreal.geometry import in_polygon
 
 from conftest import cone_model, cone_residual, hn_pf, hn_tf, random_stable_pf, scaled_pf
 
@@ -72,7 +74,7 @@ def test_criterion_3_supplied_base_fixture(h4_tf, base_4dim):
 def test_criterion_4_zero_pattern():
     ok = True
     for N in range(4, 13):
-        k0, zeros, _ = pr.zero_pattern(hn_tf(N))
+        k0, zeros, _ = zero_pattern(hn_tf(N))
         ok = ok and zeros == (N - 1, N) and k0 == N
     report(4, "zero pattern on the family: zeros exactly {N-1, N}, k0 = N", ok)
 
@@ -115,7 +117,7 @@ def test_criterion_7_cone_certificates():
         m = int(rng.integers(3, 9))
         while True:
             pole = cmath.rect(rng.uniform(0.02, 0.97), rng.uniform(0.02, math.pi - 0.02))
-            if pr.in_polygon(pole, m):
+            if in_polygon(pole, m):
                 break
         eta = rng.uniform(1e-4, 0.5)
         coeff = cmath.rect(eta, rng.uniform(-math.pi, math.pi))

@@ -19,7 +19,8 @@ from posreal.errors import (
     NegativePrefix,
     NotInPolygon,
 )
-from posreal.tf import CONSERVATIVE_LIMIT
+from posreal.geometry import in_polygon
+from posreal.tf import CONSERVATIVE_LIMIT, shift_once
 
 from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf
 
@@ -155,7 +156,7 @@ class TestBlockArrays:
     )
     def test_complex_pair_block(self, m, r, theta, eta, phi, ratio):
         pole, coeff = cmath.rect(r, theta), cmath.rect(eta, phi)
-        assume(pr.in_polygon(pole, m))
+        assume(in_polygon(pole, m))
         R = pr.pair_share_floor(abs(coeff), m) * ratio  # at or above the builder's floor
         assert_only_c_is_clamped(pr.complex_pair_block(pole, coeff, m, R))
 
@@ -219,7 +220,7 @@ class TestComplexPairBlock:
 
     def test_example1_pair_after_one_shift(self, example1_tf):
         pf = pr.normalize(pr.expand(example1_tf))
-        _, pf = pr.shift_once(pf)
+        _, pf = shift_once(pf)
         pair = next(t for t in pf.terms if t.pole.imag > 0)
         coeff = pair.coeffs[0]
         share = pr.pair_share_floor(abs(coeff), 4)
@@ -278,7 +279,7 @@ class TestComplexPairBlock:
         # column k holds the fan weights of z v_k; rotating the polygon by
         # 2 pi/m makes them column 0 shifted down by k
         z = cmath.rect(rho, th)
-        assume(pr.in_polygon(z, m))
+        assume(in_polygon(z, m))
         A = pr.complex_pair_block(z, cmath.rect(0.1, 0.3), m, pr.pair_share_floor(0.1, m)).realization.A
         verts = polygon(m)
         assert A.min() >= 0.0
@@ -420,7 +421,7 @@ class TestAssemble:
                 m = int(rng.integers(3, 7))
                 while True:
                     z = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(0.1, math.pi - 0.1))
-                    if pr.in_polygon(z, m):
+                    if in_polygon(z, m):
                         break
                 eta = rng.uniform(0.001, 0.3)
                 blocks.append(
@@ -591,6 +592,16 @@ class TestPrefixLift:
         with pytest.raises(ValueError, match="^c has a non-finite entry$"):
             pr.prefix_lift(base, [math.nan])
 
+    @pytest.mark.parametrize(
+        "A, b, prefix, gamma, lam0",
+        [([[1e308]], [1.0], [], 1.0, 2.0), ([[0.5]], [1e308], [1.0], 1.0, 2.0), ([[0.5]], [1e308], [], 2.0, 1.0)],
+        ids=["A", "chain-input", "gain"],
+    )
+    def test_overflowing_rescale_is_refused(self, A, b, prefix, gamma, lam0):
+        base = pr.Realization(A, b, [1.0])
+        with pytest.raises(ValueError, match="^base overflows when rescaled to the input's scale$"):
+            pr.prefix_lift(base, prefix, gamma, lam0)
+
     @staticmethod
     def chain_lift(base, prefix):
         """The unscaled delay-chain lift, entry by entry: its input enters state 1, or the base with no prefix."""
@@ -643,7 +654,7 @@ def test_block_cone_certificates_on_random_blocks():
         m = int(rng.integers(3, 9))
         while True:
             z = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0.05, math.pi - 0.05))
-            if pr.in_polygon(z, m):
+            if in_polygon(z, m):
                 break
         eta = rng.uniform(1e-4, 0.4)
         blk = pr.complex_pair_block(

@@ -13,7 +13,7 @@ import posreal as pr
 import posreal.cli
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
-from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing
+from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing, positivity_horizon, zero_pattern
 from posreal.errors import InternalCheckError, NegativeImpulse, NotApplicable, PosrealError
 from posreal.tf import _zero_band
 
@@ -25,32 +25,32 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 class TestZeroPattern:
     def test_family_ten(self):
-        k0, zeros, horizon = pr.zero_pattern(hn_tf(10))
+        k0, zeros, horizon = zero_pattern(hn_tf(10))
         assert zeros == (9, 10)
         assert k0 == 10
         assert horizon > 10
 
     def test_family_four(self):
-        k0, zeros, _ = pr.zero_pattern(hn_tf(4))
+        k0, zeros, _ = zero_pattern(hn_tf(4))
         assert zeros == (3, 4)
         assert k0 == 4
 
     def test_no_zeros(self):
-        k0, zeros, _ = pr.zero_pattern(pr.from_coefficients([1.0], [-1.0, 1.0]))
+        k0, zeros, _ = zero_pattern(pr.from_coefficients([1.0], [-1.0, 1.0]))
         assert k0 == 0
         assert zeros == ()
 
     def test_negative_impulse_detected(self):
         tf = pr.from_coefficients([1.5, -1.0], [0.5, -1.5, 1.0])
         with pytest.raises(NegativeImpulse) as exc:
-            pr.zero_pattern(tf)
+            zero_pattern(tf)
         assert exc.value.index == 1
 
     def test_multiple_pole_scan(self):
         pf = pr.PartialFraction(
             1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.7 + 0j, 0.3 + 0j)),)
         )
-        k0, zeros, horizon = pr.zero_pattern(pr.recombine(pf))
+        k0, zeros, horizon = zero_pattern(pr.recombine(pf))
         assert k0 == 0 and zeros == ()
         assert horizon >= 1
 
@@ -146,7 +146,7 @@ def test_horizon_soundness_random():
                 c = 0.5
             terms.append(pr.PoleTerm(complex(lam), (complex(c),)))
         pf = pr.PartialFraction(1.0, 1.0, tuple(terms))
-        horizon = pr.positivity_horizon(pf)
+        horizon = positivity_horizon(pf)
         tf = pr.recombine(pf)
         t = pr.impulse_response(tf, horizon + 100)
         assert np.all(t[horizon:] > 0)
@@ -272,7 +272,7 @@ def _base_h4() -> pr.Realization:
 
 REQUESTS = {
     "bounds_report": pr.bounds_report,
-    "zero_pattern": pr.zero_pattern,
+    "zero_pattern": zero_pattern,
     "realize_per_pole": lambda tf: pr.realize(tf, "per_pole"),
     "realize_sum": lambda tf: pr.realize(tf, "conservative_sum"),
     "realize_with_base": lambda tf: pr.realize_with_base(tf, _base_h4(), 7),
@@ -288,7 +288,7 @@ def test_every_transfer_problem_is_counted():
 def test_each_request_expands_once(expand_calls, problem, request_name):
     # the outcome does not matter (a witness or a base mismatch ends a request too),
     # only that the request pays for one expansion of its own input
-    tf = posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json")).tf
+    tf, _ = posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json"))
     try:
         REQUESTS[request_name](tf)
     except PosrealError:
@@ -320,14 +320,14 @@ def _outcome(fn, tf):
 def _assert_one_expansion_matches_two(tf):
     want = _outcome(two_expansion_report, tf)
     assert _outcome(pr.bounds_report, tf) == want
-    got = _outcome(pr.zero_pattern, tf)
+    got = _outcome(zero_pattern, tf)
     assert got == (want if isinstance(want, tuple) else (want.k0, want.zero_indices, want.horizon_used))
     return want
 
 
 @pytest.mark.parametrize("problem", ["h4", "h10", "example1", "no_positive"])
 def test_one_expansion_report_matches_two_on_problems(problem):
-    want = _assert_one_expansion_matches_two(posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json")).tf)
+    want = _assert_one_expansion_matches_two(posreal.cli.load_problem(str(PROBLEMS / f"{problem}.json"))[0])
     assert isinstance(want, pr.BoundsReport) == (problem != "no_positive")
 
 
@@ -392,7 +392,7 @@ def _normalized_mixed_orders(supplied):
 @example(hn_pf(10))
 def test_envelope_and_horizon_match_the_general_formula(pf):
     """``_envelope`` at every k up to the horizon, and the horizon, equal the general formula's bit for bit."""
-    horizon = pr.positivity_horizon(pf)
+    horizon = positivity_horizon(pf)
     for k in range(1, horizon + 1):
         assert _envelope(pf, k).hex() == reference_envelope(pf, k).hex(), k
     reference = next(k for k in count(1) if reference_envelope(pf, k) < 1.0 and _envelope_decreasing(pf, k))

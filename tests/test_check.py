@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import posreal as pr
 from posreal.check import markov, markov_check
 from posreal.errors import DimensionMismatch, InternalCheckError
+from posreal.geometry import in_polygon
 
 from conftest import cone_model, cone_residual, hn_pf
 
@@ -239,7 +240,7 @@ def test_cone_pass_implies_markov_pass_for_blocks():
         m = int(rng.integers(3, 7))
         while True:
             lam = cmath.rect(rng.uniform(0.1, 0.9), rng.uniform(0.1, np.pi - 0.1))
-            if pr.in_polygon(lam, m):
+            if in_polygon(lam, m):
                 break
         eta = rng.uniform(1e-3, 0.3)
         c = cmath.rect(eta, rng.uniform(-np.pi, np.pi))

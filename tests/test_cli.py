@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import shlex
+import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,17 @@ class TestRealizeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: non-finite number in A row\n"
+
+    def test_base_overflowing_the_input_scale_is_one_error_line(self, tmp_path, capsys):
+        # the base reproduces the tail of 1/(z - 2); scaled by lam0 = 2, its 1e308 entry overflows
+        problem = write_problem(
+            tmp_path, "two.json", {"partial_fractions": {"dominant": {"pole": 2.0, "residue": 1.0}, "terms": []}}
+        )
+        write_problem(tmp_path, "big.json", {"A": [[1.0, 0.0], [1e308, 0.0]], "b": [1.0, 0.0], "c": [1.0, 0.0]})
+        assert main(["realize", problem, "--base", "big.json", "--base-shift", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: base overflows when rescaled to the input's scale\n"
 
     def test_base_shift_without_base_flag(self, problems_dir, capsys):
         assert main(["realize", str(problems_dir / "example1.json"), "--base-shift", "7"]) == 3
@@ -698,3 +712,15 @@ class TestIntegerFields:
         assert "'dimension' must be an integer" in captured.err
         assert main(["realize", path, "--base", real, "--base-shift", "1"]) == 3
         assert "'dimension' must be an integer" in capsys.readouterr().err
+
+
+def test_readme_command_line_example_runs(problems_dir, tmp_path, monkeypatch, capsys):
+    # every `posreal` line of README's first command-line block, in order, beside a copy of problems/
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("posreal ")]
+    assert {argv[1] for argv in commands} == {"realize", "bounds", "verify", "impulse"}
+    shutil.copytree(problems_dir, tmp_path / "problems")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert (main(argv[1:]), capsys.readouterr().err) == (0, ""), argv

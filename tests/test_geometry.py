@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import posreal as pr
 from posreal.errors import MultiplePoleUnsupported, NoPolygonIndex
-from posreal.geometry import BOUNDARY_TOL
+from posreal.geometry import BOUNDARY_TOL, in_polygon, minimal_polygon_index
 
 from conftest import hn_pf, random_stable_pf
 from strategies import disk_points
@@ -16,26 +16,26 @@ from strategies import disk_points
 class TestInPolygon:
     def test_center_inside_all(self):
         for j in range(3, 12):
-            assert pr.in_polygon(0j, j)
+            assert in_polygon(0j, j)
 
     def test_half_i_in_triangle(self):
         # 0.5*cos(pi/3 - pi/2) = 0.433 < 0.5, remaining inequalities smaller
-        assert pr.in_polygon(0.5j, 3)
+        assert in_polygon(0.5j, 3)
 
     def test_example1_pair_in_p4_not_p3(self, example1_tf):
         pf = pr.expand(example1_tf)
         z = next(t.pole for t in pf.terms if t.pole.imag > 0)
-        assert not pr.in_polygon(z, 3)
-        assert pr.in_polygon(z, 4)
+        assert not in_polygon(z, 3)
+        assert in_polygon(z, 4)
 
     def test_boundary_counts_as_outside(self):
         # midpoint of an edge of the triangle sits exactly on the boundary
         edge_mid = 0.5 * (1 + complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)))
-        assert not pr.in_polygon(edge_mid, 3)
+        assert not in_polygon(edge_mid, 3)
 
     def test_rejects_small_index(self):
         with pytest.raises(ValueError):
-            pr.in_polygon(0.1 + 0.1j, 2)
+            in_polygon(0.1 + 0.1j, 2)
 
 
 def in_polygon_all_edges(z: complex, j: int) -> bool:
@@ -56,7 +56,7 @@ class TestNearestEdge:
         for _ in range(20000):
             j = int(rng.integers(3, 41))
             z = 1.05 * math.sqrt(rng.random()) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            assert pr.in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
+            assert in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
 
     @pytest.mark.parametrize("offset", [-1e-12, -3e-13, 0.0, 3e-13, 1e-12])
     def test_points_at_edges_and_vertices_match_all_edges(self, offset):
@@ -67,27 +67,27 @@ class TestNearestEdge:
                 normal = np.exp(1j * (2 * k + 1) * math.pi / j)
                 for t in (0.0, rng.random(), 0.5, 1.0):  # vertex, edge point, midpoint
                     z = complex((1 - t) * verts[k] + t * verts[k + 1] + offset * normal)
-                    assert pr.in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
+                    assert in_polygon(z, j) == in_polygon_all_edges(z, j), (z, j)
 
 
 class TestMinimalPolygonIndex:
     def test_half_i(self):
-        assert pr.minimal_polygon_index(0.5j) == 3
+        assert minimal_polygon_index(0.5j) == 3
 
     def test_large_modulus_point(self):
         z = 0.9 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-        assert all(not pr.in_polygon(z, j) for j in range(3, 7))
-        assert pr.in_polygon(z, 7)
-        assert pr.minimal_polygon_index(z) == 7
+        assert all(not in_polygon(z, j) for j in range(3, 7))
+        assert in_polygon(z, 7)
+        assert minimal_polygon_index(z) == 7
 
     def test_example1_pair(self, example1_tf):
         pf = pr.expand(example1_tf)
         z = next(t.pole for t in pf.terms if t.pole.imag > 0)
-        assert pr.minimal_polygon_index(z) == 4
+        assert minimal_polygon_index(z) == 4
 
     def test_outside_disk(self):
         with pytest.raises(NoPolygonIndex):
-            pr.minimal_polygon_index(1.0 + 0.5j)
+            minimal_polygon_index(1.0 + 0.5j)
 
 
 class TestClassify:
@@ -126,14 +126,14 @@ class TestClassify:
 
 @given(disk_points, st.integers(3, 10))
 def test_conjugation_symmetry(z, j):
-    assert pr.in_polygon(z, j) == pr.in_polygon(z.conjugate(), j)
+    assert in_polygon(z, j) == in_polygon(z.conjugate(), j)
 
 
 @given(disk_points, st.floats(0.01, 0.99))
 def test_scaling_into_polygon(z, s):
-    j = pr.minimal_polygon_index(z)
-    if pr.in_polygon(z, j):
-        assert pr.in_polygon(s * z, j)
+    j = minimal_polygon_index(z)
+    if in_polygon(z, j):
+        assert in_polygon(s * z, j)
 
 
 def test_termination_within_stated_bound():
@@ -142,7 +142,7 @@ def test_termination_within_stated_bound():
         rho = rng.uniform(1e-3, 0.999)
         th = rng.uniform(1e-6, 2 * math.pi - 1e-6)
         z = rho * complex(math.cos(th), math.sin(th))
-        j = pr.minimal_polygon_index(z)
+        j = minimal_polygon_index(z)
         assert j <= math.ceil(math.pi / math.acos(abs(z))) + 1
 
 

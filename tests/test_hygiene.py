@@ -20,8 +20,11 @@ shift loop, the certified scan and the base lift, and no 1e-9
 or 1e-10 tolerance is multiplied out in ``realizer`` or ``bounds``, only
 ``bounds_report`` and ``realizer._synthesize`` call ``expand``, so each
 request expands its input once, only
-``blocks._stop_rule`` reads a mode, and every function the benchmark's
-tracer wraps (``bench/tracer.py``'s ``WRAPPED``, read with ``ast``) exists.
+``blocks._stop_rule`` reads a mode, every function the benchmark's
+tracer wraps (``bench/tracer.py``'s ``WRAPPED``, read with ``ast``) exists,
+posreal's top level holds exactly the names README's *Library use* section
+shows in code, every error class among them, and every ``pr.<name>`` the
+benchmark's requests and ``scripts/run_examples.py`` read is at the top level.
 
 ``__init__.py`` is skipped by the import check because it imports names only
 to re-export them.  The source checks use only the standard library; the
@@ -30,7 +33,10 @@ constant and tracer checks import posreal.
 
 import ast
 import importlib
+import inspect
 import math
+import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -311,6 +317,70 @@ def test_every_traced_name_is_a_posreal_function():
     missing = [f"{mod}.{name}" for mod, name in wrapped
                if not callable(getattr(importlib.import_module(f"posreal.{mod}"), name, None))]
     assert missing == []
+
+
+def library_use_names(readme: str) -> set[str]:
+    """The names README's *Library use* section shows in code: its code blocks and inline spans.
+
+    ``pr.`` is dropped, and a name after a dot (``check.markov``, ``Block.dim``) is an
+    attribute, not a top-level name.
+    """
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\w*\n(.*?)```", section, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    code = re.sub(r"\bpr\.", "", " ".join(blocks + spans))
+    return set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", code))
+
+
+def test_the_top_level_is_what_readme_documents():
+    # both ways: an exported name is documented, and a documented posreal function or class
+    # (every error class among them) is exported
+    import posreal
+
+    documented = library_use_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    defined = {
+        name
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"posreal.{module[:-3]}")).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__.startswith("posreal.")
+    }
+    top = {n for n, v in vars(posreal).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    errors = {n for n, v in vars(posreal.errors).items() if inspect.isclass(v)}
+    assert {"realize", "Outcome", "cone_order_bound", "PosrealError"} <= top and len(errors) > 20
+    assert sorted(errors - top) == []
+    assert sorted(top - documented) == []
+    assert sorted(documented & defined - top) == []
+
+
+def top_level_reads(source: str) -> set[str]:
+    """The attributes ``source`` reads off the name ``pr`` (``import posreal as pr``)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "pr"
+    }
+
+
+@pytest.mark.parametrize("path", ["bench/workloads.py", "bench/test_bench.py", "scripts/run_examples.py"])
+def test_the_benchmark_reads_only_top_level_names(path):
+    # the benchmark's requests run on ``import posreal as pr``; a name trimmed from the top level breaks them
+    import posreal
+
+    reads = top_level_reads((ROOT / path).read_text(encoding="utf-8"))
+    assert "realize" in reads
+    assert sorted(n for n in reads if not hasattr(posreal, n)) == []
+
+
+def test_checker_finds_library_use_names():
+    readme = (
+        "## Before\n`shift_once`\n\n## Library use\n\n```python\nout = pr.realize(tf)\n```\n"
+        "`check.markov(A, b,\nc, K)` and `Block.dim`; `budget(cls)` returns a plan, unlike in_polygon.\n"
+        "\n## After\n`zero_pattern`\n"
+    )
+    assert library_use_names(readme) == {"out", "realize", "tf", "check", "A", "b", "c", "K", "Block", "budget", "cls"}
+    assert top_level_reads("import posreal as pr\npr.realize(pr.tf.expand(x), y.pr)\n") == {"realize", "tf"}
 
 
 def test_the_pair_coefficient_follows_the_cone():

@@ -15,7 +15,9 @@ import posreal.cli as climod
 import posreal.geometry as geometrymod
 import posreal.realizer as realizermod
 import posreal.tf as tfmod
+from posreal.blocks import per_pole_total
 from posreal.errors import BaseMismatch, NegativeEntry, NegativeImpulse
+from posreal.tf import iteration_estimate, leading_impulse, shift_once
 
 from conftest import hn_pf, hn_tf, random_stable_pf, scaled_pf
 from strategies import simple_stable_pfs
@@ -204,6 +206,13 @@ class TestRealizeWithBase:
         with pytest.raises(BaseMismatch, match="error nan"):
             pr.realize_with_base(h4_tf, pr.Realization(A, base_4dim.b, base_4dim.c), 1)
 
+    def test_base_overflowing_the_input_scale_is_refused(self):
+        # the base reproduces the tail of 1/(z - 2); scaled by lam0 = 2, its 1e308 entry overflows
+        tf = pr.recombine(pr.PartialFraction(2.0, 1.0, ()))
+        base = pr.Realization([[1, 0], [1e308, 0]], [1, 0], [1, 0])
+        with pytest.raises(ValueError, match="^base overflows when rescaled to the input's scale$"):
+            pr.realize_with_base(tf, base, 1)
+
     def test_wrong_shift_rejected(self, h4_tf, base_4dim):
         with pytest.raises(BaseMismatch):
             pr.realize_with_base(h4_tf, base_4dim, 2)
@@ -317,22 +326,22 @@ def _pf(*terms):
 
 def _reference_stage(pf, mode, cap_override):
     """The shift loop classifying on every shift and stopping by ``_stop_rule``; then ``budget``'s floors, with the leftover placed by the public builders."""
-    neg_tol = 1e-10 * (1.0 + abs(pr.leading_impulse(pf)))
-    cap = cap_override if cap_override is not None else 2 * pr.iteration_estimate(pf)
+    neg_tol = 1e-10 * (1.0 + abs(leading_impulse(pf)))
+    cap = cap_override if cap_override is not None else 2 * iteration_estimate(pf)
     prefix, totals = [], []
     while True:
-        t_m = pr.leading_impulse(pf)
+        t_m = leading_impulse(pf)
         if t_m < -neg_tol:
             m = len(prefix) + 1
             return pr.NoPositiveRealization(m, pf.scale_gamma * pf.pole_scale ** (m - 1) * t_m)
         cls = pr.classify(pf)
-        totals.append(pr.per_pole_total(cls))
+        totals.append(per_pole_total(cls))
         needed, limit = blocksmod._stop_rule(mode, *blocksmod.share_floors(cls)[2])
         if needed <= limit:
             break
         if len(prefix) >= cap:
             return pr.IterationCapExceeded(cap)
-        t, pf = pr.shift_once(pf)
+        t, pf = shift_once(pf)
         prefix.append(t if t > 0 else 0.0)
     plan = pr.budget(cls)
     floors = [abs(c) for _, c in cls.n2_poles]
@@ -435,7 +444,7 @@ class TestShiftLoopMatchesReference:
         out = _stage(pf, mode, None)
         assert not isinstance(out, pr.IterationCapExceeded)
         if isinstance(out, tuple):
-            assert len(out[1]) <= pr.iteration_estimate(pf) + 1
+            assert len(out[1]) <= iteration_estimate(pf) + 1
 
     @pytest.mark.parametrize(
         "pf, mode, cap, outcome",

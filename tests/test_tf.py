@@ -16,6 +16,7 @@ import posreal.tf as tfmod
 from posreal.cli import load_problem
 from posreal.bounds import _certified_scan
 from posreal.errors import ExpansionFailed, NegativeImpulse, NotCoprime, NotPrimitive, NotStrictlyProper, ZeroDenominator
+from posreal.tf import companion_roots, iteration_estimate, leading_impulse, shift_once
 
 from conftest import hn_pf, hn_tf, hn_impulse, scaled_pf
 from strategies import simple_stable_pfs, supplied_pole_terms
@@ -109,7 +110,7 @@ class TestRootsOnce:
 
     def test_roots_are_the_companion_eigenvalues_and_read_only(self):
         tf = pr.TransferFunction(pr.Polynomial((0.3, 1.0)), pr.Polynomial((0.1, -0.2, -0.5, 1.0)))
-        assert tf.roots.tobytes() == pr.companion_roots(tf.den.coeffs).tobytes()
+        assert tf.roots.tobytes() == companion_roots(tf.den.coeffs).tobytes()
         with pytest.raises(ValueError):
             tf.roots[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -209,7 +210,7 @@ class TestExpand:
         # about 1.5e-8 apart; the expansion must merge them into one term.
         pf_in = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(-0.4 + 0j, tuple(map(complex, coeffs))),))
         tf = pr.recombine(pf_in)
-        split = pr.companion_roots(tf.den.coeffs)
+        split = companion_roots(tf.den.coeffs)
         split = np.sort(split[np.abs(split + 0.4) < 1e-6].real)
         assert len(split) == 2 and 1e-9 < split[1] - split[0] < 1e-7
         pf = pr.expand(tf)
@@ -381,9 +382,9 @@ class TestGivenExpansion:
     def test_reversed_h10_is_the_problem_file(self, problems_dir):
         # hn_pf lists the poles 0.4, 0.2 and the problem file 0.2, 0.4: one function, one verification
         tf = pr.recombine(hn_pf(10))
-        spec = load_problem(str(problems_dir / "h10.json"))
-        assert tf == spec.tf
-        got, want = pr.realize(tf), pr.realize(spec.tf)
+        from_file, _ = load_problem(str(problems_dir / "h10.json"))
+        assert tf == from_file
+        got, want = pr.realize(tf), pr.realize(from_file)
         assert got.trace.verification == want.trace.verification
 
     def test_order_two_term_takes_root_finding(self):
@@ -438,7 +439,7 @@ class TestGivenExpansion:
                 m.setattr(tfmod, "_reject_common_roots", lambda tf: None)
                 tf = pr.recombine(pf)
             assert tf._expansion is not None
-            roots = pr.companion_roots(tf.den.coeffs)
+            roots = companion_roots(tf.den.coeffs)
             nc = np.abs(tf.num.coeffs)
             scale = np.sum(nc * np.abs(roots)[:, None] ** np.arange(len(nc)), axis=1)
             want = bool(np.any(np.abs(tf.num(roots)) <= 1e-9 * (scale + 1e-300)))
@@ -538,7 +539,7 @@ PROBLEM_FILES = sorted(
 class TestImpulseExactOracle:
     @pytest.mark.parametrize("name", PROBLEM_FILES)
     def test_problem_files(self, problems_dir, name):
-        tf = load_problem(str(problems_dir / name)).tf
+        tf, _ = load_problem(str(problems_dir / name))
         assert_each_step_is_the_recurrence(tf, pr.impulse_response(tf, 150))
 
     @settings(max_examples=60, deadline=None)
@@ -551,12 +552,12 @@ class TestImpulseExactOracle:
 class TestShiftOnce:
     def test_single_term(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.5 + 0j,)),))
-        t, nxt = pr.shift_once(pf)
+        t, nxt = shift_once(pf)
         assert t == pytest.approx(1.5)
         assert nxt.terms[0].coeffs[0].real == pytest.approx(0.25)
 
     def test_family_shift_matches_lower_member(self):
-        t, nxt = pr.shift_once(hn_pf(6))
+        t, nxt = shift_once(hn_pf(6))
         ref = hn_pf(5)
         for a, b in zip(nxt.terms, ref.terms):
             assert a.pole == b.pole
@@ -565,13 +566,13 @@ class TestShiftOnce:
 
     def test_no_terms(self):
         pf = pr.PartialFraction(1.0, 1.0, ())
-        t, nxt = pr.shift_once(pf)
+        t, nxt = shift_once(pf)
         assert t == 1.0
         assert nxt.terms == ()
 
     def test_pole_at_zero_drops_out(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.0 + 0j, (1.0 + 0j,)),))
-        t, nxt = pr.shift_once(pf)
+        t, nxt = shift_once(pf)
         assert t == pytest.approx(2.0)
         assert nxt.terms == ()
 
@@ -680,17 +681,17 @@ def test_build_partial_fraction_ignores_the_term_order(supplied, data):
 class TestIterationEstimate:
     def test_all_positive_terms(self):
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (0.5 + 0j,)),))
-        assert pr.iteration_estimate(pf) == 1
+        assert iteration_estimate(pf) == 1
 
     def test_formula_on_counted_pole(self):
         # same arithmetic as the positive-residue case, on a pole that counts
         pf = pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5 + 0j, (-1.5 + 0j,)),))
         want = math.ceil(abs(math.log(1 * 1.5 / pr.tf.CONSERVATIVE_LIMIT) / math.log(0.5)))
         assert want == 2
-        assert pr.iteration_estimate(pf) == 2
+        assert iteration_estimate(pf) == 2
 
     def test_example1_finite(self, example1_tf):
-        est = pr.iteration_estimate(pr.normalize(pr.expand(example1_tf)))
+        est = iteration_estimate(pr.normalize(pr.expand(example1_tf)))
         assert est >= 1
 
 
@@ -712,7 +713,7 @@ class TestRefineRoot:
 
     def test_separated_roots_stop_within_three_steps(self, evaluations):
         den = tuple(np.polynomial.polynomial.polyfromroots(self.ROOTS).real)
-        for z0 in pr.companion_roots(den):
+        for z0 in companion_roots(den):
             evaluations.clear()
             z = tfmod._refine_root(tfmod._newton_polys(den, 1), complex(z0))
             # one value at the start, then a derivative and a value per step
@@ -735,7 +736,7 @@ class TestRefineRoot:
         for _ in range(100):
             den = np.polynomial.polynomial.polyfromroots(_separated_poles(rng, n)).real
             polys = tfmod._newton_polys(den, 1)
-            for z0 in pr.companion_roots(den):
+            for z0 in companion_roots(den):
                 if z0.imag < 0:  # expand refines the upper root of a pair
                     continue
                 evaluations.clear()
@@ -829,7 +830,7 @@ def test_companion_roots_come_in_exact_conjugate_pairs():
     rng = np.random.default_rng(12)
     for _ in range(2000):
         coeffs = _random_monic(rng, int(rng.integers(2, 25)))
-        roots = pr.companion_roots(coeffs)
+        roots = companion_roots(coeffs)
         upper = np.sort_complex(roots[roots.imag > 0])
         lower = np.sort_complex(roots[roots.imag < 0].conjugate())
         assert upper.tobytes() == lower.tobytes(), coeffs
@@ -930,9 +931,9 @@ def test_shift_once_equals_the_validated_tail(pf, shifts):
     """Bit for bit: shift_once's tail is the one the public constructors build from its arithmetic, shift after shift."""
     cur = pf
     for _ in range(shifts):
-        t, got = pr.shift_once(cur)
+        t, got = shift_once(cur)
         want = _shift_through_constructors(cur)
-        assert t == pr.leading_impulse(cur)
+        assert t == leading_impulse(cur)
         assert got == want and hash(got) == hash(want)
         assert [f.name for f in dataclasses.fields(got)] == list(vars(got)) == list(vars(want))
         assert [_bits(getattr(got, f)) for f in vars(got)] == [_bits(getattr(want, f)) for f in vars(want)]
@@ -954,9 +955,9 @@ def _walk_terms(pf, coeffs, higher):
 def test_walk_follows_shift_once_bit_for_bit(pf, shifts):
     """t~_k and every chain of tf._walk are iterated shift_once's, bit for bit, up to the walk's witness."""
     walk, cur = tfmod._walk(pf), pf
-    band = tfmod._zero_band(pr.leading_impulse(pf))
+    band = tfmod._zero_band(leading_impulse(pf))
     for k in range(1, shifts + 1):
-        t = pr.leading_impulse(cur)
+        t = leading_impulse(cur)
         if t < -band:
             with pytest.raises(NegativeImpulse) as exc:
                 next(walk)
@@ -965,7 +966,7 @@ def test_walk_follows_shift_once_bit_for_bit(pf, shifts):
         got, coeffs, higher = next(walk)
         assert _bits(got) == _bits(t)
         assert _bits(_walk_terms(pf, coeffs, higher)) == _bits(tuple((term.pole, term.coeffs) for term in cur.terms))
-        _, cur = pr.shift_once(cur)
+        _, cur = shift_once(cur)
 
 
 @given(simple_stable_pfs(), st.floats(0.5, 2.0))
@@ -990,7 +991,7 @@ def test_walk_witness_is_the_recurrences_first_negative_value(pfn, lam0):
 def test_shift_closed_form(pf, shifts):
     cur = pf
     for _ in range(shifts):
-        _, cur = pr.shift_once(cur)
+        _, cur = shift_once(cur)
     survived = {t.pole: t.coeffs[0] for t in cur.terms}
     for term in pf.terms:
         want = term.coeffs[0] * term.pole**shifts
@@ -1004,7 +1005,7 @@ def test_shift_t_equals_impulse(pf, shifts):
     ref = pr.impulse_response(tf, shifts)
     cur = pf
     for m in range(shifts):
-        t, cur = pr.shift_once(cur)
+        t, cur = shift_once(cur)
         assert t == pytest.approx(ref[m], rel=1e-9, abs=1e-9)
 
 
