@@ -36,6 +36,7 @@ PAIR_RTOL = 1e-9
 DOMINANCE_RTOL = 1e-9
 RECONSTRUCT_RTOL = 1e-8
 _CIRCLE = np.exp(2j * np.pi * np.arange(32) / 32)  # the test circle's 32 directions
+_CIRCLE_POWERS = _CIRCLE[np.outer(np.arange(32), np.arange(32)) % 32]  # [j, k]: direction j to the power k
 
 # The sum rule stops once the plain sum of the non-gain |c| (pairs twice) is at most
 # this: a pair's floor is at most 4 |c| (m = 3), so the floors total at most twice it.
@@ -170,12 +171,10 @@ class PartialFraction:
         )
 
     def evaluate(self, z):
-        acc = self.dominant_residue / (z - self.dominant_pole)
-        for t in self.terms:
-            base = z - t.pole
-            for i, c in enumerate(t.coeffs, start=1):
-                acc = acc + c / base**i
-        return acc
+        """Value at z (a scalar or an array): every c / (z - pole)^i in one broadcast, added left to right."""
+        rows = ((t.pole, c, i) for t in self.terms for i, c in enumerate(t.coeffs, start=1))
+        poles, coeffs, powers = map(np.array, zip((self.dominant_pole, self.dominant_residue, 1), *rows))
+        return np.cumsum(coeffs / (np.asarray(z)[..., None] - poles) ** powers, axis=-1)[..., -1]
 
 
 def _trimmed(values) -> tuple:
@@ -425,12 +424,21 @@ def _expand_at_radius(tf: TransferFunction, roots: np.ndarray, radius: float) ->
         terms=tuple(sorted(terms, key=_term_sort_key)),
     )
 
-    sample = 2.0 * max(1.0, maxmod) * _CIRCLE
-    href = tf(sample)
-    resid = np.abs(pf.evaluate(sample) - href) / (1.0 + np.abs(href))
-    if not np.max(resid) <= RECONSTRUCT_RTOL:  # a NaN residual fails too
-        raise _RetryExpansion(f"reconstruction residual {np.max(resid):.3g}")
+    resid = _reconstruction_residual(tf, pf, 2.0 * max(1.0, maxmod))
+    if not resid <= RECONSTRUCT_RTOL:  # a NaN residual fails too
+        raise _RetryExpansion(f"reconstruction residual {resid:.3g}")
     return pf
+
+
+def _reconstruction_residual(tf: TransferFunction, pf: PartialFraction, r: float) -> float:
+    """max |pf(z) - tf(z)| / (1 + |tf(z)|) on the test circle |z| = r, NaN once a value overflows.  tf's num and den
+    are two products against the directions' powers, in z/r with coefficients a_k r^(k-n): no power of r overflows."""
+    n, m = tf.den.degree, len(tf.num.coeffs)
+    scaled = r ** np.arange(-n, 1.0)  # r^(k-n), k = 0 .. n
+    powers = np.take(_CIRCLE_POWERS, np.arange(n + 1), axis=1, mode="wrap")  # w^k = w^(k mod 32)
+    with np.errstate(all="ignore"):
+        href = (powers[:, :m] @ (tf.num.coeffs * scaled[:m])) / (powers @ (tf.den.coeffs * scaled))
+        return float(np.max(np.abs(pf.evaluate(r * _CIRCLE) - href) / (1.0 + np.abs(href))))
 
 
 def expand(tf: TransferFunction) -> PartialFraction:
@@ -506,11 +514,13 @@ def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
     n = tf.mcmillan_degree
     p = [0.0] * (n - tf.num.degree) + list(tf.num.coeffs[::-1])  # p_k: coefficient of z^(n-k)
     q = tf.den.coeffs[-2::-1]  # q_i: coefficient of z^(n-i)
-    t = []
+    t = []  # t[k - 1] holds t_k
     for k in range(1, K + 1):
         acc = p[k] if k <= n else 0.0
-        for qi, ti in zip(q, reversed(t)):  # q_i t_(k-i), i = 1 .. min(k-1, n)
-            acc -= qi * ti
+        i = k - 1
+        for qi in q[: k - 1] if k <= n else q:  # q_i t_(k-i), i = 1 .. min(k-1, n), by index
+            i -= 1
+            acc -= qi * t[i]
         t.append(acc)
     t = np.array(t)
     t.setflags(write=False)
@@ -634,24 +644,26 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
     factors += [(t.pole, t.order) for t in terms]
 
-    # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j
+    # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j.  No product by
+    # [1] runs: it returns the other operand bit for bit, as no operand holds a -0.0 (0j - root has none)
+    times = lambda a, b: b if len(a) == 1 else a if len(b) == 1 else np.convolve(a, b)  # [1] has length 1
     powers = []
     for root, mult in factors:
-        ps = [np.array([1.0 + 0j])]
-        for _ in range(mult):
+        ps = [np.array([1.0 + 0j]), np.array([0j - root, 1.0 + 0j])]
+        for _ in range(mult - 1):
             ps.append(np.convolve(ps[-1], np.array([-root, 1.0 + 0j])))
         powers.append(ps)
     prefix = [np.array([1.0 + 0j])]
     for ps in powers:
-        prefix.append(np.convolve(prefix[-1], ps[-1]))
+        prefix.append(times(prefix[-1], ps[-1]))
 
     den = prefix[-1]
     num = np.zeros(len(den) - 1, dtype=complex)
 
     def rest_product(skip: int, reduce_by: int) -> np.ndarray:
-        out = np.convolve(prefix[skip], powers[skip][-1 - reduce_by])
+        out = times(prefix[skip], powers[skip][-1 - reduce_by])
         for ps in powers[skip + 1 :]:
-            out = np.convolve(out, ps[-1])
+            out = times(out, ps[-1])
         return out
 
     contrib = pf.dominant_residue * rest_product(0, 1)

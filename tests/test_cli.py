@@ -370,6 +370,22 @@ class TestBoundsCommand:
             assert code == 1
             assert doc == {"status": "negative_impulse", "index": 3, "value": pytest.approx(-0.25)}
 
+    def test_reconstruction_check_past_the_float_range_prints_no_warning(self, tmp_path, capsys):
+        # 1 / ((z - 1e20)(z^15 - 0.5^15)): den(z) passes the float range on the test circle |z| = 2e20,
+        # which the check reads in z/r; t_1 .. t_15 are exactly 0 and t_16 = 1
+        poles = [1e20] + [0.5 * np.exp(2j * np.pi * k / 15) for k in range(15)]
+        den = np.polynomial.polynomial.polyfromroots(poles).real.tolist()
+        path = write_problem(tmp_path, "far.json", {"transfer": {"num": [1.0], "den": den}})
+        assert main(["bounds", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert (doc["k0"], doc["zero_indices"]) == (15, list(range(1, 16)))
+        assert main(["realize", path]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["status"] == "unsupported"
+
     def test_non_primitive_is_unsupported(self, tmp_path, capsys):
         path = write_problem(tmp_path, "alt.json", {"transfer": {"num": [1.0], "den": [1.0, 1.0]}})
         code = main(["bounds", path])
