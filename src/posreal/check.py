@@ -1,20 +1,22 @@
-"""Independent verification: Markov-parameter comparison.
+"""Independent verification: Markov-parameter comparison in the normalized frame.
 
 This module knows nothing about how realizations were built and imports no module that
 builds them (tests/test_hygiene.py checks); the reference is the long-division recurrence.
-The cone relations a block comes from are checked in the tests, which rebuild each
-block's cone model from its pole terms and share.
+Both sequences are divided by gamma lam0^(k-1), the dominant residue and pole of the input's
+expansion, so the measure does not depend on the gain or the pole scale and no value
+overflows on a realization of the input.  The cone relations a block comes from are checked
+in the tests, which rebuild each block's cone model from its pole terms and share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tf import TransferFunction, impulse_response
+from .tf import TransferFunction, _scaled_recurrence, expand, normalize
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,7 @@ class VerificationReport:
     worst_index: int
     nonnegative: bool
     tol: float
+    terms: np.ndarray = field(repr=False, compare=False)  # the compared c (A/lam0)^(k-1) b/gamma
 
     @property
     def passed(self) -> bool:
@@ -67,26 +70,34 @@ def markov(A, b, c, K: int) -> np.ndarray:
 
 
 def markov_check(
-    realization, tf: TransferFunction, K: int | None = None, tol: float = 1e-6
+    realization, tf: TransferFunction, K: int | None = None, tol: float = 1e-6, *, scale: tuple | None = None
 ) -> VerificationReport:
-    """Compare c A^(k-1) b against the recurrence-based impulse response.
+    """Compare c (A/lam0)^(k-1) b/gamma against t_k / (gamma lam0^(k-1)) from the recurrence.
 
-    Errors are relative to 1 + |t_k|.  The default horizon max(100, 3*dim)
-    comfortably exceeds twice the degree of anything at this scale, where
-    agreement already pins down the rational function.  The worst index is
-    the first non-finite error (a sequence overflowed; numpy does not warn),
-    else the first maximal one.
+    ``scale`` is (gamma, lam0), the dominant residue and pole of ``tf``'s expansion; when it
+    is omitted ``tf`` is expanded here, which raises ``NotPrimitive`` or
+    ``NonpositiveDominantResidue`` for an input without a positive dominant term.  Errors are
+    relative to 1 + |reference|, so ``tol`` bounds the error on the scale of the dominant term.
+    The default horizon max(100, 3*dim) comfortably exceeds twice the degree of anything at
+    this scale, where agreement already pins down the rational function.  The worst index is
+    the first non-finite error (a sequence overflowed; numpy does not warn), else the first
+    maximal one.  The report keeps the compared Markov terms, read-only.
     """
     A, b, c = _triple(realization)
     if A.shape[0] != A.shape[1] or b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
         raise DimensionMismatch("realization matrices have inconsistent shapes")
     if K is None:
         K = max(100, 3 * A.shape[0])
-    ref = impulse_response(tf, K)
+    if scale is None:
+        pf = normalize(expand(tf))
+        scale = pf.scale_gamma, pf.pole_scale
+    gamma, lam0 = scale
+    ref = np.array(_scaled_recurrence(tf, K, gamma, lam0))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = markov(A, b, c, K)
+        got = markov(A / lam0, b / gamma, c, K)
         err = np.abs(got - ref) / (1.0 + np.abs(ref))
     err[~np.isfinite(err)] = math.inf  # so argmax finds the first non-finite error, if any
     worst_k = int(np.argmax(err))
     nonneg = bool(A.min(initial=0.0) >= 0) and bool(b.min(initial=0.0) >= 0) and bool(c.min(initial=0.0) >= 0)
-    return VerificationReport(int(K), float(err[worst_k]), worst_k + 1, nonneg, float(tol))
+    got.setflags(write=False)
+    return VerificationReport(int(K), float(err[worst_k]), worst_k + 1, nonneg, float(tol), got)

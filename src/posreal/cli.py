@@ -374,7 +374,11 @@ def _cmd_verify(args) -> int:
     A, b, c = load_realization(args.realization, Path(args.problem).parent)
     tol = _resolve(args.tol, opts, "tol", 1e-6)
     K = _resolve(args.horizon, opts, "horizon", None)
-    report = markov_check((A, b, c), tf, K, tol)
+    try:
+        report = markov_check((A, b, c), tf, K, tol)
+    except (NotPrimitive, NonpositiveDominantResidue) as exc:  # no frame to normalize in
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     _emit(_verification_doc(report), args)
     return EXIT_OK if report.passed else EXIT_VERIFY
 

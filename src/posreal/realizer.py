@@ -10,8 +10,12 @@ dominant residue, whichever rule stopped; the leftover joins the carrier's
 share, or, if no block carries a share, gets a one-state remainder block.
 Each block is built once, as plain arrays; the stack is the first validated
 triple.  One copy lifts it by the prefix and rescales it to the input's gain
-and pole location, and an independent Markov comparison verifies that.  A
-supplied base realization of the shifted tail replaces the loop and blocks.
+and pole location.  One Markov pass of that output, divided back by the gain
+and the dominant pole, is compared twice: with the input's own recurrence
+(the independent verification) and with the prefix and the blocks' declared
+terms (the construction check, which names a failing block).  A supplied
+base realization of the shifted tail replaces the loop and blocks; its own
+check stays.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .blocks import (
     _stop_rule,
     assemble,
     budget,
+    check_construction,
     complex_pair_block,
     dominant_remainder_block,
     floor_units,
@@ -104,8 +109,10 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
     """Expand and normalize ``tf``, run ``stage``, then lift, rescale and verify.
 
     ``stage(pf)`` returns an early outcome or ``(core, prefix, budget,
-    budget_totals, blocks)``: a realization of the normalized tail, the
-    nonnegative normalized prefix shifted off before it, and trace fields.
+    budget_totals, summaries, blocks)``: a realization of the normalized tail,
+    the nonnegative normalized prefix shifted off before it, trace fields, and
+    the blocks stacked into ``core`` (none for a supplied base), which the
+    final pass's terms are checked against.
     """
     try:
         pf = expand(tf)
@@ -119,10 +126,13 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
         return NoPositiveRealization(exc.index, exc.value)
     if not isinstance(staged, tuple):
         return staged
-    core, prefix, plan, totals, summaries = staged
+    core, prefix, plan, totals, summaries, blocks = staged
 
-    final = prefix_lift(core, prefix, pf.scale_gamma, pf.pole_scale)  # lifted and rescaled in one copy
-    report = markov_check(final, tf, verify_horizon, verify_tol)
+    scale = pf.scale_gamma, pf.pole_scale
+    final = prefix_lift(core, prefix, *scale)  # lifted and rescaled in one copy
+    report = markov_check(final, tf, verify_horizon, verify_tol, scale=scale)
+    if blocks:
+        check_construction(blocks, prefix, report.terms)
     if not report.passed:
         raise InternalCheckError(
             f"synthesized realization failed verification (error {report.max_relative_error:.3g})"
@@ -193,7 +203,12 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     if carrier is None:  # no share was allocated, so the leftover is the whole unit
         blocks.append(dominant_remainder_block(plan.leftover))
     summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, b.share_floor) for b in blocks]
-    return assemble(blocks), prefix, plan, totals, summaries
+    try:
+        core = assemble(blocks)
+    except ValueError:  # a non-finite entry, refused by the stack's validation: name its block
+        check_construction(blocks, prefix, ())
+        raise
+    return core, prefix, plan, totals, summaries, blocks
 
 
 def realize(
@@ -236,7 +251,7 @@ def _base_check(pf: PartialFraction, base: Realization, m: int):
         raise BaseMismatch(
             f"base Markov sequence deviates from the shifted tail (error {err:.3g})"
         )
-    return base, prefix, None, (), [BlockSummary("base", base.dim, 0.0)]
+    return base, prefix, None, (), [BlockSummary("base", base.dim, 0.0)], ()
 
 
 def realize_with_base(

@@ -509,11 +509,28 @@ def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
     t_k = p_k - sum_{i=1..min(k-1,n)} q_i t_{k-i}, with p_k = 0 for k > n, one step per
     value on plain floats (powers of the signed companion matrix would cancel).
     """
+    t = np.array(_scaled_recurrence(tf, K, 1.0, 1.0))
+    t.setflags(write=False)
+    return t
+
+
+def _scaled_recurrence(tf: TransferFunction, K: int, gamma: float, lam0: float) -> list[float]:
+    """t_k / (gamma lam0^(k-1)) for k = 1 .. K: ``impulse_response``'s recurrence, bit for bit at gamma = lam0 = 1.
+
+    The values obey it with p_k / (gamma lam0^(k-1)) and q_i / lam0^i, so no power past the
+    degree n is formed, and they stay the size of the normalized response whatever lam0^(K-1) is.
+    """
     if K < 1:
         raise ValueError("K must be positive")
     n = tf.mcmillan_degree
     p = [0.0] * (n - tf.num.degree) + list(tf.num.coeffs[::-1])  # p_k: coefficient of z^(n-k)
-    q = tf.den.coeffs[-2::-1]  # q_i: coefficient of z^(n-i)
+    q = list(tf.den.coeffs[-2::-1])  # q_i: coefficient of z^(n-i)
+    w, v = 1.0 / gamma, 1.0  # 1 / (gamma lam0^i) for p_(i+1) and lam0^-i for q_i, a division per step
+    for i in range(n):
+        v /= lam0
+        p[i + 1] *= w
+        q[i] *= v
+        w /= lam0
     t = []  # t[k - 1] holds t_k
     for k in range(1, K + 1):
         acc = p[k] if k <= n else 0.0
@@ -522,8 +539,6 @@ def impulse_response(tf: TransferFunction, K: int) -> np.ndarray:
             i -= 1
             acc -= qi * t[i]
         t.append(acc)
-    t = np.array(t)
-    t.setflags(write=False)
     return t
 
 

@@ -87,8 +87,13 @@ def two_pole_zero_families(st_draw, min_N=4, max_N=13):
     N = st_draw(st.integers(min_N, max_N))
     p = st_draw(st.floats(0.3, 0.7))
     q = 0.1 + (p - 0.2) * st_draw(st.floats(0.0, 1.0))
+    gamma, lam0 = st_draw(st.floats(0.5, 2.0)), st_draw(st.floats(0.5, 2.0))
+    return N, zero_family_pf(N, p, q, gamma, lam0)
+
+
+def zero_family_pf(N, p, q, gamma, lam0):
+    """gamma/(z - lam0) - a/(z - p lam0) + b/(z - q lam0), scaled so that the impulse zeros are at N - 1 and N."""
     a = (1.0 - q) / ((p - q) * p ** (N - 2))
     b = (1.0 - p) / ((p - q) * q ** (N - 2))
-    gamma, lam0 = st_draw(st.floats(0.5, 2.0)), st_draw(st.floats(0.5, 2.0))
     terms = (pr.PoleTerm(p * lam0, (-a * gamma,)), pr.PoleTerm(q * lam0, (b * gamma,)))
-    return N, pr.PartialFraction(lam0, gamma, terms)
+    return pr.PartialFraction(lam0, gamma, terms)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import posreal as pr
-from posreal.blocks import CLAMP_WINDOW, PAIR_ALPHA, _fan_weights, _stop_rule, share_floors
+import posreal.blocks as blocksmod
+import posreal.realizer as realizermod
+from posreal.blocks import CLAMP_WINDOW, PAIR_ALPHA, _fan_weights, _stop_rule, check_construction, share_floors
 from posreal.errors import (
     BadPoleBlock,
     BudgetTooSmall,
@@ -22,7 +24,7 @@ from posreal.errors import (
 from posreal.geometry import in_polygon
 from posreal.tf import CONSERVATIVE_LIMIT, shift_once
 
-from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf
+from conftest import cone_model, cone_residual, hn_pf, hn_impulse, random_stable_pf, scaled_pf
 
 
 def pair_impulse(share, coeff, pole, K):
@@ -251,7 +253,7 @@ class TestComplexPairBlock:
         pole, coeff = cmath.rect(r * math.cos(math.pi / m), th), cmath.rect(eta, vt)
         blk = pr.complex_pair_block(pole, coeff, m, pr.pair_share_floor(abs(coeff), m))
         assert blk.realization.b.min() >= 0.0
-        pr.assemble([blk])  # its first 20 Markov parameters match to relative 1e-9
+        check_construction([blk], (), ())  # its first 20 Markov parameters match to relative 1e-10
 
     @given(st.integers(3, 40), st.floats(1e-12, 1e12))
     def test_floor_is_tight_along_each_edge_normal(self, m, eta):
@@ -451,33 +453,73 @@ def corrupted(blk, b_scale=1.0, c_scale=1.0):
     return dataclasses.replace(blk, b=blk.b * b_scale, c=blk.c * c_scale)
 
 
-class TestAssembleSelfCheck:
+# Inputs at gain 1e3 and dominant pole 5 whose blocks need no shift, so every block's own
+# terms are a sizable part of the stack's: positive_pole, real_pole and complex_pair blocks,
+# and a positive_pole block followed by the dominant_remainder block.
+MIXED = scaled_pf(
+    pr.PartialFraction(1.0, 1.0, (
+        pr.PoleTerm(0.5, (0.3,)), pr.PoleTerm(-0.6, (0.2,)),
+        pr.PoleTerm(0.5j, (cmath.rect(0.1, 0.3),)), pr.PoleTerm(-0.5j, (cmath.rect(0.1, -0.3),)),
+    )),
+    1e3, 5.0,
+)
+REMAINDER = scaled_pf(pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5, (0.3,)),)), 1e3, 5.0)
+STACK_ORDER = ("positive_pole", "real_pole", "complex_pair")
+BLOCK_FUNCTIONS = {kind: f"{kind}_block" for kind in STACK_ORDER + ("dominant_remainder",)}
+
+
+def realize_with_sabotage(monkeypatch, kinds, sabotage, **options):
+    """``realize`` on the input holding ``kinds``, with each block of those kinds passed through ``sabotage``."""
+    for kind in kinds:
+        build = getattr(realizermod, BLOCK_FUNCTIONS[kind])
+        monkeypatch.setattr(realizermod, BLOCK_FUNCTIONS[kind], lambda *a, build=build: sabotage(build(*a)))
+    return pr.realize(pr.recombine(REMAINDER if "dominant_remainder" in kinds else MIXED), **options)
+
+
+class TestConstructionCheck:
+    """A block defect is refused through the final Markov pass of a realize request, naming the block."""
+
+    def test_the_inputs_build_every_kind_with_no_shift(self):
+        for pf, kinds in ((MIXED, STACK_ORDER), (REMAINDER, ("positive_pole", "dominant_remainder"))):
+            out = pr.realize(pr.recombine(pf))
+            assert [s.kind for s in out.trace.blocks] == list(kinds)
+            assert out.trace.shifts_performed == 0
+
     @pytest.mark.parametrize("kind", ["positive_pole", "real_pole", "complex_pair", "dominant_remainder"])
     @pytest.mark.parametrize("scales", [(1.0 + 1e-8, 1.0), (1.0, 1.5), (0.0, 1.0)])
-    def test_corrupted_block_between_healthy_ones_is_named(self, kind, scales):
-        blk = next(b for b in one_block_of_each_kind() if b.kind == kind)
-        left, right = pr.positive_pole_block(0.5, 0.1), pr.real_pole_block(-0.6, 0.2, 0.3)
-        assert pr.assemble([left, blk, right]).dim == left.dim + blk.dim + right.dim
-        with pytest.raises(InternalCheckError, match=f"^{kind} block self-check failed"):
-            pr.assemble([left, corrupted(blk, *scales), right])
+    def test_corrupted_block_is_named(self, monkeypatch, kind, scales):
+        with pytest.raises(InternalCheckError, match=f"^{kind} block failed the construction check"):
+            realize_with_sabotage(monkeypatch, [kind], lambda blk: corrupted(blk, *scales))
 
-    def test_first_failing_block_in_stack_order_is_named(self):
-        blocks = [corrupted(b, c_scale=1.5) for b in one_block_of_each_kind()]
-        for first in range(len(blocks)):
-            stack = one_block_of_each_kind()[:first] + blocks[first:]
-            with pytest.raises(InternalCheckError, match=f"^{blocks[first].kind} block"):
-                pr.assemble(stack)
+    @pytest.mark.parametrize("first", range(len(STACK_ORDER)))
+    def test_first_failing_block_in_stack_order_is_named(self, monkeypatch, first):
+        sabotage = lambda blk: corrupted(blk, c_scale=1.5)
+        with pytest.raises(InternalCheckError, match=f"^{STACK_ORDER[first]} block"):
+            realize_with_sabotage(monkeypatch, STACK_ORDER[first:], sabotage)
 
-    def test_non_finite_error_fails(self):
-        blk = pr.real_pole_block(0.4, -0.64, 1.0)
-        A = np.array(blk.A)
-        A[1, 0] = math.nan
-        bad = dataclasses.replace(blk, A=A)
-        with pytest.raises(InternalCheckError, match="real_pole block self-check failed"):
-            pr.assemble([pr.positive_pole_block(0.3, 0.2), bad])
+    def test_short_verification_horizon_still_checks_each_block(self, monkeypatch):
+        # a horizon of 5 ends before the stack's 20 terms, so each block is compared on its own
+        assert isinstance(pr.realize(pr.recombine(MIXED), verify_horizon=5), pr.Realized)
+        sabotage = lambda blk: corrupted(blk, b_scale=1.0 + 1e-8)
+        with pytest.raises(InternalCheckError, match="^complex_pair block failed the construction check"):
+            realize_with_sabotage(monkeypatch, ["complex_pair"], sabotage, verify_horizon=5)
 
-    def test_builders_alone_do_not_check(self):
+    def test_non_finite_entry_is_named(self, monkeypatch):
+        def nan_in_a(blk):
+            A = np.array(blk.A)
+            A[1, 0] = math.nan
+            return dataclasses.replace(blk, A=A)
+
+        with pytest.raises(InternalCheckError, match="^real_pole block failed the construction check"):
+            realize_with_sabotage(monkeypatch, ["real_pole"], nan_in_a)
+
+    def test_builders_and_assemble_do_not_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blocksmod, "markov", lambda *a: calls.append(a))
         blk = corrupted(pr.positive_pole_block(0.3, 0.2), c_scale=1.5)
+        assert pr.assemble([blk, pr.dominant_remainder_block(0.5)]).dim == 2
+        assert calls == []
+        monkeypatch.undo()
         assert blk.realization.markov(2) == pytest.approx([0.3, 0.09])
 
 

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 import posreal as pr
 import posreal.cli
-import posreal.realizer as realizermod
 import posreal.tf as tfmod
 from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing, positivity_horizon, zero_pattern
-from posreal.errors import InternalCheckError, NegativeImpulse, NotApplicable, PosrealError
+from posreal.errors import NegativeImpulse, NotApplicable, PosrealError
 from posreal.tf import _zero_band
 
 from conftest import hn_pf, hn_tf, scaled_pf
-from strategies import simple_stable_pfs, supplied_pole_terms, two_pole_zero_families
+from strategies import simple_stable_pfs, supplied_pole_terms, two_pole_zero_families, zero_family_pf
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -188,17 +187,19 @@ NEAR_EDGE = 1e-4 / math.log(10.0)  # 1e-4 relative in eps, in log10
 # near-edge draws that a modal shift loop and a recurrence scan read differently, one on each side
 @example(-8.761119017182109, 0.9824788098308304, 1.6332271508880238)
 @example(-8.761117221369965, 6.925341187630508, 0.6635867688966555)
+# gain 100 at lam0 = 2: t~_3 = -3e-9 lies in the band, and the lift's clipped 0 verifies
+@example(-9.0, 2.0, 2.0)
 def test_realize_and_bounds_name_one_witness_at_any_scale(log_eps, log_gain, lam0):
     # t~_3 = -3 eps crosses the zero band at eps ~ 1.7e-9; on either side both agree.
-    # realize's shift loop decides the sign, so its outcome is read before verification:
-    # markov_check compares unnormalized values, and at large gain it refuses an in-band
-    # value clipped to 0.
+    # An in-band value the lift clipped to 0 verifies at any gain, since the verifier
+    # compares normalized values: realize's own outcome is read.
     tf = _just_below_zero(10.0**log_eps, 10.0**log_gain, lam0)
-    try:
-        realizermod._shift_and_build(pr.normalize(pr.expand(tf)), "per_pole", None)
+    out = pr.realize(tf)
+    if isinstance(out, pr.NoPositiveRealization):
+        loop_witness = out.witness_index
+    else:
+        assert isinstance(out, pr.Realized) and out.trace.verification.passed
         loop_witness = None
-    except NegativeImpulse as exc:
-        loop_witness = exc.index
     try:
         pr.bounds_report(tf)
         witness = None
@@ -211,14 +212,34 @@ def _dimension_meets_the_bounds(tf, mode):
     """Whether ``realize`` gives ``tf`` a realization, which then has at least the dimension that
     McMillan degree, ``theo2`` and ``mn2`` of ``bounds_report`` call for: the two modules are independent."""
     report = pr.bounds_report(tf)
-    try:
-        out = pr.realize(tf, mode)
-    except InternalCheckError:  # the verifier's gain-scale defect (ROADMAP item 2): no realization to check
-        return False
+    out = pr.realize(tf, mode)
     if isinstance(out, pr.Realized):
         bound = max(tf.mcmillan_degree, report.theo2 or 0, report.mn2 or 0)
         assert out.trace.final_dimension >= bound, (out.trace.final_dimension, report)
     return isinstance(out, pr.Realized)
+
+
+# (N, p, q, gain, lam0) of the benchmark's zero families (bounds_zeros seeds 1-5) that the
+# unnormalized verifier refused with errors 1.2e-6 to 6.4e-5 although their construction was right
+UNNORMALIZED_REFUSALS = [
+    (13, 0.45445144008082655, 0.23495092689484878, 1.4548115524214404, 1.9108710590246445),
+    (13, 0.33651787294969576, 0.2043023016532989, 1.4615415623287176, 1.892729566890791),
+    (16, 0.6459628174393615, 0.411206000669182, 0.9137956420657944, 1.8018907487294125),
+    (11, 0.3349604196966232, 0.1692846561916006, 1.251852920430613, 1.5591163261749927),
+    (10, 0.32199642048330124, 0.13180593553072797, 0.8730620699435987, 1.7993473307161998),
+    (12, 0.454479343491165, 0.19154051111213155, 1.173362406956029, 1.9607672259284872),
+    (15, 0.4785190308460032, 0.295280308569598, 1.32051677283787, 1.3132818595538231),
+    (10, 0.4079615165117739, 0.1100738404954637, 1.7836895726463633, 1.8896555416353702),
+    (11, 0.40537183712661945, 0.1741467395110301, 1.7707934235698035, 1.8788907875355285),
+    (16, 0.6689374057572193, 0.4681032838512862, 0.978575920786727, 1.911718478251212),
+]
+
+
+@pytest.mark.parametrize("N, p, q, gain, lam0", UNNORMALIZED_REFUSALS)
+def test_zero_families_refused_by_the_unnormalized_measure_realize(N, p, q, gain, lam0):
+    tf = pr.recombine(zero_family_pf(N, p, q, gain, lam0))
+    assert _dimension_meets_the_bounds(tf, "per_pole")
+    assert pr.realize(tf).trace.verification.max_relative_error < 1e-7
 
 
 @pytest.mark.parametrize("mode", ["per_pole", "conservative_sum"])

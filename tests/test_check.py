@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import posreal as pr
+import posreal.tf as tfmod
 from posreal.check import markov, markov_check
 from posreal.errors import DimensionMismatch, InternalCheckError
 from posreal.geometry import in_polygon
 
-from conftest import cone_model, cone_residual, hn_pf
+from conftest import cone_model, cone_residual, hn_pf, scaled_pf
+from strategies import simple_stable_pfs
 
 
 class TestMarkovCheck:
@@ -38,35 +40,94 @@ class TestMarkovCheck:
         assert not report.passed
 
     def test_overflow_fails_at_first_non_finite_index(self):
-        # Both sequences are 2^(k-1); they overflow together at k = 1025,
-        # where the error inf - inf is NaN.
+        # 1/(z - 2) has gamma = 1 and lam0 = 2: its normalized terms are all 1, and those of
+        # A = 4 are 2^(k-1), which overflow at k = 1025, where the error goes non-finite.
         tf = pr.from_coefficients([1.0], [-2.0, 1.0])
-        triple = (np.array([[2.0]]), np.array([1.0]), np.array([1.0]))
-        assert markov_check(triple, tf, 1024).passed
-        report = markov_check(triple, tf, 1100)
+        report = markov_check((np.array([[4.0]]), np.array([1.0]), np.array([1.0])), tf, 1100)
         assert not report.passed
         assert report.worst_index == 1025
         assert report.max_relative_error == np.inf
 
-    def test_large_dominant_pole_is_not_verified(self):
-        # The H4 shape at dominant pole 1e4 overflows before the default
-        # horizon of 100, so the synthesized realization cannot be verified.
+    def test_sequences_overflowing_together_fail_at_their_first_non_finite_index(self):
+        # In the frame the caller gives, gamma = lam0 = 1, both sequences are 2^(k-1); they
+        # overflow together at k = 1025, where the error inf - inf is NaN.
+        tf = pr.from_coefficients([1.0], [-2.0, 1.0])
+        triple = (np.array([[2.0]]), np.array([1.0]), np.array([1.0]))
+        assert markov_check(triple, tf, 1024, scale=(1.0, 1.0)).passed
+        report = markov_check(triple, tf, 1100, scale=(1.0, 1.0))
+        assert not report.passed
+        assert report.worst_index == 1025
+        assert report.max_relative_error == np.inf
+
+    @pytest.mark.parametrize(
+        "lam0, gain",
+        [(1e4, 1.0)] + [(1.0, g) for g in (1e-8, 1e-4, 1.0, 1e4, 1e8, 2e8, 1e9, 1e10)],
+    )
+    def test_large_dominant_pole_or_gain_is_verified(self, lam0, gain):
+        # The H4 shape at dominant pole 1e4 (whose unnormalized terms overflow before the
+        # default horizon of 100) and at gains from 1e-8 to 1e10 (the unnormalized measure
+        # refused 2e8 and 1e10): in the normalized frame each verifies to rounding level.
         pf = pr.PartialFraction(
-            1e4, 1.0, (pr.PoleTerm(4e3 + 0j, (-25.0 + 0j,)), pr.PoleTerm(2e3 + 0j, (75.0 + 0j,)))
+            lam0, gain,
+            (pr.PoleTerm(0.4 * lam0 + 0j, (-25.0 * gain + 0j,)), pr.PoleTerm(0.2 * lam0 + 0j, (75.0 * gain + 0j,))),
         )
-        with pytest.raises(InternalCheckError, match="failed verification"):
-            pr.realize(pr.recombine(pf))
+        tf = pr.recombine(pf)
+        out = pr.realize(tf)
+        assert isinstance(out, pr.Realized)
+        assert out.trace.verification.passed
+        assert out.trace.verification.max_relative_error < 1e-12
+        assert markov_check(out.realization, tf).max_relative_error < 1e-12
 
     def test_dimension_mismatch(self, h4_tf):
         with pytest.raises(DimensionMismatch):
             markov_check((np.eye(2), np.ones(3), np.ones(2)), h4_tf)
 
 
+class TestScaleFreeVerdicts:
+    """The verdict does not depend on the gain or the pole scale (Benvenuti & Farina, IEEE TAC 2004)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simple_stable_pfs(coeff_bound=0.5), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+    def test_valid_output_passes_and_sabotage_fails(self, pf, log_gamma, log_lam0):
+        out = pr.realize(pr.recombine(pf))
+        assume(isinstance(out, pr.Realized))
+        gamma, lam0 = 10.0**log_gamma, 10.0**log_lam0
+        # the realization rescaled to the input's gain and pole scale, as realize lifts it
+        real = pr.prefix_lift(out.realization, (), gamma, lam0)
+        tf = pr.recombine(scaled_pf(pf, gamma, lam0))
+        scale = (gamma, lam0)
+        report = markov_check(real, tf, scale=scale)
+        assert report.passed and report.max_relative_error < 1e-9
+        assert not markov_check((real.A, 0.0 * real.b, real.c), tf, scale=scale).passed
+        assert not markov_check((real.A, real.b, 1.5 * real.c), tf, scale=scale).passed
+
+    @pytest.mark.parametrize("gain", [1e-8, 1.0, 1e8])
+    def test_sabotage_fails_at_small_and_large_gain(self, h4_tf, base_4dim, gain):
+        # the scale comes from the input's own expansion when the caller gives none
+        tf = pr.recombine(scaled_pf(pr.expand(h4_tf), gain, 1.0))
+        real = pr.prefix_lift(base_4dim, (), gain, 1.0)
+        assert markov_check(real, tf, 100, 1e-9).passed
+        assert not markov_check((real.A, 0.0 * real.b, real.c), tf).passed
+        assert not markov_check((real.A, real.b, 1.5 * real.c), tf).passed
+
+    def test_non_finite_entry_fails(self, h4_tf, base_4dim):
+        A = np.array(base_4dim.A)
+        A[2, 2] = math.nan
+        report = markov_check((A, base_4dim.b, base_4dim.c), h4_tf)
+        assert not report.passed and report.max_relative_error == math.inf
+
+
 def scalar_markov_check(triple, tf, K, tol):
-    """The step-by-step comparison loop ``markov_check`` replaced, kept as its reference."""
+    """The step-by-step comparison loop ``markov_check`` replaced, kept as its reference.
+
+    It normalizes as ``markov_check`` does, by the dominant residue gamma and pole lam0 of
+    ``tf``'s expansion: c (A/lam0)^(k-1) b/gamma against t_k / (gamma lam0^(k-1)).
+    """
     A, b, c = triple
-    ref = pr.impulse_response(tf, K)
-    x = b.astype(float)
+    pf = pr.normalize(pr.expand(tf))
+    ref = tfmod._scaled_recurrence(tf, K, pf.scale_gamma, pf.pole_scale)
+    A = A / pf.pole_scale
+    x = b / pf.scale_gamma
     worst, worst_k = 0.0, 1
     for k in range(K):
         got = float(c @ x)
@@ -84,7 +145,7 @@ def scalar_markov_check(triple, tf, K, tol):
 REFERENCE_TFS = (
     pr.from_coefficients([1.0], [-1.0, 1.0]),  # 1/(z - 1): t_k = 1
     pr.from_coefficients([1.0, 1.0], [-0.5, -0.5, 1.0]),  # (z + 1)/((z - 1)(z + 0.5))
-    pr.from_coefficients([2.0], [-2.0, 1.0]),  # 2/(z - 2): t_k = 2^k
+    pr.from_coefficients([2.0], [-2.0, 1.0]),  # 2/(z - 2): t_k = 2^k, normalized 1
 )
 # Small values make ties likely; 1e200 overflows within a few steps and NaN
 # poisons every later term.

@@ -267,13 +267,32 @@ class TestVerifyCommand:
         problem = write_problem(
             tmp_path, "two.json", {"transfer": {"num": [1.0], "den": [-2.0, 1.0]}}
         )
-        real = write_problem(tmp_path, "real.json", {"A": [[2.0]], "b": [1.0], "c": [1.0]})
+        # normalized by lam0 = 2, the reference is 1 and A = 4 gives 2^(k-1), past the float range at k = 1025
+        real = write_problem(tmp_path, "real.json", {"A": [[4.0]], "b": [1.0], "c": [1.0]})
         code = main(["verify", problem, "--realization", real, "--horizon", "1100"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 4
         assert doc["passed"] is False
         assert doc["worst_index"] == 1025
         assert doc["max_relative_error"] is None
+
+    @pytest.mark.parametrize(
+        "problem, reason",
+        [
+            ({"transfer": {"num": [1.0], "den": [1.0, 1.0]}}, "dominant pole is not positive"),
+            (NEGATIVE_RESIDUE_DOCS["tf.json"], "dominant residue must be positive to normalize"),
+            (NEGATIVE_RESIDUE_DOCS["pf.json"], "dominant residue must be positive to normalize"),
+        ],
+    )
+    def test_input_without_a_positive_dominant_term_is_unsupported(self, tmp_path, capsys, problem, reason):
+        # the measure is normalized by the dominant pole and residue, so there is none to report
+        problem = write_problem(tmp_path, "problem.json", problem)
+        real = write_problem(tmp_path, "real.json", {"A": [[1.0]], "b": [1.0], "c": [1.0]})
+        code = main(["verify", problem, "--realization", real])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"unsupported: {reason}\n"
 
     def test_overflowing_powers_fail_without_warnings(self, problems_dir, tmp_path, capsys):
         # finite entries whose powers overflow: the Markov values go non-finite

@@ -272,12 +272,16 @@ def test_no_module_skips_the_constructors():
 
 def test_one_expansion_per_request():
     # bounds_report hands its expansion to the certified scan and cone_order_bound, and
-    # _synthesize to the stage; zero_pattern goes through bounds_report
+    # _synthesize to the stage and its scale to markov_check; zero_pattern goes through
+    # bounds_report; markov_check expands only a caller's input that comes without a scale
+    # (verify); tests/test_bounds.py::test_each_request_expands_once counts the calls
     sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
     assert reader_scopes(sources, "expand") == {
         "bounds.py": ["bounds_report"],
+        "check.py": ["markov_check"],
         "realizer.py": ["_synthesize"],
     }
+
 
 
 def test_only_the_fan_solve_reads_an_angle():
