@@ -1,15 +1,15 @@
-"""Elementary nonnegative blocks, budget allocation, assembly, and the lift.
+"""Elementary nonnegative blocks, budget allocation, and the one stacking step.
 
 Each block realizes its pole terms plus a share R of the dominant residue
 1/(z - 1); its pole terms and share determine the cone model (F, P, g, h) it
 comes from, which the tests rebuild to check F P = P A, P b = g and
-c = P^T h.  A block holds the plain arrays its builder filled, unchecked;
-``assemble`` stacks them (the caller places the unspent residue before
-building) and compares nothing.  A realize request checks the construction
-once, on its final Markov pass (``check_construction``): the lifted output's
-terms must match the prefix and then the blocks' declared terms, over their
-first 20, to relative 1e-10; only on a mismatch is each block compared on
-its own, to name it.
+c = P^T h.  A block holds the plain arrays its builder filled, unchecked.
+``assemble`` writes the blocks behind the prefix's delay chain, rescaled, and
+validates that output alone (``prefix_lift`` is its one-base case).  A realize
+request checks the construction once, on its final Markov pass
+(``check_construction``): the output's terms must match the prefix and then
+the blocks' declared terms, over their first 20, to relative 1e-10; only on a
+mismatch is each block compared on its own, to name it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ PAIR_ALPHA = 2.0**-0.5
 PAIR_BUDGET_COEFF = 2.0
 
 
-def _clamped(x, what: str, ndmin: int) -> np.ndarray:
-    """A read-only float copy of ``x``, at least ``ndmin``-D, noise in [-1e-12, 0) set to 0; NaN or +inf is refused."""
-    out = np.array(x, dtype=float, ndmin=ndmin)
+def _clamp(out: np.ndarray, what: str) -> None:
+    """Set noise in [-1e-12, 0) of the float array ``out`` to 0, in place; NaN or +inf is refused."""
     low = out.min(initial=0.0)
     if math.isnan(low) or out.max(initial=0.0) == math.inf:
         raise ValueError(f"{what} has a non-finite entry")
@@ -55,8 +54,6 @@ def _clamped(x, what: str, ndmin: int) -> np.ndarray:
         if low < -CLAMP_WINDOW:
             raise NegativeEntry(f"{what} has entry {low:.6g} below the clamp window")
         out[(out < 0)] = 0.0
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +65,15 @@ class Realization:
     c: np.ndarray
 
     def __post_init__(self):
-        A, b, c = _clamped(self.A, "A", 2), _clamped(self.b, "b", 1), _clamped(self.c, "c", 1)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if b.shape != (A.shape[0],) or c.shape != (A.shape[0],):
-            raise ValueError("b and c must match the dimension of A")
-        for name, arr in (("A", A), ("b", b), ("c", c)):
+        for name, ndmin in (("A", 2), ("b", 1), ("c", 1)):  # each a read-only float copy, clamped
+            arr = np.array(getattr(self, name), dtype=float, ndmin=ndmin)
+            _clamp(arr, name)
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+            raise ValueError("A must be square")
+        if self.b.shape != (self.dim,) or self.c.shape != (self.dim,):
+            raise ValueError("b and c must match the dimension of A")
 
     @property
     def dim(self) -> int:
@@ -184,14 +183,14 @@ def complex_pair_block(pole: complex, coeff: complex, m: int, R: float) -> Block
     if floor > R * (1.0 + 1e-12):
         raise BudgetTooSmall(f"share {R:.6g} below the pair threshold {floor:.6g}")
 
+    cos_sin = [(math.cos(phi), math.sin(phi)) for phi in (2.0 * math.pi * k / m for k in range(m))]
+    verts = [complex(x, y) for x, y in cos_sin]  # e^(i phi), as cmath.exp gives it, bit for bit
     idx = np.arange(m)
-    phis = 2.0 * np.pi * idx / m
-    verts = np.exp(1j * phis).tolist()
-    A = _fan_weights(pole, verts)[(idx[:, None] - idx) % m]
+    A = _fan_weights(pole, verts)[idx[:, None] - idx]  # a negative index wraps: (j - k) mod m
 
     g = complex(coeff.real - coeff.imag, coeff.real + coeff.imag)
     b = R * _fan_weights(g / (R * PAIR_ALPHA), verts)
-    c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
+    c = [PAIR_ALPHA * x + PAIR_ALPHA * y + 1.0 for x, y in cos_sin]
     pole_terms = ((pole, coeff), (pole.conjugate(), coeff.conjugate()))
     return Block(*_frozen(A, b, c), "complex_pair", float(R), pole_terms, floor)
 
@@ -301,26 +300,48 @@ def budget(cls: PoleClassification) -> BudgetPlan:
     return BudgetPlan(cls, tuple(n2_shares), tuple(pair_shares), float(needed), max(0.0, 1.0 - needed))
 
 
-def assemble(blocks) -> Realization:
-    """Block-diagonal sum of the blocks' arrays, stacked in the order given.
+def assemble(blocks, prefix=(), gamma: float = 1.0, lam0: float = 1.0) -> Realization:
+    """The blocks stacked block-diagonally in the order given, behind a delay chain for ``prefix``.
 
-    Nothing is compared here: a realize request checks the stack once, through its final
-    Markov pass (``check_construction``).
+    The chain outputs ``prefix`` = t_1 ... t_{m-1} and feeds the stack's input vector; then A is
+    scaled by ``lam0`` and b by ``gamma``, so the Markov sequence is exactly gamma lam0^(k-1) times
+    prefix ++ stack sequence.  The stack is clamped before scaling and only the output is validated
+    (an overflow is refused with ``ValueError``); a request checks it on its final pass (``check_construction``).
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("nothing to assemble")
-    total = sum(blk.dim for blk in blocks)
-    A = np.zeros((total, total))
-    b, c = np.zeros(total), np.zeros(total)
-    at = 0
+    pre = np.asarray(prefix, dtype=float).reshape(-1)
+    chain = pre.size
+    n = chain + sum(blk.dim for blk in blocks)
+    flat = np.zeros(n * n + 2 * n)  # A, b and c in one buffer, so two reductions read every entry
+    A, b, c = flat[: n * n].reshape(n, n), flat[n * n : -n], flat[-n:]
+    at = chain
     for blk in blocks:
         d = blk.dim
         A[at : at + d, at : at + d] = blk.A
         b[at : at + d] = blk.b
         c[at : at + d] = blk.c
         at += d
-    return Realization(A, b, c)
+    if not (flat.min() >= 0 and flat.max() < math.inf):  # clamp or refuse the stack as one triple
+        for name, arr in (("A", A[chain:, chain:]), ("b", b[chain:]), ("c", c[chain:])):
+            _clamp(arr, name)
+    if pre.min(initial=0.0) < 0:
+        raise NegativePrefix(f"prefix entry {pre.min():.6g} is negative")
+    c[:chain] = pre
+    if chain:
+        np.fill_diagonal(A[1:chain], 1.0)
+        A[chain:, chain - 1] = b[chain:]
+        b = np.eye(1, n)[0]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        A *= lam0
+        b *= gamma
+    try:
+        return Realization(A, b, c)
+    except ValueError:  # a non-finite entry: the prefix's, or the rescale's overflow
+        if np.isfinite(A).all() and np.isfinite(b).all():
+            raise
+        raise ValueError("base overflows when rescaled to the input's scale") from None
 
 
 # A realize request's output must match what it built to this error relative to 1 + |target|,
@@ -364,29 +385,7 @@ def check_construction(blocks, prefix, terms) -> None:
 
 
 def prefix_lift(base: Realization, prefix, gamma: float = 1.0, lam0: float = 1.0) -> Realization:
-    """Prepend impulse values t_1 ... t_{m-1} with a delay chain, at gain ``gamma`` and pole scale ``lam0``.
-
-    States 1 .. m-1 shift the input along, the last one feeding the base input vector, and
-    output the prefix; A is scaled by lam0 and b by gamma, so the Markov sequence is exactly
-    gamma lam0^(k-1) times prefix ++ base sequence.  No prefix and gamma = lam0 = 1 give ``base``;
-    a base that overflows at these scales is refused with ``ValueError``.
-    """
-    pre = np.asarray(prefix, dtype=float).reshape(-1)
-    chain = pre.size
-    if pre.min(initial=0.0) < 0:
-        raise NegativePrefix(f"prefix entry {pre.min():.6g} is negative")
-    if not chain and gamma == lam0 == 1.0:
+    """``assemble`` with ``base`` as its one block; no prefix and gamma = lam0 = 1 give ``base`` itself."""
+    if not np.size(prefix) and gamma == lam0 == 1.0:
         return base
-    A = np.zeros((base.dim + chain,) * 2)
-    with np.errstate(over="ignore"):  # an overflow is refused below, naming the base
-        A[chain:, chain:] = base.A * lam0
-        if chain:
-            np.fill_diagonal(A[1:chain], lam0)
-            A[chain:, chain - 1] = base.b * lam0
-        b = (np.eye(1, len(A))[0] if chain else base.b) * gamma
-    try:
-        return Realization(A, b, np.concatenate([pre, base.c]))
-    except ValueError:  # a non-finite entry: the prefix's, or the rescale's overflow
-        if np.isfinite(A).all() and np.isfinite(b).all():
-            raise
-        raise ValueError("base overflows when rescaled to the input's scale") from None
+    return assemble([base], prefix, gamma, lam0)

@@ -43,30 +43,32 @@ def _triple(realization):
 def markov(A, b, c, K: int) -> np.ndarray:
     """First K Markov parameters c A^(k-1) b.
 
-    A matrix ``c`` gives one column per row, shape (K, rows); with the rows
-    of ``c`` on disjoint states of a block-diagonal ``A`` this reads off every
-    block's own sequence in one pass.  Up to 16 terms it is one matvec per
-    term; past that the Krylov rows double, X[f:2f] = X[:f] (A^f)^T with A^f
-    squared each round, and one product with c gives every term.  Nothing
-    cancels for nonnegative A, b, c, so this is as accurate as a matvec per
-    term.  A signed triple rounds otherwise, and an overflowing A^f makes the
-    terms from c A^f b on non-finite.
+    A matrix ``c`` gives one column per row, shape (K, rows); with the rows of ``c`` on disjoint
+    states of a block-diagonal ``A`` this reads off every block's own sequence in one pass.  Past
+    16 terms the Krylov rows double, X[f:2f] = X[:f] (A^f)^T with A^f squared each round, and one
+    product with c gives every term: nothing cancels for nonnegative A, b, c (a signed triple
+    rounds otherwise), so this is as accurate as the one matvec per term used up to 16 terms, and
+    wherever the doubled terms are not all finite, since an A^f can overflow where no term does.
     """
     x = np.asarray(b, dtype=float)
-    if K <= 16:
-        out = np.empty((K,) + np.shape(c)[:-1])
-        for k in range(K):
-            out[k] = c @ x
-            x = A @ x
-        return out
-    X = np.empty((K, x.size))
-    X[0] = x
-    P, f = np.asarray(A, dtype=float).T, 1  # P = (A^f)^T, float like A @ x
-    while True:
-        X[f : 2 * f] = X[: min(f, K - f)] @ P
-        if (f := 2 * f) >= K:
-            return X @ np.transpose(c)
-        P = P @ P
+    if K > 16:
+        X = np.empty((K, x.size))
+        X[0] = x
+        P, f = np.asarray(A, dtype=float).T, 1  # P = (A^f)^T, float like A @ x
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is recomputed below
+            while True:
+                X[f : 2 * f] = X[: min(f, K - f)] @ P
+                if (f := 2 * f) >= K:
+                    break
+                P = P @ P
+            out = X @ np.transpose(c)
+        if np.isfinite(out).all():
+            return out
+    out = np.empty((K,) + np.shape(c)[:-1])
+    for k in range(K):
+        out[k] = c @ x
+        x = A @ x
+    return out
 
 
 def markov_check(

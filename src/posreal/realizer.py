@@ -8,14 +8,14 @@ negative value (no nonnegative realization exists), then tests the stopping
 rule or strips the value.  Each block then gets its share floor of the unit
 dominant residue, whichever rule stopped; the leftover joins the carrier's
 share, or, if no block carries a share, gets a one-state remainder block.
-Each block is built once, as plain arrays; the stack is the first validated
-triple.  One copy lifts it by the prefix and rescales it to the input's gain
-and pole location.  One Markov pass of that output, divided back by the gain
-and the dominant pole, is compared twice: with the input's own recurrence
-(the independent verification) and with the prefix and the blocks' declared
-terms (the construction check, which names a failing block).  A supplied
-base realization of the shifted tail replaces the loop and blocks; its own
-check stays.
+Each block is built once, as plain arrays, and one ``assemble`` call writes
+them behind the prefix's delay chain, rescaled to the input's gain and pole
+location: the output is the one triple validated.  One Markov pass of it,
+divided back by the gain and the dominant pole, is compared twice: with the
+input's own recurrence (the independent verification) and with the prefix
+and the blocks' declared terms (the construction check, which names a
+failing block).  A supplied base realization of the shifted tail replaces
+the loop and blocks as the one part stacked; its own check stays.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .blocks import (
     dominant_remainder_block,
     floor_units,
     positive_pole_block,
-    prefix_lift,
     real_pole_block,
     term_floors,
 )
@@ -108,11 +107,11 @@ _BASE_HORIZON = 50
 def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horizon) -> Outcome:
     """Expand and normalize ``tf``, run ``stage``, then lift, rescale and verify.
 
-    ``stage(pf)`` returns an early outcome or ``(core, prefix, budget,
-    budget_totals, summaries, blocks)``: a realization of the normalized tail,
+    ``stage(pf)`` returns an early outcome or ``(parts, prefix, budget,
+    budget_totals, summaries, blocks)``: the parts one ``assemble`` call stacks
+    into a realization of the normalized tail (the blocks, or a supplied base),
     the nonnegative normalized prefix shifted off before it, trace fields, and
-    the blocks stacked into ``core`` (none for a supplied base), which the
-    final pass's terms are checked against.
+    the blocks the final pass's terms are checked against (none for a base).
     """
     try:
         pf = expand(tf)
@@ -126,10 +125,14 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
         return NoPositiveRealization(exc.index, exc.value)
     if not isinstance(staged, tuple):
         return staged
-    core, prefix, plan, totals, summaries, blocks = staged
+    parts, prefix, plan, totals, summaries, blocks = staged
 
     scale = pf.scale_gamma, pf.pole_scale
-    final = prefix_lift(core, prefix, *scale)  # lifted and rescaled in one copy
+    try:
+        final = assemble(parts, prefix, *scale)  # stacked, lifted and rescaled in one copy
+    except ValueError:  # a non-finite entry or an overflow: name the block, if one is at fault
+        check_construction(blocks, prefix, ())
+        raise
     report = markov_check(final, tf, verify_horizon, verify_tol, scale=scale)
     if blocks:
         check_construction(blocks, prefix, report.terms)
@@ -144,7 +147,7 @@ def _synthesize(tf: TransferFunction, mode: str, stage, verify_tol, verify_horiz
         budget=plan,
         budget_totals=tuple(totals),
         blocks=tuple(summaries),
-        pre_lift_dimension=core.dim,
+        pre_lift_dimension=sum(part.dim for part in parts),
         final_dimension=final.dim,
         verification=report,
         scale_gamma=pf.scale_gamma,
@@ -203,12 +206,7 @@ def _shift_and_build(pf: PartialFraction, mode: str, cap_override: int | None):
     if carrier is None:  # no share was allocated, so the leftover is the whole unit
         blocks.append(dominant_remainder_block(plan.leftover))
     summaries = [BlockSummary(b.kind, b.dim, b.dominant_share, b.share_floor) for b in blocks]
-    try:
-        core = assemble(blocks)
-    except ValueError:  # a non-finite entry, refused by the stack's validation: name its block
-        check_construction(blocks, prefix, ())
-        raise
-    return core, prefix, plan, totals, summaries, blocks
+    return blocks, prefix, plan, totals, summaries, blocks
 
 
 def realize(
@@ -251,7 +249,7 @@ def _base_check(pf: PartialFraction, base: Realization, m: int):
         raise BaseMismatch(
             f"base Markov sequence deviates from the shifted tail (error {err:.3g})"
         )
-    return base, prefix, None, (), [BlockSummary("base", base.dim, 0.0)], ()
+    return [base], prefix, None, (), [BlockSummary("base", base.dim, 0.0)], ()
 
 
 def realize_with_base(

@@ -200,7 +200,7 @@ def from_coefficients(num, den, *, _given: PartialFraction | None = None) -> Tra
 
     The denominator is rescaled to monic form (the numerator is divided by
     the same factor, so the function is unchanged) and near-common factors
-    are rejected at its ``roots`` (only ``recombine`` passes ``_given``).
+    are rejected at its ``roots``, once per conjugate pair (only ``recombine`` passes ``_given``).
     """
     den_c = _trimmed(map(float, den))
     if not den_c:
@@ -221,11 +221,11 @@ def from_coefficients(num, den, *, _given: PartialFraction | None = None) -> Tra
 
 
 def _reject_common_roots(tf: TransferFunction) -> None:
-    # Resultant-style test: the resultant of num and den is the product of num over den's roots; a
-    # vanishing factor flags a common root.  |num(r)| / sum |num_i| |r|^i, both by Horner on plain
-    # floats; the ratio keeps abs() in range where the scale passes it (inf flags a common root).
+    # Resultant-style test (the resultant is the product of num over den's roots): |num(r)| / sum |num_i| |r|^i
+    # by Horner on plain floats, a ratio that keeps abs() in range (a scale past it flags r).  A pair is tested at
+    # its upper member, first in ``roots``: the lower one's Horner value is the conjugate, bit for bit.
     cs = tf.num.coeffs[::-1]
-    for r in tf.roots.tolist():
+    for r in (r for r in tf.roots.tolist() if r.imag >= 0):
         value, scale, size = 0.0, 0.0, abs(r)
         for c in cs:
             value, scale = value * r + c, scale * size + abs(c)
@@ -346,9 +346,9 @@ def _simple_residues(tf, clusters) -> np.ndarray:
 
 
 def _separated(pole: complex, lam0: float) -> bool:
-    """Whether ``pole`` is farther than 1e-6 (1 + lam0) from the dominant pole: a closer one is
+    """Whether ``pole`` is farther than 1e-6 lam0 from the dominant pole lam0 > 0: a closer one is
     numerically indistinguishable from a multiple dominant root, which the construction cannot handle."""
-    return abs(pole - lam0) > 1e-6 * (1.0 + lam0)
+    return abs(pole - lam0) > 1e-6 * lam0
 
 
 def _term_sort_key(term: PoleTerm):

@@ -523,6 +523,45 @@ class TestConstructionCheck:
         assert blk.realization.markov(2) == pytest.approx([0.3, 0.09])
 
 
+def numpy_complex_pair_block(pole, coeff, m, R):
+    """``complex_pair_block``'s arrays from numpy's vertices and output row: its reference."""
+    idx = np.arange(m)
+    phis = 2.0 * np.pi * idx / m
+    verts = np.exp(1j * phis).tolist()
+    A = _fan_weights(pole, verts)[(idx[:, None] - idx) % m]
+    g = complex(coeff.real - coeff.imag, coeff.real + coeff.imag)
+    b = R * _fan_weights(g / (R * PAIR_ALPHA), verts)
+    c = PAIR_ALPHA * np.cos(phis) + PAIR_ALPHA * np.sin(phis) + 1.0
+    return A, b, c
+
+
+def assert_pair_block_matches_numpy(pole, coeff, m, R):
+    blk = pr.complex_pair_block(pole, coeff, m, R)
+    for got, want in zip((blk.A, blk.b, blk.c), numpy_complex_pair_block(pole, coeff, m, R)):
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestPairBlockFromScalars:
+    """The pair block's vertices and output row come from Python scalars, with numpy's bits."""
+
+    @pytest.mark.parametrize("m", range(3, 65))
+    def test_every_polygon_index(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            pole = cmath.rect(rng.uniform(0.0, math.cos(math.pi / m)), rng.uniform(-math.pi, math.pi))
+            coeff = cmath.rect(rng.uniform(1e-6, 1.0), rng.uniform(-math.pi, math.pi))
+            assert_pair_block_matches_numpy(pole, coeff, m, pr.pair_share_floor(abs(coeff), m) * rng.uniform(1.0, 4.0))
+
+    @given(
+        st.integers(3, 64), st.floats(0.0, 0.999), st.floats(-math.pi, math.pi),
+        st.floats(1e-6, 10.0), st.floats(-math.pi, math.pi), st.floats(1.0, 4.0),
+    )
+    def test_drawn_poles_and_coefficients(self, m, r, theta, eta, phi, ratio):
+        pole, coeff = cmath.rect(r, theta), cmath.rect(eta, phi)
+        assume(in_polygon(pole, m))
+        assert_pair_block_matches_numpy(pole, coeff, m, pr.pair_share_floor(eta, m) * ratio)
+
+
 def polygon(m: int) -> np.ndarray:
     return np.exp(1j * 2.0 * np.pi * np.arange(m) / m)
 
@@ -604,6 +643,123 @@ class TestFanWeights:
             mid = 0.5 * (verts[k] + verts[(k + 1) % m])
             with pytest.raises(DegenerateBarycentric):
                 _fan_weights(complex(mid * (1.0 + 1e-6 / abs(mid))), verts)
+
+
+def reference_stack(blocks) -> pr.Realization:
+    """The blocks stacked and validated as their own triple: the first half of the two-copy reference."""
+    total = sum(blk.dim for blk in blocks)
+    A, b, c = np.zeros((total, total)), np.zeros(total), np.zeros(total)
+    at = 0
+    for blk in blocks:
+        d = blk.dim
+        A[at : at + d, at : at + d] = blk.A
+        b[at : at + d] = blk.b
+        c[at : at + d] = blk.c
+        at += d
+    return pr.Realization(A, b, c)
+
+
+def reference_lift(base, prefix, gamma=1.0, lam0=1.0) -> pr.Realization:
+    """A second copy of ``base`` behind the delay chain, rescaled and validated again: the second half."""
+    pre = np.asarray(prefix, dtype=float).reshape(-1)
+    chain = pre.size
+    if pre.min(initial=0.0) < 0:
+        raise NegativePrefix(f"prefix entry {pre.min():.6g} is negative")
+    if not chain and gamma == lam0 == 1.0:
+        return base
+    A = np.zeros((base.dim + chain,) * 2)
+    with np.errstate(over="ignore"):
+        A[chain:, chain:] = base.A * lam0
+        if chain:
+            np.fill_diagonal(A[1:chain], lam0)
+            A[chain:, chain - 1] = base.b * lam0
+        b = (np.eye(1, len(A))[0] if chain else base.b) * gamma
+    try:
+        return pr.Realization(A, b, np.concatenate([pre, base.c]))
+    except ValueError:
+        if np.isfinite(A).all() and np.isfinite(b).all():
+            raise
+        raise ValueError("base overflows when rescaled to the input's scale") from None
+
+
+def outcome(build, *args):
+    """The triple's shape and bytes, or the refusal's type and message."""
+    try:
+        out = build(*args)
+    except (ValueError, NegativeEntry, NegativePrefix) as exc:
+        return type(exc), str(exc)
+    return out.A.shape, out.A.tobytes(), out.b.tobytes(), out.c.tobytes()
+
+
+# Block entries: plain values, the clamp window and its edges, the largest finite values, and
+# (rarely) entries that the stack refuses: below the window, NaN and both infinities.
+BLOCK_ENTRIES = st.one_of(
+    st.floats(0.0, 10.0),
+    st.floats(-CLAMP_WINDOW, 0.0),
+    st.sampled_from([0.0, -0.0, -CLAMP_WINDOW, 5e-324, 1e300, 1.7e308]),
+)
+BAD_ENTRIES = st.sampled_from([-1.0000001e-12, -1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def drawn_blocks(draw):
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 4))
+        entries = lambda n: np.array(draw(st.lists(BLOCK_ENTRIES, min_size=n, max_size=n)))
+        A, b, c = entries(d * d).reshape(d, d), entries(d), entries(d)
+        if draw(st.integers(0, 9)) == 0:  # one entry the stack refuses
+            arr = draw(st.sampled_from([A, b, c]))
+            arr.flat[draw(st.integers(0, arr.size - 1))] = draw(BAD_ENTRIES)
+        blocks.append(pr.Block(A, b, c, "drawn", 0.0, ()))
+    return blocks
+
+
+SCALES = st.one_of(st.just(1.0), st.floats(1e-300, 1e300), st.sampled_from([1e-12, 2.0, 1e10, 1e300]))
+PREFIXES = st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, -0.0, 1e308, -1e-3, math.nan])), max_size=5)
+
+
+class TestOnePassAssemble:
+    """``assemble(blocks, prefix, gamma, lam0)`` stacks, lifts and rescales in one copy and validates
+    only its output, bit for bit what stacking, validating, lifting and validating again gave."""
+
+    @settings(max_examples=400)
+    @given(drawn_blocks(), PREFIXES, SCALES, SCALES)
+    @example([pr.Block(np.array([[1e300]]), np.array([1.0]), np.array([1.0]), "drawn", 0.0, ())], [], 1.0, 1e10)
+    @example([pr.Block(np.array([[0.5]]), np.array([1e300]), np.array([1.0]), "drawn", 0.0, ())], [1.0], 1.0, 1e10)
+    @example([pr.Block(np.array([[0.5]]), np.array([1e300]), np.array([1.0]), "drawn", 0.0, ())], [], 1e10, 1.0)
+    # a non-finite entry among nonnegative ones is the stack's refusal, not an overflow
+    @example([pr.Block(np.array([[math.inf]]), np.array([1.0]), np.array([1.0]), "drawn", 0.0, ())], [1.0], 2.0, 3.0)
+    @example([pr.Block(np.array([[0.5]]), np.array([math.inf]), np.array([1.0]), "drawn", 0.0, ())], [], 2.0, 3.0)
+    @example([pr.Block(np.array([[0.5]]), np.array([1.0]), np.array([math.nan]), "drawn", 0.0, ())], [], 1.0, 1.0)
+    def test_matches_the_two_copy_reference(self, blocks, prefix, gamma, lam0):
+        want = outcome(lambda: reference_lift(reference_stack(blocks), prefix, gamma, lam0))
+        assert outcome(pr.assemble, blocks, prefix, gamma, lam0) == want
+        if not prefix and gamma == lam0 == 1.0:
+            assert outcome(pr.assemble, blocks) == want
+
+    @pytest.mark.parametrize("lam0", [1.0, 1e6, 1e12])
+    def test_clamp_window_entries_read_zero_at_any_scale(self, lam0):
+        blk = pr.Block(np.array([[0.5, -CLAMP_WINDOW], [-5e-13, 0.25]]), np.array([-1e-13, 1.0]),
+                       np.array([1.0, -CLAMP_WINDOW]), "drawn", 0.0, ())
+        for prefix in ([], [2.0, 3.0]):
+            out = pr.assemble([blk], prefix, 1e8, lam0)
+            m = len(prefix)
+            assert out.A[m:, m:].tolist() == [[0.5 * lam0, 0.0], [0.0, 0.25 * lam0]]
+            assert out.c[m:].tolist() == [1.0, 0.0]
+            assert (out.A[m:, m - 1] if m else out.b).tolist()[0] == 0.0
+
+    def test_overflowing_rescale_is_refused(self):
+        blk = pr.positive_pole_block(0.5, 1e300)
+        with pytest.raises(ValueError, match="^base overflows when rescaled to the input's scale$"):
+            pr.assemble([blk], [1.0], 1.0, 1e10)
+
+    def test_prefix_lift_is_the_one_base_case(self, base_4dim):
+        assert pr.prefix_lift(base_4dim, []) is base_4dim
+        prefix = hn_impulse(8, 4)
+        for args in ((prefix,), (prefix, 2.5, 0.3), ([], 2.0, 1.0)):
+            got, want = pr.prefix_lift(base_4dim, *args), pr.assemble([base_4dim], *args)
+            assert outcome(lambda: got) == outcome(lambda: want) == outcome(reference_lift, base_4dim, *args)
 
 
 class TestPrefixLift:

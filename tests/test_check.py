@@ -78,6 +78,20 @@ class TestMarkovCheck:
         assert out.trace.verification.max_relative_error < 1e-12
         assert markov_check(out.realization, tf).max_relative_error < 1e-12
 
+    @pytest.mark.parametrize("lam0", [1e-8, 1e-4])
+    def test_small_dominant_pole_is_verified(self, lam0):
+        # the H4 shape scaled down: its poles are separated relative to lam0, so it realizes
+        # with the dimension it has at lam0 = 1 and verifies to rounding level
+        shape = lambda lam0: pr.recombine(pr.PartialFraction(
+            lam0, 1.0, (pr.PoleTerm(0.4 * lam0 + 0j, (-25.0 + 0j,)), pr.PoleTerm(0.2 * lam0 + 0j, (75.0 + 0j,))),
+        ))
+        tf = shape(lam0)
+        out = pr.realize(tf)
+        assert isinstance(out, pr.Realized) and out.trace.verification.passed
+        assert out.trace.final_dimension == pr.realize(shape(1.0)).trace.final_dimension == 7
+        assert out.trace.verification.max_relative_error < 1e-12
+        assert markov_check(out.realization, tf).max_relative_error < 1e-12
+
     def test_dimension_mismatch(self, h4_tf):
         with pytest.raises(DimensionMismatch):
             markov_check((np.eye(2), np.ones(3), np.ones(2)), h4_tf)
@@ -264,6 +278,38 @@ class TestMarkovPastTheStride:
         for k in range(K):
             assert Fraction(got[k]) == sum(Fraction(ci) * xi for ci, xi in zip(c, x)), k
             x = [sum(Fraction(a) * xj for a, xj in zip(row, x)) for row in A]
+
+
+class TestOverflowingPowerOfAnUnreachedState:
+    """A = diag(1, 1e200), b = c = e1: the doubling's A^f overflows in a state no term reaches."""
+
+    A, e1 = np.diag([1.0, 1e200]), np.array([1.0, 0.0])
+
+    @pytest.mark.parametrize("K", [16, 20, 100])
+    def test_terms_are_all_ones(self, K):
+        assert markov(self.A, self.e1, self.e1, K).tolist() == [1.0] * K
+        assert markov(self.A, self.e1, np.eye(2), K).tolist() == [[1.0, 0.0]] * K
+
+    @pytest.mark.parametrize("K", [20, None])
+    def test_check_against_the_integrator_passes(self, K):
+        report = markov_check((self.A, self.e1, self.e1), pr.from_coefficients([1.0], [-1.0, 1.0]), K)
+        assert report.passed and report.max_relative_error == 0.0
+        assert report.horizon == (K or 100)
+
+    @pytest.mark.parametrize("big, loop_matvecs", [(0.5, 0), (1e200, 100)])
+    def test_only_non_finite_doubled_terms_pay_for_the_loop(self, big, loop_matvecs):
+        class CountingMatrix(np.ndarray):
+            """Counts the products ``A @ x`` of the matvec loop; the doubling reads a plain copy."""
+
+            matvecs = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.matvecs += 1
+                return np.asarray(self) @ other
+
+        A = np.diag([1.0, big]).view(CountingMatrix)
+        assert markov(A, self.e1, self.e1, 100).tolist() == [1.0] * 100
+        assert CountingMatrix.matvecs == loop_matvecs
 
 
 def test_matrix_c_gives_one_column_per_row():

@@ -140,8 +140,8 @@ class TestFamilyDimensions:
         assert out.trace.final_dimension == N
 
 
-class TestTwoTriplesPerRequest:
-    """A realize request validates two triples: the stacked blocks and the lifted, rescaled result."""
+class TestOneTriplePerRequest:
+    """A realize request validates one triple: the blocks stacked, lifted and rescaled in one ``assemble`` call."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -163,21 +163,38 @@ class TestTwoTriplesPerRequest:
         return pr.recombine(pr.PartialFraction(1.0, 1.0, terms + (pr.PoleTerm(-0.3, (0.4,)),)))
 
     @pytest.mark.parametrize("name", ["h4", "h10", "example1", "pair"])
-    def test_realize_validates_two(self, validations, example1_tf, name):
+    def test_realize_validates_one(self, validations, example1_tf, name):
         tf = {"h4": hn_tf(4), "h10": hn_tf(10), "example1": example1_tf, "pair": self.pair_input()}[name]
         del validations[:]
         out = pr.realize(tf)
         assert isinstance(out, pr.Realized)
         if name == "pair":
             assert "complex_pair" in [b.kind for b in out.trace.blocks] and out.trace.shifts_performed > 0
-        assert len(validations) == 2 and validations[-1] is out.realization
+        assert validations == [out.realization]
 
-    def test_base_lift_validates_one(self, validations, problems_dir):
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_base_lift_validates_one(self, validations, problems_dir, m):
         base = pr.Realization(*climod.load_realization("base_h4.json", problems_dir))
         del validations[:]
-        out = pr.realize_with_base(hn_tf(10), base, 7)
+        out = pr.realize_with_base(hn_tf(10) if m > 1 else hn_tf(4), base, m)
         assert isinstance(out, pr.Realized)
         assert validations == [out.realization]
+
+    def test_one_stacking_call_per_request(self, monkeypatch, problems_dir):
+        """``assemble`` stacks, lifts and rescales; ``prefix_lift`` is not on the request path."""
+        calls = []
+        stack = realizermod.assemble
+        monkeypatch.setattr(realizermod, "assemble", lambda *a: calls.append(a) or stack(*a))
+        monkeypatch.setattr(blocksmod, "prefix_lift", lambda *a: pytest.fail("prefix_lift was called"))
+        out = pr.realize(self.pair_input())
+        base = pr.Realization(*climod.load_realization("base_h4.json", problems_dir))
+        lifted = pr.realize_with_base(hn_tf(10), base, 7)
+        assert isinstance(out, pr.Realized) and isinstance(lifted, pr.Realized)
+        assert len(calls) == 2
+        (parts, prefix, gamma, lam0), (base_parts, base_prefix, *_) = calls
+        assert [blk.kind for blk in parts] == [s.kind for s in out.trace.blocks]
+        assert list(prefix) == list(out.trace.prefix) and (gamma, lam0) == (out.trace.scale_gamma, out.trace.pole_scale)
+        assert base_parts == [base] and len(base_prefix) == 6
 
 
 class TestRealizeWithBase:
@@ -363,7 +380,7 @@ def _reference_stage(pf, mode, cap_override):
     if not carriers and plan.leftover > 0:
         blocks.append(pr.dominant_remainder_block(plan.leftover))
         summaries.append(pr.BlockSummary("dominant_remainder", 1, plan.leftover))
-    return pr.assemble(blocks), prefix, plan, totals, summaries, blocks
+    return blocks, prefix, plan, totals, summaries, blocks
 
 
 def _stage(pf, mode, cap):
@@ -423,14 +440,17 @@ class TestShiftLoopMatchesReference:
         if not isinstance(want, tuple):
             assert repr(got) == repr(want)
             return
-        core, prefix, plan, totals, summaries, blocks = got
-        want_core, *want_rest, want_blocks = want
+        parts, prefix, plan, totals, summaries, blocks = got
+        want_parts, *want_rest, want_blocks = want
+        assert parts is blocks  # the stage's blocks are what is stacked
         assert repr((prefix, plan, totals, summaries)) == repr(tuple(want_rest))
         assert [blk.kind for blk in blocks] == [blk.kind for blk in want_blocks]
         # in either mode each block but the carrier (the largest floor, the first on ties) gets its floor
         floored = [s for s in summaries if s.share_floor is not None]
         carrier = max(range(len(floored)), key=lambda i: floored[i].share_floor, default=None)
         assert all(s.share == s.share_floor for i, s in enumerate(floored) if i != carrier)
+        # read through the request's own stacking call, with the prefix's delay chain
+        core, want_core = pr.assemble(parts, prefix), pr.assemble(want_parts, prefix)
         for name in "Abc":
             assert getattr(core, name).tobytes() == getattr(want_core, name).tobytes()
 
@@ -461,7 +481,7 @@ class TestShiftLoopMatchesReference:
         out = _stage(pf, mode, cap)
         assert isinstance(out, outcome)
         if outcome is tuple:
-            core, prefix, plan, _, summaries, _ = out
+            blocks, prefix, plan, _, summaries, _ = out
             cls = plan.classification
             if any(t.pole == 0 for t in pf.terms):
                 # the lam = 0 term was shifted away, so no block realizes it
@@ -470,7 +490,7 @@ class TestShiftLoopMatchesReference:
             if not cls.n2_poles and not cls.pair_assignments:
                 # the whole unit residue gets its own state, stacked last
                 assert summaries[-1] == pr.BlockSummary("dominant_remainder", 1, 1.0)
-                assert core.dim == cls.n1 + 1
+                assert pr.assemble(blocks).dim == cls.n1 + 1
         if outcome is pr.NoPositiveRealization:
             assert out.witness_index == 3
 
@@ -482,7 +502,8 @@ def test_triangle_pair_at_the_sum_limit_realizes():
     the proof's bound has no slack left; the stop needs no shift.
     """
     pf = _pf((0.5j, cmath.rect(0.25, math.pi / 3 - math.pi / 4)))
-    core, prefix, plan, _, summaries, _ = realizermod._shift_and_build(pf, "conservative_sum", None)
+    blocks, prefix, plan, _, summaries, _ = realizermod._shift_and_build(pf, "conservative_sum", None)
+    core = pr.assemble(blocks, prefix)
     assert prefix == []
     assert [p.polygon_index for p in plan.classification.pair_assignments] == [3]
     assert plan.total <= 1.0 + 1e-12

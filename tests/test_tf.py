@@ -1,7 +1,9 @@
+import cmath
 import dataclasses
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +54,103 @@ class TestFromCoefficients:
     def test_zero_numerator(self):
         with pytest.raises(NotCoprime):
             pr.from_coefficients([0.0], [-1.0, 1.0])
+
+
+def reference_reject_common_roots(tf: pr.TransferFunction) -> None:
+    """``_reject_common_roots``' reference: the same test at every root, both members of each pair."""
+    cs = tf.num.coeffs[::-1]
+    for r in tf.roots.tolist():
+        value, scale, size = 0.0, 0.0, abs(r)
+        for c in cs:
+            value, scale = value * r + c, scale * size + abs(c)
+        if abs(value / (scale + 1e-300)) <= 1e-9:
+            raise NotCoprime(f"numerator vanishes at denominator root {r:.12g}")
+
+
+def common_root_verdict(check, tf):
+    """``check(tf)``'s refusal message, or None when it passes."""
+    try:
+        check(tf)
+    except NotCoprime as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def pair_common_root_inputs(draw):
+    """A pair p, conj(p) beside the dominant pole 1 and up to three real poles; the numerator shares
+    the pair exactly, has a root within a relative 1e-12 .. 1e-3 of p, or neither; roots are the
+    companion eigenvalues or the poles as given."""
+    p = cmath.rect(draw(st.floats(0.05, 0.99)), draw(st.floats(0.05, math.pi - 0.05)))
+    reals = draw(st.lists(st.floats(-0.95, 0.95), max_size=3, unique=True))
+    near = draw(st.sampled_from(["exact", "near", "none"]))
+    q = p * (1.0 + 10.0 ** draw(st.floats(-12.0, -3.0))) if near == "near" else p
+    extra = draw(st.lists(st.floats(-2.0, 2.0), max_size=len(reals)))
+    num_roots = ([q, q.conjugate()] if near != "none" else []) + extra
+    poly = lambda roots: np.polynomial.polynomial.polyfromroots(roots).real.tolist() if roots else [1.0]
+    gain = draw(st.floats(0.1, 10.0))
+    num = [gain * v for v in poly(num_roots)]
+    den = poly([1.0, p, p.conjugate(), *reals])
+    given = None
+    if draw(st.booleans()):
+        terms = [pr.PoleTerm(p, (1.0,)), pr.PoleTerm(p.conjugate(), (1.0,))] + [pr.PoleTerm(r, (1.0,)) for r in reals]
+        given = pr.PartialFraction(1.0, 1.0, tuple(terms))
+    return near, pr.TransferFunction(pr.Polynomial(tuple(num)), pr.Polynomial(tuple(den)), _given=given)
+
+
+class TestCommonRootsOncePerPair:
+    """``_reject_common_roots`` tests a conjugate pair at its upper member only, with the verdict
+    and message of a test at both members: the upper one comes first in ``roots``, and the lower
+    one's Horner value is its conjugate, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(pair_common_root_inputs())
+    def test_same_verdict_and_message_as_both_members(self, case):
+        near, tf = case
+        roots = tf.roots.tolist()
+        for i, r in enumerate(roots):  # exact pairs, the upper member first
+            if getattr(r, "imag", 0.0) < 0:
+                assert roots[i - 1] == r.conjugate()
+        want = common_root_verdict(reference_reject_common_roots, tf)
+        assert common_root_verdict(tfmod._reject_common_roots, tf) == want
+        if near == "exact":
+            assert want is not None
+
+    @pytest.mark.parametrize("form", ["coefficients", "given"])
+    def test_a_common_pair_is_named_at_its_upper_member(self, form):
+        p = 0.3 + 0.6j
+        num = np.polynomial.polynomial.polyfromroots([p, p.conjugate()]).real
+        den = np.polynomial.polynomial.polyfromroots([1.0, p, p.conjugate(), -0.5]).real
+        terms = (pr.PoleTerm(p, (1.0,)), pr.PoleTerm(p.conjugate(), (1.0,)), pr.PoleTerm(-0.5, (1.0,)))
+        given = pr.PartialFraction(1.0, 1.0, terms) if form == "given" else None
+        tf = pr.TransferFunction(pr.Polynomial(tuple(num)), pr.Polynomial(tuple(den)), _given=given)
+        upper = next(r for r in tf.roots.tolist() if getattr(r, "imag", 0.0) > 0)
+        message = f"numerator vanishes at denominator root {upper:.12g}"
+        assert common_root_verdict(reference_reject_common_roots, tf) == message
+        with pytest.raises(NotCoprime, match=f"^{re.escape(message)}$"):
+            tfmod._reject_common_roots(tf)
+
+
+class TestSeparatedRelativeToTheDominantPole:
+    """A pole is separated from the dominant pole lam0 once it is farther than 1e-6 lam0 from it."""
+
+    @pytest.mark.parametrize("lam0", [1e-8, 1.0, 1e4])
+    def test_rule(self, lam0):
+        for gap, separated in ((0.9e-6, False), (1.5e-6, True), (2.5e-6, True)):
+            assert tfmod._separated(lam0 * (1.0 - gap), lam0) is separated
+            assert tfmod._separated(complex(lam0, gap * lam0), lam0) is separated
+
+    @pytest.mark.parametrize("form", ["partial_fractions", "coefficients"])
+    def test_a_pole_between_the_old_and_new_gaps_realizes(self, form):
+        # 1.5e-6 from lam0 = 1 is inside the absolute gap 1e-6 (1 + lam0) that refused it before
+        build = lambda gap: pr.recombine(pr.PartialFraction(
+            1.0, 1.0, (pr.PoleTerm(1.0 - gap + 0j, (0.1 + 0j,)), pr.PoleTerm(-0.5 + 0j, (0.3 + 0j,))),
+        ))
+        twin = (lambda tf: tf) if form == "partial_fractions" else coefficient_twin
+        out = pr.realize(twin(build(1.5e-6)))
+        assert isinstance(out, pr.Realized) and out.trace.verification.passed
+        assert out.trace.final_dimension == 3
+        assert pr.realize(twin(build(0.9e-6))) == pr.Unsupported("dominant pole is not separated (possibly multiple)")
 
 
 class TestRootsOnce:
