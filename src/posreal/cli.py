@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -177,15 +178,10 @@ def load_realization(obj, base_dir: Path) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.array(rows), np.array(b), np.array(c)
 
 
-def _realization_doc(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> dict:
-    return {"dimension": len(A), "A": A.tolist(), "b": b.tolist(), "c": c.tolist()}
-
-
 def _verification_doc(report) -> dict:
-    err = report.max_relative_error  # infinite when a sequence overflowed
     return {
         "horizon": int(report.horizon),
-        "max_relative_error": float(err) if np.isfinite(err) else None,  # JSON has no inf
+        "max_relative_error": float(report.max_relative_error),  # infinite when a sequence overflowed
         "worst_index": int(report.worst_index),
         "nonnegative": bool(report.nonnegative),
         "passed": bool(report.passed),
@@ -232,13 +228,10 @@ def _render_csv(doc: dict) -> str:
         if isinstance(value, dict):
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list) and value and isinstance(value[0], list):
+        elif isinstance(value, list):  # one line, or a matrix's rows a line each
             lines.append(prefix)
-            for row in value:
-                lines.append(",".join(repr(float(v)) for v in row))
-        elif isinstance(value, list):
-            lines.append(prefix)
-            lines.append(",".join(_scalar(v) for v in value))
+            for row in value if value and isinstance(value[0], list) else [value]:
+                lines.append(",".join(_scalar(v) for v in row))
         else:
             lines.append(f"{prefix},{_scalar(value)}")
 
@@ -274,11 +267,20 @@ def _write_output(text: str, output: str | None) -> None:
         raise
 
 
+def _nulled(value):
+    """``value`` with each inf, -inf and nan float as None."""
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nulled(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(doc: dict, args) -> None:
-    if args.format == "csv":
-        text = _render_csv(doc)
-    else:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Write a command's document in ``args.format`` to ``args.output`` (stdout if none): a number JSON
+    cannot hold (inf, -inf, nan) is written as null in JSON and as an empty field in CSV."""
+    doc = _nulled(doc)
+    text = _render_csv(doc) if args.format == "csv" else json.dumps(doc, indent=2, allow_nan=False) + "\n"
     _write_output(text, args.output)
 
 
@@ -297,7 +299,7 @@ _MODES = {"per-pole": "per_pole", "per_pole": "per_pole", "sum": "conservative_s
           "conservative_sum": "conservative_sum"}
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> tuple[dict, int]:
     tf, opts = load_problem(args.problem)
     mode = _MODES.get(_resolve(args.mode, opts, "mode", "per-pole"))
     if mode is None:
@@ -322,54 +324,32 @@ def _cmd_realize(args) -> int:
         outcome = realize(tf, mode, verify_tol=tol, verify_horizon=horizon, cap_override=cap)
 
     if isinstance(outcome, Realized):
-        doc = {"status": "realized"}
-        doc.update(_realization_doc(outcome.realization.A, outcome.realization.b, outcome.realization.c))
-        doc["verification"] = _verification_doc(outcome.trace.verification)
-        doc["trace"] = _trace_doc(outcome.trace)
-        _emit(doc, args)
-        return EXIT_OK
+        real, trace = outcome.realization, outcome.trace
+        return {"status": "realized", "dimension": real.dim, "A": real.A.tolist(), "b": real.b.tolist(),
+                "c": real.c.tolist(), "verification": _verification_doc(trace.verification),
+                "trace": _trace_doc(trace)}, EXIT_OK
     if isinstance(outcome, NoPositiveRealization):
-        _emit(
-            {
-                "status": "no_positive_realization",
-                "witness_index": outcome.witness_index,
-                "witness_value": float(outcome.witness_value),
-            },
-            args,
-        )
-        return EXIT_NO_REALIZATION
+        return {"status": "no_positive_realization", "witness_index": outcome.witness_index,
+                "witness_value": float(outcome.witness_value)}, EXIT_NO_REALIZATION
     if isinstance(outcome, IterationCapExceeded):
-        _emit({"status": "iteration_cap_exceeded", "cap": outcome.cap}, args)
-        return EXIT_UNSUPPORTED
-    _emit({"status": "unsupported", "reason": outcome.reason}, args)
-    return EXIT_UNSUPPORTED
+        return {"status": "iteration_cap_exceeded", "cap": outcome.cap}, EXIT_UNSUPPORTED
+    return {"status": "unsupported", "reason": outcome.reason}, EXIT_UNSUPPORTED
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict, int]:
     tf, _ = load_problem(args.problem)
     try:
         report = bounds_report(tf)
     except NegativeImpulse as exc:  # its value as `impulse` prints it, from the recurrence
         value = impulse_response(tf, exc.index)[-1]
-        _emit({"status": "negative_impulse", "index": exc.index, "value": float(value)}, args)
-        return EXIT_NO_REALIZATION
+        return {"status": "negative_impulse", "index": exc.index, "value": float(value)}, EXIT_NO_REALIZATION
     except (NotPrimitive, NonpositiveDominantResidue) as exc:
-        _emit({"status": "unsupported", "reason": str(exc)}, args)
-        return EXIT_UNSUPPORTED
-    _emit(
-        {
-            "k0": report.k0,
-            "theo2": report.theo2,
-            "mn2": report.mn2,
-            "horizon": report.horizon_used,
-            "zero_indices": list(report.zero_indices),
-        },
-        args,
-    )
-    return EXIT_OK
+        return {"status": "unsupported", "reason": str(exc)}, EXIT_UNSUPPORTED
+    return {"k0": report.k0, "theo2": report.theo2, "mn2": report.mn2, "horizon": report.horizon_used,
+            "zero_indices": list(report.zero_indices)}, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict | None, int]:
     tf, opts = load_problem(args.problem)
     A, b, c = load_realization(args.realization, Path(args.problem).parent)
     tol = _resolve(args.tol, opts, "tol", 1e-6)
@@ -378,16 +358,14 @@ def _cmd_verify(args) -> int:
         report = markov_check((A, b, c), tf, K, tol)
     except (NotPrimitive, NonpositiveDominantResidue) as exc:  # no frame to normalize in
         print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    _emit(_verification_doc(report), args)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+        return None, EXIT_UNSUPPORTED
+    return _verification_doc(report), EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _cmd_impulse(args) -> int:
+def _cmd_impulse(args) -> tuple[dict, int]:
     tf, opts = load_problem(args.problem)
     K = _resolve(args.horizon, opts, "horizon", 20)
-    _emit({"count": K, "values": impulse_response(tf, K).tolist()}, args)
-    return EXIT_OK
+    return {"count": K, "values": impulse_response(tf, K).tolist()}, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +412,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)  # only here is a command's document written
+        if doc is not None:
+            _emit(doc, args)
+        return code
     except (SchemaError, BaseMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -50,6 +50,9 @@ _CLUSTER_LADDER = (1e-9, 1e-7, 1e-5, 1e-3)
 # Newton stops once a step is this small relative to the iterate (rounding level).
 _STEP_RTOL = 4 * np.finfo(float).eps
 
+# The largest log of a finite float: exp() of a larger one overflows.
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 class _RetryExpansion(Exception):
     """Internal: current cluster radius produced an inconsistent expansion."""
@@ -601,7 +604,12 @@ def _walk(pf: PartialFraction):
     band = _zero_band(t)
     for k in count(1):
         if t < -band:
-            raise NegativeImpulse(k, pf.scale_gamma * pf.pole_scale ** (k - 1) * t)
+            try:
+                value = pf.scale_gamma * pf.pole_scale ** (k - 1) * t
+            except OverflowError:  # l0^(k-1) passes the float range: the product from logs, or -inf past it too
+                log = math.log(pf.scale_gamma) + (k - 1) * math.log(pf.pole_scale) + math.log(-t)
+                value = -math.exp(log) if log <= _LOG_MAX else -math.inf
+            raise NegativeImpulse(k, value)
         yield t, coeffs, higher
         coeffs = [lam * c for lam, c in zip(poles, coeffs)]
         if higher:  # c'_1 = lam c_1 + c_2, and the rest of a longer chain shifts on its own
@@ -771,7 +779,7 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
     poles = [t.pole for t in terms]
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) <= 1e-12 * (1.0 + abs(poles[i])):
+            if abs(poles[i] - poles[j]) <= 1e-12 * (lam0 + abs(poles[i])):  # relative to the pole scale
                 raise ValueError("pole terms must have pairwise distinct poles")
         if abs(poles[i]) >= lam0 * (1.0 - DOMINANCE_RTOL):
             raise NotPrimitive("a listed pole reaches the dominant modulus")

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import posreal as pr
-from posreal.cli import main
+import posreal.cli as climod
+from posreal.cli import load_problem, main
 
 
 def write_problem(tmp_path, name, doc):
@@ -31,21 +33,43 @@ NEGATIVE_RESIDUE_DOCS = {
 }
 
 
+def h4_doc(lam0):
+    """The H4 shape 1/(z - l0) - 25/(z - 0.4 l0) + 75/(z - 0.2 l0) as a problem document."""
+    return {
+        "partial_fractions": {
+            "dominant": {"pole": lam0, "residue": 1.0},
+            "terms": [
+                {"pole": {"re": 0.4 * lam0, "im": 0.0}, "order": 1, "coeffs": [-25.0]},
+                {"pole": {"re": 0.2 * lam0, "im": 0.0}, "order": 1, "coeffs": [75.0]},
+            ],
+        }
+    }
+
+
+def pair_doc(lam0):
+    """1/(z - l0) and the pair 0.995 l0 e^(+-0.05i) with coefficient 0.8: t_52 is its first negative value."""
+    p = 0.995 * lam0 * cmath.exp(0.05j)
+    terms = [{"pole": {"re": p.real, "im": im}, "order": 1, "coeffs": [0.8]} for im in (p.imag, -p.imag)]
+    return {"partial_fractions": {"dominant": {"pole": lam0, "residue": 1.0}, "terms": terms}}
+
+
 @pytest.fixture
 def h4_file(tmp_path):
-    return write_problem(
-        tmp_path,
-        "h4.json",
-        {
-            "partial_fractions": {
-                "dominant": {"pole": 1.0, "residue": 1.0},
-                "terms": [
-                    {"pole": {"re": 0.4, "im": 0.0}, "order": 1, "coeffs": [-25.0]},
-                    {"pole": {"re": 0.2, "im": 0.0}, "order": 1, "coeffs": [75.0]},
-                ],
-            }
-        },
-    )
+    return write_problem(tmp_path, "h4.json", h4_doc(1.0))
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The destinations (None for stdout) of the writes main makes while the test runs."""
+    calls = []
+    write = climod._write_output
+
+    def counting(text, output):
+        calls.append(output)
+        write(text, output)
+
+    monkeypatch.setattr(climod, "_write_output", counting)
+    return calls
 
 
 class TestRealizeCommand:
@@ -236,9 +260,11 @@ class TestRealizeCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json"]
 
     def test_failed_output_leaves_no_temp_file(self, problems_dir, tmp_path, capsys):
-        # a directory cannot be replaced by a file: the write fails and its temp file goes
+        # a directory cannot be replaced by a file: the write fails with one error line and its temp file goes
         (tmp_path / "out").mkdir()
         assert main(["realize", str(problems_dir / "example1.json"), "--output", str(tmp_path / "out")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
 
@@ -284,14 +310,14 @@ class TestVerifyCommand:
             (NEGATIVE_RESIDUE_DOCS["pf.json"], "dominant residue must be positive to normalize"),
         ],
     )
-    def test_input_without_a_positive_dominant_term_is_unsupported(self, tmp_path, capsys, problem, reason):
+    def test_input_without_a_positive_dominant_term_is_unsupported(self, tmp_path, capsys, writes, problem, reason):
         # the measure is normalized by the dominant pole and residue, so there is none to report
         problem = write_problem(tmp_path, "problem.json", problem)
         real = write_problem(tmp_path, "real.json", {"A": [[1.0]], "b": [1.0], "c": [1.0]})
         code = main(["verify", problem, "--realization", real])
         out, err = capsys.readouterr()
         assert code == 2
-        assert out == ""
+        assert out == "" and writes == []
         assert err == f"unsupported: {reason}\n"
 
     def test_overflowing_powers_fail_without_warnings(self, problems_dir, tmp_path, capsys):
@@ -422,6 +448,31 @@ class TestBoundsCommand:
         assert doc["theo2"] is None and doc["mn2"] is None
 
 
+class TestOneWriter:
+    """Each command returns its document; main writes it once, through _emit."""
+
+    @pytest.mark.parametrize("name", ["example1.json", "h10.json", "h4.json", "no_positive.json"])
+    def test_one_write_per_call(self, problems_dir, tmp_path, capsys, writes, name):
+        path, real = str(problems_dir / name), str(tmp_path / "real.json")
+        calls = [["realize", path], ["realize", path, "--mode", "sum", "--format", "csv"], ["bounds", path],
+                 ["impulse", path], ["impulse", path, "--format", "csv"],
+                 ["verify", path, "--realization", str(problems_dir / "base_h4.json")]]
+        if name != "no_positive.json":
+            calls += [["realize", path, "--output", real], ["verify", path, "--realization", real]]
+        for argv in calls:
+            writes.clear()
+            main(argv)
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert writes == [real if "--output" in argv else None], argv
+            assert (out == "") is ("--output" in argv), argv
+
+    def test_base_lift_writes_once(self, problems_dir, capsys, writes):
+        argv = ["realize", str(problems_dir / "h10.json"), "--base", "base_h4.json", "--base-shift", "7"]
+        assert main(argv) == 0
+        assert writes == [None]
+
+
 class TestImpulseCommand:
     def test_h4_values(self, h4_file, capsys):
         code = main(["impulse", h4_file, "--horizon", "5"])
@@ -478,6 +529,40 @@ class TestFormats:
         real = pr.Realization(np.array(doc["A"]), np.array(doc["b"]), np.array(doc["c"]))
         assert real.dim == doc["dimension"]
 
+    def test_a_number_json_cannot_hold_is_null_or_an_empty_field(self, tmp_path, capsys):
+        # the H4 shape at l0 = 1e20: t_17 .. t_20 pass the float range (inf, then inf - inf = nan)
+        path = write_problem(tmp_path, "h4_1e20.json", h4_doc(1e20))
+        values = pr.impulse_response(load_problem(path)[0], 20).tolist()
+        assert all(map(math.isfinite, values[:16])) and not any(map(math.isfinite, values[16:]))
+        assert any(map(math.isnan, values[16:]))
+        assert main(["impulse", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"count": 20, "values": values[:16] + [None] * 4}
+        assert main(["impulse", path, "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == "count,20\nvalues\n" + ",".join(map(repr, values[:16])) + ",,,,\n"
+
+    @pytest.mark.parametrize(
+        "command, csv",
+        [
+            ("realize", "status,no_positive_realization\nwitness_index,52\nwitness_value,\n"),
+            ("bounds", "status,negative_impulse\nindex,52\nvalue,\n"),
+        ],
+    )
+    def test_a_witness_past_the_float_range_is_reported(self, tmp_path, capsys, command, csv):
+        # l0 = 1e7: t_52 < 0, and 1e7^51 passes the float range
+        path = write_problem(tmp_path, "pair.json", pair_doc(1e7))
+        assert main([command, path]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        keys = ("status", "witness_index", "witness_value") if command == "realize" else ("status", "index", "value")
+        status = "no_positive_realization" if command == "realize" else "negative_impulse"
+        assert json.loads(out) == dict(zip(keys, (status, 52, None)))
+        assert main([command, path, "--format", "csv"]) == 1
+        assert capsys.readouterr() == (csv, "")
+
     def test_invalid_json_exit(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -501,6 +586,18 @@ class TestFormats:
 
 
 class TestPartialFractionInput:
+    @pytest.mark.parametrize("lam0", [1e-12, 1e-100])
+    def test_h4_at_a_tiny_scale(self, tmp_path, capsys, lam0):
+        # poles 0.4 l0 and 0.2 l0 are distinct at the pole scale, whatever l0 is
+        path = write_problem(tmp_path, "h4_small.json", h4_doc(lam0))
+        assert main(["realize", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["dimension"] == 7
+        assert main(["bounds", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"k0": 4, "theo2": 2, "mn2": 2, "horizon": 5, "zero_indices": [3, 4]}
+
     def test_complex_terms(self, tmp_path, capsys):
         # conjugate pair plus a gain pole, supplied directly
         doc = {

@@ -300,6 +300,17 @@ def test_one_sum_rule_constant():
     }
 
 
+def test_only_main_writes_a_commands_document():
+    # each _cmd_* returns its document; main hands it to _emit, the one place that picks the
+    # format, the destination and null for a number JSON cannot hold, and only _emit writes;
+    # verify's unsupported line and main's error lines are the only prints
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES + ["__init__.py"]}
+    assert reader_scopes(sources, "_emit") == {"cli.py": ["main"]}
+    assert reader_scopes(sources, "_write_output") == {"cli.py": ["_emit"]}
+    assert reader_scopes(sources, "stdout") == {"cli.py": ["_write_output"]}
+    assert reader_scopes(sources, "print") == {"cli.py": ["_cmd_verify", "main"]}
+
+
 def test_only_the_stopping_rule_reads_a_mode():
     # the mode decides only when the shift loop stops; the allocation is the same in both
     source = (SRC / "blocks.py").read_text(encoding="utf-8")

@@ -761,6 +761,35 @@ class TestBuildPartialFraction:
         assert down.coeffs == tuple(c.conjugate() for c in up.coeffs)
 
 
+class TestDistinctAtThePoleScale:
+    """Two listed poles are distinct once farther apart than 1e-12 (l0 + |p|): the rule at l0 = 1, at any scale."""
+
+    @staticmethod
+    def h4(lam0):
+        return [pr.PoleTerm(0.4 * lam0, (-25.0,)), pr.PoleTerm(0.2 * lam0, (75.0,))]
+
+    @pytest.mark.parametrize("lam0", [1e-100, 1e-12, 1.0, 1e4])
+    def test_rule(self, lam0):
+        for gap, distinct in ((1e-12, False), (2e-12, True)):  # at p = 0.5 l0 the bound is 1.5e-12 l0
+            terms = [pr.PoleTerm(0.5 * lam0, (0.2,)), pr.PoleTerm(0.5 * lam0 + gap * lam0, (0.3,))]
+            if distinct:
+                assert len(pr.build_partial_fraction(lam0, 1.0, terms).terms) == 2
+            else:
+                with pytest.raises(ValueError, match="pairwise distinct poles"):
+                    pr.build_partial_fraction(lam0, 1.0, terms)
+        assert len(pr.build_partial_fraction(lam0, 1.0, self.h4(lam0)).terms) == 2
+
+    @pytest.mark.parametrize("lam0", [1e-12, 1e-100])
+    def test_h4_at_a_tiny_scale_realizes(self, lam0):
+        # the absolute test merged 0.4 l0 and 0.2 l0, and realize refused "dominant pole is not simple"
+        tf = pr.recombine(pr.PartialFraction(lam0, 1.0, tuple(self.h4(lam0))))
+        out = pr.realize(tf)
+        assert isinstance(out, pr.Realized) and out.trace.verification.passed
+        assert out.realization.dim == out.trace.final_dimension == 7
+        report = pr.bounds_report(tf)
+        assert (report.k0, report.zero_indices, report.theo2, report.mn2) == (4, (3, 4), 2, 2)
+
+
 @given(supplied_pole_terms())
 def test_build_partial_fraction_is_idempotent(supplied):
     """Its own output's terms, cleaned and symmetrized already, come back as the same result."""
@@ -1066,6 +1095,35 @@ def test_walk_follows_shift_once_bit_for_bit(pf, shifts):
         assert _bits(got) == _bits(t)
         assert _bits(_walk_terms(pf, coeffs, higher)) == _bits(tuple((term.pole, term.coeffs) for term in cur.terms))
         _, cur = shift_once(cur)
+
+
+class TestWitnessPastTheFloatRange:
+    """The walk's witness value s l0^(k-1) t~_k is today's product wherever l0^(k-1) is finite; past the float range
+    it is the product from logs where that is finite, else -inf, and never an OverflowError."""
+
+    @staticmethod
+    def pair(lam0, gamma=1.0):
+        # l0 with residue gamma, and the pair 0.995 l0 e^(+-0.05i) with coefficient 0.8 gamma: t~_52 < 0
+        p = 0.995 * lam0 * cmath.exp(0.05j)
+        c = 0.8 * gamma + 0j
+        return pr.recombine(pr.PartialFraction(lam0, gamma, (pr.PoleTerm(p, (c,)), pr.PoleTerm(p.conjugate(), (c,)))))
+
+    @pytest.mark.parametrize(
+        "lam0, value",
+        [(1.0, -0.02849741450436527), (1e5, -2.8497414504370154e253), (1e7, -math.inf)],  # 1e7^51 overflows
+    )
+    def test_witness(self, lam0, value):
+        tf = self.pair(lam0)
+        assert pr.realize(tf) == pr.NoPositiveRealization(52, value)
+        with pytest.raises(NegativeImpulse) as exc:
+            pr.bounds_report(tf)
+        assert (exc.value.index, exc.value.value) == (52, value)
+
+    def test_a_finite_product_past_an_overflowing_power(self):
+        # 1e7^51 overflows, but 1e-200 1e7^51 t~_52 does not
+        out = pr.realize(self.pair(1e7, 1e-200))
+        assert out.witness_index == 52
+        assert out.witness_value == pytest.approx(-0.02849741450436527 * 1e57 * 1e100, rel=1e-9)
 
 
 @given(simple_stable_pfs(), st.floats(0.5, 2.0))
