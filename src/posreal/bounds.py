@@ -28,23 +28,25 @@ class BoundsReport:
     horizon_used: int
 
 
-def _envelope(pf: PartialFraction, k: int) -> float:
+def _envelope_terms(pf: PartialFraction) -> list[tuple[float, float, tuple[float, ...]]]:
+    """Each term's |lam|, |c^(1)| and |c^(2)|, |c^(3)|, ...: what the envelope reads at every k."""
+    return [(abs(t.pole), abs(t.coeffs[0]), tuple(map(abs, t.coeffs[1:]))) for t in pf.terms]
+
+
+def _envelope(terms, k: int) -> float:
     total = 0.0
-    for term in pf.terms:
-        mod = abs(term.pole)
-        total += abs(term.coeffs[0]) * mod ** (k - 1)  # binom(k-1, 0) = 1
-        for i, c in enumerate(term.coeffs[1:k], start=2):
-            total += abs(c) * math.comb(k - 1, i - 1) * mod ** (k - i)
+    for mod, first, higher in terms:
+        total += first * mod ** (k - 1)  # binom(k-1, 0) = 1
+        if higher:  # an order-1 term has no binomial terms
+            for i, c in enumerate(higher[: k - 1], start=2):
+                total += c * math.comb(k - 1, i - 1) * mod ** (k - i)
     return total
 
 
-def _envelope_decreasing(pf: PartialFraction, k: int) -> bool:
-    for term in pf.terms:
-        mod = abs(term.pole)
-        for i in range(1, term.order + 1):
-            if k < i:
-                return False
-            if mod * k / (k + 1 - i) > 1.0:
+def _envelope_decreasing(terms, k: int) -> bool:
+    for mod, _, higher in terms:
+        for i in range(1, len(higher) + 2):  # i = 1 .. order
+            if k < i or mod * k / (k + 1 - i) > 1.0:
                 return False
     return True
 
@@ -57,8 +59,9 @@ def positivity_horizon(pf: PartialFraction) -> int:
     positive.
     """
     _require_normalized(pf)
+    terms = _envelope_terms(pf)
     for k in range(1, _HORIZON_GUARD + 1):
-        if _envelope(pf, k) < 1.0 and _envelope_decreasing(pf, k):
+        if _envelope(terms, k) < 1.0 and _envelope_decreasing(terms, k):
             return k
     raise PosrealError("positivity horizon search exhausted")
 

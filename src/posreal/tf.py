@@ -6,8 +6,10 @@ Everything downstream works on the partial-fraction form
 
 with a unique dominant pole l0 of maximal modulus. ``normalize`` rescales
 the variable and the gain so that the dominant term becomes exactly
-1/(z - 1); ``shift_once`` removes the leading impulse value, mapping the
-tail t_2, t_3, ... back onto the same form with contracted coefficients.
+1/(z - 1); every request path reads its impulse values t~_1, t~_2, ... from
+``_walk``, which shifts each coefficient chain once per value (``shift_once``'s
+step, c'_i = lam c_i + c_{i+1}, which no request path calls), so the tail stays
+on the same form with contracted coefficients.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass, field, replace
 from itertools import count
+from operator import truediv
 
 import numpy as np
 
@@ -53,6 +56,9 @@ _STEP_RTOL = 4 * np.finfo(float).eps
 # The largest log of a finite float: exp() of a larger one overflows.
 _LOG_MAX = math.log(np.finfo(float).max)
 
+_ONE = np.array([1.0 + 0j])  # the constant polynomial 1: the empty product every ``recombine`` chain starts from
+_ONE.setflags(write=False)  # shared, so read-only
+
 
 class _RetryExpansion(Exception):
     """Internal: current cluster radius produced an inconsistent expansion."""
@@ -65,10 +71,10 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(map(float, self.coeffs))
         if not cs:
             raise ValueError("empty coefficient list (the zero polynomial is [0])")
-        if not all(math.isfinite(c) for c in cs):
+        if not all(map(math.isfinite, cs)):
             raise ValueError("non-finite polynomial coefficient")
         if len(cs) > 1 and cs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
@@ -201,8 +207,8 @@ def companion_roots(monic_coeffs) -> np.ndarray:
 def from_coefficients(num, den, *, _given: PartialFraction | None = None) -> TransferFunction:
     """Build a validated transfer function from ascending coefficient lists.
 
-    The denominator is rescaled to monic form (the numerator is divided by
-    the same factor, so the function is unchanged) and near-common factors
+    A denominator that is not monic already is rescaled to monic form (the numerator is divided
+    by the same factor, so the function is unchanged) and near-common factors
     are rejected at its ``roots``, once per conjugate pair (only ``recombine`` passes ``_given``).
     """
     den_c = _trimmed(map(float, den))
@@ -216,8 +222,9 @@ def from_coefficients(num, den, *, _given: PartialFraction | None = None) -> Tra
     if num_c == (0.0,):
         raise NotCoprime("zero numerator has no poles in common position")
     lead = den_c[-1]
-    num_c = tuple(c / lead for c in num_c)
-    den_c = tuple(c / lead for c in den_c[:-1]) + (1.0,)
+    if lead != 1.0:  # x / 1.0 is x bit for bit, -0.0 included
+        num_c = tuple(c / lead for c in num_c)
+        den_c = tuple(c / lead for c in den_c[:-1]) + (1.0,)
     tf = TransferFunction(Polynomial(num_c), Polynomial(den_c), _given=_given)
     _reject_common_roots(tf)
     return tf
@@ -480,8 +487,8 @@ def normalize(pf: PartialFraction) -> PartialFraction:
 
     The variable substitution z -> l0*z divides every pole by l0; dividing
     the whole function by g/l0 makes the dominant residue 1, which sends an
-    order-i coefficient c to c / (g * l0**(i-1)).  The impulse response
-    transforms as t_k = g * l0**(k-1) * t~_k.
+    order-i coefficient c to c / (g * l0**(i-1)), one divisor per order, not
+    per coefficient.  The impulse response transforms as t_k = g * l0**(k-1) * t~_k.
     """
     gamma = pf.dominant_residue
     lam0 = pf.dominant_pole
@@ -489,13 +496,8 @@ def normalize(pf: PartialFraction) -> PartialFraction:
         raise NotPrimitive("dominant pole must be positive to normalize")
     if gamma <= 0:
         raise NonpositiveDominantResidue("dominant residue must be positive to normalize")
-    terms = tuple(
-        PoleTerm(
-            t.pole / lam0,
-            tuple(c / (gamma * lam0 ** (i - 1)) for i, c in enumerate(t.coeffs, start=1)),
-        )
-        for t in pf.terms
-    )
+    divisors = [gamma * lam0 ** i for i in range(max([len(t.coeffs) for t in pf.terms], default=0))]  # [i-1]: order i
+    terms = tuple([PoleTerm(t.pole / lam0, tuple(map(truediv, t.coeffs, divisors))) for t in pf.terms])
     return PartialFraction(
         dominant_pole=1.0,
         dominant_residue=1.0,
@@ -667,16 +669,16 @@ def recombine(pf: PartialFraction) -> TransferFunction:
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
     factors += [(t.pole, t.order) for t in terms]
 
-    # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j.  No product by
-    # [1] runs: it returns the other operand bit for bit, as no operand holds a -0.0 (0j - root has none)
+    # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j, from ``_ONE``.  No product
+    # by [1] runs: it returns the other operand bit for bit, as no operand holds a -0.0 (0j - root has none)
     times = lambda a, b: b if len(a) == 1 else a if len(b) == 1 else np.convolve(a, b)  # [1] has length 1
     powers = []
     for root, mult in factors:
-        ps = [np.array([1.0 + 0j]), np.array([0j - root, 1.0 + 0j])]
+        ps = [_ONE, np.array([0j - root, 1.0 + 0j])]
         for _ in range(mult - 1):
             ps.append(np.convolve(ps[-1], np.array([-root, 1.0 + 0j])))
         powers.append(ps)
-    prefix = [np.array([1.0 + 0j])]
+    prefix = [_ONE]
     for ps in powers:
         prefix.append(times(prefix[-1], ps[-1]))
 
@@ -689,16 +691,17 @@ def recombine(pf: PartialFraction) -> TransferFunction:
             out = times(out, ps[-1])
         return out
 
-    contrib = pf.dominant_residue * rest_product(0, 1)
-    num[: len(contrib)] += contrib
-    for j, term in enumerate(terms, start=1):
-        for i, c in enumerate(term.coeffs, start=1):
-            contrib = c * rest_product(j, i)
-            num[: len(contrib)] += contrib
+    with np.errstate(all="ignore"):  # past the float range the values go inf or nan, which ``Polynomial`` refuses
+        contrib = pf.dominant_residue * rest_product(0, 1)
+        num[: len(contrib)] += contrib
+        for j, term in enumerate(terms, start=1):
+            for i, c in enumerate(term.coeffs, start=1):
+                contrib = c * rest_product(j, i)
+                num[: len(contrib)] += contrib
 
-    num, den = num.tolist(), den.tolist()
+    values = num.tolist(), den.tolist()
     # num and den each against its own scale; no check once a value is not finite, or too large (scale inf)
-    for vs in (num, den) if all(map(cmath.isfinite, num + den)) else ():
+    for vs in values if all(map(cmath.isfinite, values[0] + values[1])) else ():
         try:
             scale = 1.0 + max(map(abs, vs))
         except OverflowError:  # abs() raises where a magnitude passes the float range
@@ -707,7 +710,7 @@ def recombine(pf: PartialFraction) -> TransferFunction:
             raise ExpansionFailed("recombination produced non-real coefficients")
     if given is not None and not all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
         given = None
-    return from_coefficients([v.real for v in num], [v.real for v in den], _given=given)
+    return from_coefficients(num.real.tolist(), den.real.tolist(), _given=given)
 
 
 def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> PartialFraction:
@@ -742,7 +745,7 @@ def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> Partia
     lower: list[tuple[complex, tuple[complex, ...]]] = []
     for term in raw_terms:
         pole = complex(term.pole)
-        coeffs = tuple(complex(c) for c in term.coeffs)
+        coeffs = tuple(map(complex, term.coeffs))
         if abs(pole.imag) <= PAIR_RTOL * (1.0 + abs(pole)):
             rcs = []
             for c in coeffs:

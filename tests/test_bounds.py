@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import posreal as pr
 import posreal.cli
 import posreal.tf as tfmod
-from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing, positivity_horizon, zero_pattern
+from posreal.bounds import _certified_scan, _envelope, _envelope_decreasing, _envelope_terms, positivity_horizon, zero_pattern
 from posreal.errors import NegativeImpulse, NotApplicable, PosrealError
 from posreal.tf import _zero_band
 
@@ -404,6 +404,16 @@ def reference_envelope(pf: pr.PartialFraction, k: int) -> float:
     return total
 
 
+def reference_envelope_decreasing(pf: pr.PartialFraction, k: int) -> bool:
+    """Whether every binom(k-1, i-1) |lam|^(k-i) shrinks from k to k + 1, as the search ran on the terms."""
+    for term in pf.terms:
+        mod = abs(term.pole)
+        for i in range(1, term.order + 1):
+            if k < i or mod * k / (k + 1 - i) > 1.0:
+                return False
+    return True
+
+
 def _normalized_mixed_orders(supplied):
     lam0, gamma, terms = supplied
     return pr.normalize(pr.build_partial_fraction(lam0, abs(gamma), terms))
@@ -412,9 +422,12 @@ def _normalized_mixed_orders(supplied):
 @given(st.one_of(simple_stable_pfs(), supplied_pole_terms().map(_normalized_mixed_orders)))
 @example(hn_pf(10))
 def test_envelope_and_horizon_match_the_general_formula(pf):
-    """``_envelope`` at every k up to the horizon, and the horizon, equal the general formula's bit for bit."""
+    """``_envelope`` and ``_envelope_decreasing`` on the moduli read once, at every k up to the horizon, and the
+    horizon, equal the general formula's bit for bit, with each term's |lam| and |c| read at every k."""
     horizon = positivity_horizon(pf)
+    terms = _envelope_terms(pf)
     for k in range(1, horizon + 1):
-        assert _envelope(pf, k).hex() == reference_envelope(pf, k).hex(), k
-    reference = next(k for k in count(1) if reference_envelope(pf, k) < 1.0 and _envelope_decreasing(pf, k))
+        assert _envelope(terms, k).hex() == reference_envelope(pf, k).hex(), k
+        assert _envelope_decreasing(terms, k) == reference_envelope_decreasing(pf, k), k
+    reference = next(k for k in count(1) if reference_envelope(pf, k) < 1.0 and reference_envelope_decreasing(pf, k))
     assert horizon == reference

@@ -586,6 +586,14 @@ class TestFormats:
 
 
 class TestPartialFractionInput:
+    @pytest.mark.parametrize("command", ["realize", "bounds", "impulse"])
+    def test_products_past_the_float_range_are_one_error_line(self, tmp_path, capsys, command):
+        # the H4 shape at l0 = 1e200: the recombined denominator's constant l0^3 * 0.008 passes the float range
+        path = write_problem(tmp_path, "h4_1e200.json", h4_doc(1e200))
+        assert main([command, path]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: non-finite polynomial coefficient\n")
+
     @pytest.mark.parametrize("lam0", [1e-12, 1e-100])
     def test_h4_at_a_tiny_scale(self, tmp_path, capsys, lam0):
         # poles 0.4 l0 and 0.2 l0 are distinct at the pole scale, whatever l0 is

@@ -226,6 +226,14 @@ def test_every_method_and_property_is_read():
     assert unread_members(package, readers) == []
 
 
+def test_the_ab_script_imports_nothing_from_posreal():
+    # scripts/bench_ab.py times two checkouts through bench/run.py; a posreal import of its own would load one of them
+    tree = ast.parse((ROOT / "scripts" / "bench_ab.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported and not any(name.split(".")[0] == "posreal" for name in imported)
+
+
 def test_verifier_imports_nothing_from_the_construction():
     # check.py compares against the recurrence alone (its docstring says so);
     # through tf and errors it must not reach the modules that build realizations

@@ -1,13 +1,15 @@
 """The request loops of ``posreal.tf`` against their earlier forms.
 
-``impulse_response`` and ``recombine``'s products must stay bit for bit what the forms kept here
-computed: the recurrence is the verifier's reference, and ``recombine``'s coefficients are
-load-bearing to the last bit (the multiple-pole expansion tests cluster their roots).  The
-reconstruction check is a gate: its verdicts must stay the per-term form's, though the last
-digits of its residual may move.
+``impulse_response``, ``recombine``'s products, ``normalize`` and ``from_coefficients`` must stay
+bit for bit what the forms kept here computed: the recurrence is the verifier's reference,
+``recombine``'s coefficients are load-bearing to the last bit (the multiple-pole expansion tests
+cluster their roots), and every request's normalized terms and monic coefficients feed its
+outputs.  The reconstruction check is a gate: its verdicts must stay the per-term form's, though
+the last digits of its residual may move.
 """
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -144,6 +146,121 @@ def test_recombine_products_are_the_earlier_products_bit_for_bit(supplied):
     num, den = recombine_products(pf)
     want_num, want_den = reference_recombine_products(pf)
     assert (repr(num), repr(den)) == (repr(want_num), repr(want_den))
+    assert all(type(v) is float for v in num + den)  # Python floats, as the comprehensions made them
+
+
+@pytest.mark.parametrize(
+    "pf",
+    [
+        pr.PartialFraction(1e200, 1.0, (pr.PoleTerm(4e199, (-25.0,)), pr.PoleTerm(2e199, (75.0,)))),  # den inf
+        pr.PartialFraction(2e10, 1.0, (pr.PoleTerm(1e10, (1e300,)),)),  # c times its product overflows, den finite
+        pr.PartialFraction(1.0, 1.0, (pr.PoleTerm(0.5, (float("inf"),)),)),  # kept as given: inf times 0j is nan
+    ],
+)
+def test_recombine_past_the_float_range_refuses_without_a_warning(pf):
+    # RuntimeWarnings are errors under this suite's settings, so a numpy warning fails here
+    with pytest.raises(ValueError, match="^non-finite polynomial coefficient$"):
+        pr.recombine(pf)
+
+
+# --- normalize ---------------------------------------------------------------
+
+
+def reference_normalize(pf):
+    """``normalize``'s terms as they ran with one divisor g * l0**(i-1) formed per coefficient."""
+    gamma, lam0 = pf.dominant_residue, pf.dominant_pole
+    return tuple(
+        pr.PoleTerm(t.pole / lam0, tuple(c / (gamma * lam0 ** (i - 1)) for i, c in enumerate(t.coeffs, start=1)))
+        for t in pf.terms
+    )
+
+
+def outcome(call):
+    """repr of the result, or the type and message of the exception it raised."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_coefficient = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False).filter(bool)
+_pole_terms = st.lists(
+    st.builds(pr.PoleTerm, _coefficient, st.lists(_coefficient, min_size=1, max_size=3)), max_size=4
+)
+
+
+@settings(max_examples=300)
+@given(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0).map(lambda e: 10.0**e), _pole_terms)
+@example(0.0, 1.0, [])
+@example(150.0, 1e150, [pr.PoleTerm(0.5, (1.0, -0.0, 3.0))])
+@example(-150.0, 1e-150, [pr.PoleTerm(-0.25 + 0.5j, (-0.0 + 1j, 2.0)), pr.PoleTerm(0.5, (1.0,))])
+def test_normalize_is_the_per_coefficient_form_bit_for_bit(log_lam0, gamma, terms):
+    pf = pr.PartialFraction(10.0**log_lam0, gamma, tuple(terms))
+    got = outcome(lambda: pr.normalize(pf))
+    want = outcome(lambda: pr.PartialFraction(1.0, 1.0, reference_normalize(pf), gamma, pf.dominant_pole))
+    assert got == want
+
+
+@pytest.mark.parametrize("lam0", [1e155, 1e200, 1e300])
+def test_normalize_keeps_raising_where_the_power_overflows(lam0):
+    # an order-3 term at l0 past 1e154.2: l0**2 passes the float range in both forms
+    pf = pr.PartialFraction(lam0, 1.0, (pr.PoleTerm(0.5 * lam0, (1.0, 2.0, 3.0)),))
+    with pytest.raises(OverflowError):
+        reference_normalize(pf)
+    with pytest.raises(OverflowError):
+        pr.normalize(pf)
+    # order 2 at the same scales stays finite
+    assert pr.normalize(dataclasses.replace(pf, terms=(pr.PoleTerm(0.5 * lam0, (1.0, 2.0)),))).terms
+
+
+# --- from_coefficients -------------------------------------------------------
+
+
+def reference_from_coefficients(num, den):
+    """``from_coefficients`` as it ran with every coefficient divided by the leading one, 1.0 included."""
+    den_c = tfmod._trimmed(map(float, den))
+    if not den_c:
+        raise pr.ZeroDenominator("denominator is identically zero")
+    num_c = tfmod._trimmed(map(float, num)) or (0.0,)
+    if len(num_c) >= len(den_c):
+        raise pr.NotStrictlyProper(
+            f"numerator degree {len(num_c) - 1} not below denominator degree {len(den_c) - 1}"
+        )
+    if num_c == (0.0,):
+        raise pr.NotCoprime("zero numerator has no poles in common position")
+    lead = den_c[-1]
+    num_c = tuple(c / lead for c in num_c)
+    den_c = tuple(c / lead for c in den_c[:-1]) + (1.0,)
+    tf = pr.TransferFunction(pr.Polynomial(num_c), pr.Polynomial(den_c))
+    tfmod._reject_common_roots(tf)
+    return tf
+
+
+def built(make):
+    tf = make()
+    return repr(tf.num.coeffs), repr(tf.den.coeffs), tf.roots.tobytes()
+
+
+_value = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+_lead = st.one_of(st.just(1.0), st.sampled_from([-1.0, 2.0, 0.5, 3.0, -0.1, 1e-300]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300)
+@given(st.lists(_value, max_size=6), st.lists(_value, max_size=6), _lead)
+@example([-0.0, 2.0], [0.25, -0.0], 1.0)  # -0.0 kept at a lead of exactly 1.0
+@example([-0.0, 2.0], [0.25, -0.0], 2.0)
+@example([1.0, -0.0], [0.5, 1.0], 1.0)  # a trailing -0.0 is trimmed
+@example([], [], 1.0)
+def test_from_coefficients_is_the_rescaling_form_bit_for_bit(num, den, lead):
+    den = den + [lead]
+    assert outcome(lambda: built(lambda: pr.from_coefficients(num, den))) == outcome(
+        lambda: built(lambda: reference_from_coefficients(num, den))
+    )
+
+
+def test_a_monic_input_keeps_its_signed_zeros():
+    tf = pr.from_coefficients([-0.0, 2.0], [0.25, -0.0, 1.0])
+    assert [math.copysign(1.0, c) for c in tf.num.coeffs + tf.den.coeffs] == [-1.0, 1.0, 1.0, -1.0, 1.0]
 
 
 @pytest.fixture
