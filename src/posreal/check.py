@@ -1,10 +1,11 @@
 """Independent verification: Markov-parameter comparison in the normalized frame.
 
 This module knows nothing about how realizations were built and imports no module that
-builds them (tests/test_hygiene.py checks); the reference is the long-division recurrence.
-Both sequences are divided by gamma lam0^(k-1), the dominant residue and pole of the input's
-expansion, so the measure does not depend on the gain or the pole scale and no value
-overflows on a realization of the input.  The cone relations a block comes from are checked
+builds them (tests/test_hygiene.py checks); the reference is ``tf.markov_reference``: the
+closed form of the input's own terms for a partial fraction ``recombine`` keeps, else the
+long-division recurrence on its coefficients.  Both sequences are divided by gamma lam0^(k-1),
+the dominant residue and pole of the input's expansion, so the measure does not depend on the
+gain or the pole scale and no value overflows on a realization of the input.  The cone relations a block comes from are checked
 in the tests, which rebuild each block's cone model from its pole terms and share.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tf import TransferFunction, _scaled_recurrence, expand, normalize
+from .tf import TransferFunction, expand, markov_reference, normalize
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,10 @@ def markov(A, b, c, K: int) -> np.ndarray:
 def markov_check(
     realization, tf: TransferFunction, K: int | None = None, tol: float = 1e-6, *, scale: tuple | None = None
 ) -> VerificationReport:
-    """Compare c (A/lam0)^(k-1) b/gamma against t_k / (gamma lam0^(k-1)) from the recurrence.
+    """Compare c (A/lam0)^(k-1) b/gamma against t_k / (gamma lam0^(k-1)) from ``markov_reference``.
 
+    The reference comes from the input alone, never from a realization's blocks: the closed form
+    of a kept partial fraction's own terms, else the recurrence on its coefficients.
     ``scale`` is (gamma, lam0), the dominant residue and pole of ``tf``'s expansion; when it
     is omitted ``tf`` is expanded here, which raises ``NotPrimitive`` or
     ``NonpositiveDominantResidue`` for an input without a positive dominant term.  Errors are
@@ -94,7 +97,7 @@ def markov_check(
         pf = normalize(expand(tf))
         scale = pf.scale_gamma, pf.pole_scale
     gamma, lam0 = scale
-    ref = np.array(_scaled_recurrence(tf, K, gamma, lam0))
+    ref = markov_reference(tf, K, gamma, lam0)
     with np.errstate(over="ignore", invalid="ignore"):
         got = markov(A / lam0, b / gamma, c, K)
         err = np.abs(got - ref) / (1.0 + np.abs(ref))

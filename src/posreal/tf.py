@@ -56,8 +56,7 @@ _STEP_RTOL = 4 * np.finfo(float).eps
 # The largest log of a finite float: exp() of a larger one overflows.
 _LOG_MAX = math.log(np.finfo(float).max)
 
-_ONE = np.array([1.0 + 0j])  # the constant polynomial 1: the empty product every ``recombine`` chain starts from
-_ONE.setflags(write=False)  # shared, so read-only
+_ONE = (1.0 + 0j,)  # the constant polynomial 1: the empty product every ``recombine`` chain starts from
 
 
 class _RetryExpansion(Exception):
@@ -97,7 +96,8 @@ class TransferFunction:
 
     ``roots`` (read-only) holds the poles, found once here; the coprimality test and ``expand`` read
     them: the companion eigenvalues of ``den``, or, for the partial fraction ``recombine`` passes as
-    ``_given`` (kept as ``_expansion``), its poles by increasing modulus (real when all are), with no solve.
+    ``_given`` (kept as ``_expansion``, which ``expand`` returns and ``markov_reference`` reads), its
+    poles by increasing modulus (real when all are), with no solve.
     """
 
     num: Polynomial
@@ -489,6 +489,7 @@ def normalize(pf: PartialFraction) -> PartialFraction:
     the whole function by g/l0 makes the dominant residue 1, which sends an
     order-i coefficient c to c / (g * l0**(i-1)), one divisor per order, not
     per coefficient.  The impulse response transforms as t_k = g * l0**(k-1) * t~_k.
+    A divisor that underflows to 0 raises ``OverflowError``, as an l0**(i-1) past the float range does.
     """
     gamma = pf.dominant_residue
     lam0 = pf.dominant_pole
@@ -497,6 +498,9 @@ def normalize(pf: PartialFraction) -> PartialFraction:
     if gamma <= 0:
         raise NonpositiveDominantResidue("dominant residue must be positive to normalize")
     divisors = [gamma * lam0 ** i for i in range(max([len(t.coeffs) for t in pf.terms], default=0))]  # [i-1]: order i
+    if 0.0 in divisors:
+        i = divisors.index(0.0)
+        raise OverflowError(f"g * l0**{i} underflows to 0: normalized order-{i + 1} coefficients pass the float range")
     terms = tuple([PoleTerm(t.pole / lam0, tuple(map(truediv, t.coeffs, divisors))) for t in pf.terms])
     return PartialFraction(
         dominant_pole=1.0,
@@ -545,6 +549,26 @@ def _scaled_recurrence(tf: TransferFunction, K: int, gamma: float, lam0: float) 
             acc -= qi * t[i]
         t.append(acc)
     return t
+
+
+def markov_reference(tf: TransferFunction, K: int, gamma: float, lam0: float) -> np.ndarray:
+    """t_k / (gamma lam0^(k-1)) for k = 1 .. K, the verifier's reference.
+
+    For a kept form (``recombine``), the closed form sum_j (c_j / gamma) (lam_j / lam0)^(k-1) over its own terms,
+    the dominant one first (exactly 1 at its own gamma and lam0), each power by one more product per value;
+    for any other function, ``_scaled_recurrence`` on its coefficients.
+    """
+    pf = tf._expansion
+    if pf is None:
+        return np.array(_scaled_recurrence(tf, K, gamma, lam0))
+    if K < 1:
+        raise ValueError("K must be positive")
+    terms = [(pf.dominant_residue, pf.dominant_pole)] + [(t.coeffs[0], t.pole) for t in pf.terms]
+    powers = np.empty((K, len(terms)), dtype=complex)  # row k - 1: c_j / gamma times (lam_j / lam0)^(k-1)
+    powers[0] = [c / gamma for c, _ in terms]
+    powers[1:] = [lam / lam0 for _, lam in terms]
+    with np.errstate(all="ignore"):  # at another scale than its own, a power may pass the float range
+        return np.cumprod(powers, axis=0).sum(axis=1).real
 
 
 def _zero_band(t1: float) -> float:
@@ -650,67 +674,82 @@ def iteration_estimate(pf: PartialFraction) -> int:
 # reconstruction and loading helpers
 
 
+def _plain_product(a, b) -> list:
+    """np.convolve(a, b) on Python complex numbers: out[k] adds a[i] b[k - i] by increasing i."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _numpy_scaled(c, poly) -> list:
+    with np.errstate(all="ignore"):  # past the float range the values go inf or nan, which ``Polynomial`` refuses
+        return (c * np.array(poly)).tolist()
+
+
 def recombine(pf: PartialFraction) -> TransferFunction:
     """Collect a partial fraction over the common denominator.
 
     ``build_partial_fraction``'s canonical terms, where it accepts ``pf``, are collected by
     increasing modulus (whatever their given order; by real part rounds worse), else ``pf``'s
     terms as given, through ``from_coefficients``' checks.  Canonical terms that root-finding
-    would find (simple, separated from l0) stay on the result as the expansion ``expand`` returns,
-    and their poles as its ``roots``: the common-root test runs there, and no eigen-solve does.
-    The ``np.convolve`` products are load-bearing to the last bit: the multiple-pole ``expand``
-    tests cluster the roots of these coefficients, and one ulp elsewhere splits a double pair.
+    would find (simple, separated from l0) form a kept form: they stay on the result as the
+    expansion ``expand`` returns, and their poles as its ``roots``, where the common-root test
+    runs (no eigen-solve does), and ``markov_reference`` reads them.  A kept form's products run
+    on Python complex numbers.  Any other form keeps numpy's products (``np.convolve``, then
+    numpy's multiply by each coefficient), load-bearing to the last bit: ``expand`` root-finds
+    these coefficients, the multiple-pole tests cluster their roots, and one ulp splits a double pair.
     """
     try:
         given = build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
     except (ValueError, NotPrimitive):
         given = None
     terms = pf.terms if given is None else sorted(given.terms, key=lambda t: abs(t.pole))
+    if given is not None and not all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
+        given = None
     factors: list[tuple[complex, int]] = [(complex(pf.dominant_pole), 1)]
     factors += [(t.pole, t.order) for t in terms]
 
     # powers[j][k] = (z - root_j)^k; prefix[j] = product of the full powers before factor j, from ``_ONE``.  No product
     # by [1] runs: it returns the other operand bit for bit, as no operand holds a -0.0 (0j - root has none)
-    times = lambda a, b: b if len(a) == 1 else a if len(b) == 1 else np.convolve(a, b)  # [1] has length 1
+    if given is None:
+        product, scaled = lambda a, b: np.convolve(a, b).tolist(), _numpy_scaled
+    else:
+        product, scaled = _plain_product, lambda c, poly: [c * v for v in poly]
+    times = lambda a, b: b if len(a) == 1 else a if len(b) == 1 else product(a, b)  # [1] has length 1
     powers = []
     for root, mult in factors:
-        ps = [_ONE, np.array([0j - root, 1.0 + 0j])]
+        ps = [_ONE, [0j - root, 1.0 + 0j]]
         for _ in range(mult - 1):
-            ps.append(np.convolve(ps[-1], np.array([-root, 1.0 + 0j])))
+            ps.append(product(ps[-1], [-root, 1.0 + 0j]))
         powers.append(ps)
     prefix = [_ONE]
     for ps in powers:
         prefix.append(times(prefix[-1], ps[-1]))
 
-    den = prefix[-1]
-    num = np.zeros(len(den) - 1, dtype=complex)
-
-    def rest_product(skip: int, reduce_by: int) -> np.ndarray:
+    def rest_product(skip: int, reduce_by: int) -> list:
         out = times(prefix[skip], powers[skip][-1 - reduce_by])
         for ps in powers[skip + 1 :]:
             out = times(out, ps[-1])
         return out
 
-    with np.errstate(all="ignore"):  # past the float range the values go inf or nan, which ``Polynomial`` refuses
-        contrib = pf.dominant_residue * rest_product(0, 1)
-        num[: len(contrib)] += contrib
-        for j, term in enumerate(terms, start=1):
-            for i, c in enumerate(term.coeffs, start=1):
-                contrib = c * rest_product(j, i)
-                num[: len(contrib)] += contrib
+    den = prefix[-1]
+    num = [0j] * (len(den) - 1)
+    rows = [(c, j, i) for j, term in enumerate(terms, start=1) for i, c in enumerate(term.coeffs, start=1)]
+    for c, j, i in [(pf.dominant_residue, 0, 1), *rows]:  # num += c times each rest product, in Python
+        for k, v in enumerate(scaled(c, rest_product(j, i))):
+            num[k] += v
 
-    values = num.tolist(), den.tolist()
     # num and den each against its own scale; no check once a value is not finite, or too large (scale inf)
-    for vs in values if all(map(cmath.isfinite, values[0] + values[1])) else ():
+    for vs in (num, den) if all(map(cmath.isfinite, num + den)) else ():
         try:
             scale = 1.0 + max(map(abs, vs))
         except OverflowError:  # abs() raises where a magnitude passes the float range
             scale = math.inf
         if max(abs(v.imag) for v in vs) > 1e-9 * scale:
             raise ExpansionFailed("recombination produced non-real coefficients")
-    if given is not None and not all(t.order == 1 and _separated(t.pole, given.dominant_pole) for t in terms):
-        given = None
-    return from_coefficients(num.real.tolist(), den.real.tolist(), _given=given)
+    return from_coefficients([v.real for v in num], [v.real for v in den], _given=given)
 
 
 def build_partial_fraction(dominant_pole, dominant_residue, raw_terms) -> PartialFraction:

@@ -1,6 +1,9 @@
 import cmath
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from posreal.check import markov, markov_check
 from posreal.errors import DimensionMismatch, InternalCheckError
 from posreal.geometry import in_polygon
 
-from conftest import cone_model, cone_residual, hn_pf, scaled_pf
+from conftest import cone_model, cone_residual, hn_pf, hn_tf, scaled_pf
 from strategies import simple_stable_pfs
 
 
@@ -97,6 +100,37 @@ class TestMarkovCheck:
             markov_check((np.eye(2), np.ones(3), np.ones(2)), h4_tf)
 
 
+def load_bench_gen():
+    """``bench/gen.py``, the benchmark's seeded input generator (standard library only)."""
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("gen", gen)  # its dataclasses look their module up by name
+    spec.loader.exec_module(gen)
+    return gen
+
+
+class TestKeptFormsVerifyToRounding:
+    """A kept form is verified against the closed form of its own terms, so its realizations
+    verify at rounding level (against the recurrence on its recombined coefficients, H^13 read
+    1.1e-7 and the ``synth_deep`` inputs up to 2e-11)."""
+
+    @pytest.mark.parametrize("N", range(4, 14))
+    def test_hn(self, N):
+        out = pr.realize(hn_tf(N))
+        assert out.trace.verification.max_relative_error <= 1e-13
+
+    def test_the_synth_deep_inputs_of_seeds_1_to_10(self):
+        gen = load_bench_gen()
+        worst = 0.0
+        for seed in range(1, 11):
+            for s in gen.synth_deep(seed, 52):
+                terms = tuple(pr.PoleTerm(mu * s.lam0, (c * s.gamma,)) for mu, c in s.terms)
+                tf = pr.recombine(pr.PartialFraction(s.lam0, s.gamma, terms))
+                assert tf._expansion is not None  # kept
+                worst = max(worst, pr.realize(tf).trace.verification.max_relative_error)
+        assert worst <= 1e-13
+
+
 class TestScaleFreeVerdicts:
     """The verdict does not depend on the gain or the pole scale (Benvenuti & Farina, IEEE TAC 2004)."""
 
@@ -139,7 +173,7 @@ def scalar_markov_check(triple, tf, K, tol):
     """
     A, b, c = triple
     pf = pr.normalize(pr.expand(tf))
-    ref = tfmod._scaled_recurrence(tf, K, pf.scale_gamma, pf.pole_scale)
+    ref = tfmod.markov_reference(tf, K, pf.scale_gamma, pf.pole_scale).tolist()
     A = A / pf.pole_scale
     x = b / pf.scale_gamma
     worst, worst_k = 0.0, 1
@@ -160,6 +194,7 @@ REFERENCE_TFS = (
     pr.from_coefficients([1.0], [-1.0, 1.0]),  # 1/(z - 1): t_k = 1
     pr.from_coefficients([1.0, 1.0], [-0.5, -0.5, 1.0]),  # (z + 1)/((z - 1)(z + 0.5))
     pr.from_coefficients([2.0], [-2.0, 1.0]),  # 2/(z - 2): t_k = 2^k, normalized 1
+    pr.recombine(hn_pf(4)),  # a kept form: its reference is the closed form
 )
 # Small values make ties likely; 1e200 overflows within a few steps and NaN
 # poisons every later term.

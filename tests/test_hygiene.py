@@ -235,7 +235,7 @@ def test_the_ab_script_imports_nothing_from_posreal():
 
 
 def test_verifier_imports_nothing_from_the_construction():
-    # check.py compares against the recurrence alone (its docstring says so);
+    # check.py compares against tf's reference from the input alone (its docstring says so);
     # through tf and errors it must not reach the modules that build realizations
     reached = reachable_modules("check")
     assert "tf" in reached

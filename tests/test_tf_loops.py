@@ -1,11 +1,12 @@
 """The request loops of ``posreal.tf`` against their earlier forms.
 
 ``impulse_response``, ``recombine``'s products, ``normalize`` and ``from_coefficients`` must stay
-bit for bit what the forms kept here computed: the recurrence is the verifier's reference,
-``recombine``'s coefficients are load-bearing to the last bit (the multiple-pole expansion tests
-cluster their roots), and every request's normalized terms and monic coefficients feed its
-outputs.  The reconstruction check is a gate: its verdicts must stay the per-term form's, though
-the last digits of its residual may move.
+bit for bit what the forms kept here computed: the recurrence is the verifier's reference on
+coefficient input, ``recombine``'s coefficients of a form it does not keep are load-bearing to the
+last bit (the multiple-pole expansion tests cluster their roots), a kept form's are plain products
+within a rounding bound of numpy's, and every request's normalized terms and monic coefficients
+feed its outputs.  The reconstruction check is a gate: its verdicts must stay the per-term form's,
+though the last digits of its residual may move.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import posreal as pr
@@ -78,12 +79,43 @@ def reference_recombine_products(pf):
     return [v.real for v in num.tolist()], [v.real for v in den.tolist()]
 
 
+def plain_product(a, b):
+    """The product of two coefficient lists on Python complex numbers, out[k] summed by increasing index into a."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_plain_products(pf):
+    """num and den of a kept form (simple canonical terms) as ``recombine`` hands them to
+    ``from_coefficients``: ``reference_recombine_products``' chain and accumulation, each product
+    and each coefficient's multiple on Python complex numbers."""
+    given = pr.build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
+    terms = sorted(given.terms, key=lambda t: abs(t.pole))
+    linear = [[0j - root, 1.0 + 0j] for root in [complex(pf.dominant_pole)] + [t.pole for t in terms]]
+    prefix = [[1.0 + 0j]]
+    for factor in linear:
+        prefix.append(plain_product(prefix[-1], factor))
+    den = prefix[-1]
+    num = [0j] * (len(den) - 1)
+    for j, c in enumerate([pf.dominant_residue] + [t.coeffs[0] for t in terms]):
+        rest = prefix[j]
+        for factor in linear[j + 1 :]:
+            rest = plain_product(rest, factor)
+        for k, v in enumerate(rest):
+            num[k] += c * v
+    return [v.real for v in num], [v.real for v in den]
+
+
 def recombine_products(pf):
-    """num and den as ``recombine`` hands them to ``from_coefficients`` (whose checks may refuse them)."""
+    """num and den as ``recombine`` hands them to ``from_coefficients`` (whose checks may refuse them),
+    and whether it keeps the form."""
     seen = []
 
     def record(num, den, **kwargs):
-        seen.append((num, den))
+        seen.append((num, den, kwargs["_given"] is not None))
         return from_coefficients(num, den, **kwargs)
 
     from_coefficients = tfmod.from_coefficients
@@ -133,20 +165,65 @@ def test_impulse_response_is_the_earlier_recurrence_bit_for_bit(tf, K):
 # --- recombine's products --------------------------------------------------
 
 
-@settings(max_examples=200)
+@settings(max_examples=100)
 @given(supplied_pole_terms())
-@example((2.0, 3.0, []))  # 3/(z - 2): no terms
-@example((1.0, 1.0, [pr.PoleTerm(0.5, (-0.7,))]))
 @example((1.0, 2.0, [pr.PoleTerm(-0.5, (0.3, 0.2, -0.1))]))
 @example((1.0, 1.0, [pr.PoleTerm(0.3 + 0.4j, (0.05 + 0.02j, 0.5 + 0.1j)), pr.PoleTerm(0.3 - 0.4j, (0.05 - 0.02j, 0.5 - 0.1j))]))
 @example((1.0, 1.0, [pr.PoleTerm(-1.5, (0.3,))]))  # refused by build_partial_fraction: the terms as given
 @example((1.0, 1.0, [pr.PoleTerm(0.0, (0.3,)), pr.PoleTerm(0.5, (0.2, 0.1))]))  # a pole at 0
+@example((1.0, 1.0, [pr.PoleTerm(1.0 - 1e-7, (0.3,))]))  # simple, but not separated from l0
 def test_recombine_products_are_the_earlier_products_bit_for_bit(supplied):
+    # a form recombine does not keep: np.convolve's products, numpy's multiply
     pf = pr.PartialFraction(supplied[0], supplied[1], tuple(supplied[2]))
-    num, den = recombine_products(pf)
+    num, den, kept = recombine_products(pf)
+    assume(not kept)
     want_num, want_den = reference_recombine_products(pf)
     assert (repr(num), repr(den)) == (repr(want_num), repr(want_den))
     assert all(type(v) is float for v in num + den)  # Python floats, as the comprehensions made them
+
+
+@settings(max_examples=60)
+@given(supplied_pole_terms(max_order=1))
+@example((2.0, 3.0, []))  # 3/(z - 2): no terms
+@example((1.0, 1.0, [pr.PoleTerm(0.5, (-0.7,))]))
+@example((1.0, 1.0, [pr.PoleTerm(0.4, (-6103.515625,)), pr.PoleTerm(0.2, (1171875.0,))]))  # H^10
+def test_recombine_products_of_a_kept_form_are_plain_products_bit_for_bit(supplied):
+    pf = pr.PartialFraction(supplied[0], supplied[1], tuple(supplied[2]))
+    num, den, kept = recombine_products(pf)
+    assert kept
+    want_num, want_den = reference_plain_products(pf)
+    assert (repr(num), repr(den)) == (repr(want_num), repr(want_den))
+    assert all(type(v) is float for v in num + den)
+
+
+def absolute_products(pf):
+    """num and den of a kept form with every root and coefficient by its modulus: the sizes a
+    product's rounding is relative to (no cancellation, so numpy's rounding of them is immaterial)."""
+    given = pr.build_partial_fraction(pf.dominant_pole, pf.dominant_residue, pf.terms)
+    roots = [pf.dominant_pole] + [t.pole for t in given.terms]
+    coeffs = [pf.dominant_residue] + [t.coeffs[0] for t in given.terms]
+    rest = lambda j: np.polynomial.polynomial.polyfromroots([-abs(r) for i, r in enumerate(roots) if i != j])
+    num = sum(abs(c) * rest(j) for j, c in enumerate(coeffs))
+    return num, np.polynomial.polynomial.polyfromroots([-abs(r) for r in roots])
+
+
+@settings(max_examples=60)
+@given(supplied_pole_terms(max_order=1))
+@example((1.0, 1.0, [pr.PoleTerm(0.4, (-6103.515625,)), pr.PoleTerm(0.2, (1171875.0,))]))  # H^10
+def test_a_kept_forms_plain_products_are_within_rounding_of_numpys(supplied):
+    # Each coefficient of either computation is at most F - 1 products by a linear factor, one
+    # multiple of a coefficient and F - 1 sums (F factors, l0 included).  A complex product rounds
+    # by at most sqrt(5) u |a||b| and a sum by at most u (|a| + |b|), u = eps / 2, so each is within
+    # about (sqrt(5) + 1) F u = 1.7 F eps of the exact value, relative to the products of the
+    # moduli, and the two within 3.4 F eps of each other: the bound below is 4 (F + 1) eps.
+    pf = pr.PartialFraction(supplied[0], supplied[1], tuple(supplied[2]))
+    num, den, _ = recombine_products(pf)
+    want_num, want_den = reference_recombine_products(pf)
+    abs_num, abs_den = absolute_products(pf)
+    bound = 4 * len(den) * np.finfo(float).eps  # len(den) = F + 1
+    assert len(num) == len(abs_num) and len(den) == len(abs_den)
+    assert np.all(np.abs(np.subtract(num, want_num)) <= bound * abs_num)
+    assert np.all(np.abs(np.subtract(den, want_den)) <= bound * abs_den)
 
 
 @pytest.mark.parametrize(
@@ -194,10 +271,14 @@ _pole_terms = st.lists(
 @example(0.0, 1.0, [])
 @example(150.0, 1e150, [pr.PoleTerm(0.5, (1.0, -0.0, 3.0))])
 @example(-150.0, 1e-150, [pr.PoleTerm(-0.25 + 0.5j, (-0.0 + 1j, 2.0)), pr.PoleTerm(0.5, (1.0,))])
+@example(-150.0, 1e-150, [pr.PoleTerm(0.5, (1.0,)), pr.PoleTerm(0.25, (1.0, 2.0, 3.0))])  # g * l0**2 underflows
 def test_normalize_is_the_per_coefficient_form_bit_for_bit(log_lam0, gamma, terms):
     pf = pr.PartialFraction(10.0**log_lam0, gamma, tuple(terms))
     got = outcome(lambda: pr.normalize(pf))
     want = outcome(lambda: pr.PartialFraction(1.0, 1.0, reference_normalize(pf), gamma, pf.dominant_pole))
+    if want[0] == "ZeroDivisionError":  # a divisor g * l0**(i-1) underflowed: refused as past the float range
+        i = next(i for i in range(3) if gamma * pf.dominant_pole**i == 0.0)
+        want = "OverflowError", f"g * l0**{i} underflows to 0: normalized order-{i + 1} coefficients pass the float range"
     assert got == want
 
 
@@ -211,6 +292,16 @@ def test_normalize_keeps_raising_where_the_power_overflows(lam0):
         pr.normalize(pf)
     # order 2 at the same scales stays finite
     assert pr.normalize(dataclasses.replace(pf, terms=(pr.PoleTerm(0.5 * lam0, (1.0, 2.0)),))).terms
+
+
+@pytest.mark.parametrize("gamma, lam0, order", [(1.0, 1e-200, 3), (1.0, 1e-170, 3), (1e-200, 1e-200, 2)])
+def test_normalize_refuses_where_the_divisor_underflows(gamma, lam0, order):
+    # the mirror of the overflow above: g * l0**(order-1) is 0, so c divided by it passes the float range
+    pf = pr.build_partial_fraction(lam0, gamma, [pr.PoleTerm(0.5 * lam0, (0.1,) * order)])
+    with pytest.raises(OverflowError, match=f"^g \\* l0\\*\\*{order - 1} underflows to 0: normalized order-{order} "):
+        pr.normalize(pf)
+    # a lower order at the same scale stays finite
+    assert pr.normalize(dataclasses.replace(pf, terms=(pr.PoleTerm(0.5 * lam0, (0.1,) * (order - 1)),))).terms
 
 
 # --- from_coefficients -------------------------------------------------------
@@ -279,12 +370,15 @@ def convolutions(monkeypatch):
 
 @pytest.mark.parametrize("F", range(1, 8))
 def test_recombine_runs_no_product_by_one(convolutions, F):
-    # F simple factors, the dominant one included: 2F - 3 + (F-1)(F-2)/2 products (with the products by 1,
-    # 12 at F = 3 and 33 at F = 6)
-    terms = tuple(pr.PoleTerm(0.9 * (-0.8) ** j, (0.1 + 0.05 * j,)) for j in range(F - 1))
-    pr.recombine(pr.PartialFraction(1.0, 1.0, terms))
-    assert len(convolutions) == (0 if F == 1 else 2 * F - 3 + (F - 1) * (F - 2) // 2)
-    assert all(a > 1 and v > 1 for a, v in convolutions)
+    # F simple factors, the dominant one included: a kept form, whose products run on Python complex numbers
+    terms = [pr.PoleTerm(0.9 * (-0.8) ** j, (0.1 + 0.05 * j,)) for j in range(F - 1)]
+    pr.recombine(pr.PartialFraction(1.0, 1.0, tuple(terms)))
+    assert convolutions == []
+    if F > 1:  # the outermost term of order 2: not kept, 2F - 1 + (F-1)(F-2)/2 np.convolve products
+        terms[0] = pr.PoleTerm(terms[0].pole, (0.1, 0.3))
+        pr.recombine(pr.PartialFraction(1.0, 1.0, tuple(terms)))
+        assert len(convolutions) == 2 * F - 1 + (F - 1) * (F - 2) // 2
+        assert all(a > 1 and v > 1 for a, v in convolutions)
 
 
 def test_recombine_products_with_an_order_two_term(convolutions):
